@@ -122,10 +122,19 @@ def rk4(f: Callable[[Vector], Vector], x: Vector, dt: float) -> Vector:
 
 def step_rk4(dyn: AffineDynamics, x: Vector, u: Vector, dt: float,
              t: float = 0.0) -> Vector:
-    """Advance the true plant one step with the control held constant (ZOH)."""
+    """Advance the true plant one step with the control held constant (ZOH).
+
+    x and u are checked once here and x_next on the way out, rather than at
+    each of the four stages as `eval_dynamics` would; the stage arithmetic is
+    the same as `eval_dynamics` with theta_true.
+    """
     x, u = _check_xu(dyn, x, u)
-    x_next = rk4(lambda s: eval_dynamics(dyn, s, u, dyn.theta_true), x, dt)
-    if not np.all(np.isfinite(x_next)):
+    nominal, features, theta_t = dyn.nominal, dyn.features, dyn.theta_true.T
+    x_next = rk4(lambda s: nominal(s, u) + theta_t @ features(s, u), x, dt)
+    if x_next.shape != x.shape:
+        raise DimensionError(
+            f"plant model gave a state of shape {x_next.shape}, expected {x.shape}")
+    if not np.isfinite(x_next).all():
         raise DivergenceError(f"non-finite state after step at t={t:.6g}",
                               t=t, state=x_next)
     return x_next

@@ -141,7 +141,7 @@ class FeatureBasis:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.state_dim,):
             raise DimensionError(f"state must be ({self.state_dim},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite state passed to feature basis")
         return x
 
@@ -162,6 +162,6 @@ class FeatureBasis:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.input_dim,):
             raise DimensionError(f"input must be ({self.input_dim},), got {u.shape}")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("non-finite input passed to feature basis")
         return u * u

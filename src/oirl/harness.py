@@ -25,6 +25,7 @@ from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
 from .param_estimator import ThetaEstimator
 from .policy_estimator import PolicyEstimator
+from .rls import _norm
 
 Matrix = np.ndarray
 
@@ -281,12 +282,18 @@ def _as_nested_tuple(value):
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     known_sections = {"plant", "reference", "reward", "features",
                       "policy_estimator", "theta_estimator", "irl",
                       "simulation", "flags", "tolerances"}
     unknown = set(data) - known_sections
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object, "
+                              f"got {type(section).__name__}")
     try:
         plant = data["plant"]
         reference = data["reference"]
@@ -566,6 +573,8 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
     first_rank = None
     pol_lo, pol_hi = np.inf, -np.inf
     irl_lo, irl_hi = np.inf, -np.inf
+    p = basis.value_dim
+    pl = p + basis.reward_dim
 
     try:
         for k in range(steps + 1):
@@ -582,11 +591,12 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
             policy_ready = policy_est.stack.is_full_rank(pc.rank_threshold)
             if first_rank is None and policy_ready:
                 first_rank = t
-            snap = theta_est.snapshot()
-            gate = snap.generation >= 1 and (policy_ready or not use_query)
+            generation = theta_est.generation
+            gate = generation >= 1 and (policy_ready or not use_query)
 
-            purged = engine.schedule_purge(t, snap.generation)
+            purged = engine.schedule_purge(t, generation)
             if gate and t - last_collect >= ic.query_period - 1e-9:
+                snap = theta_est.snapshot()
                 if use_query:
                     engine.generate_query(policy_est.snapshot(t), snap, t)
                 else:
@@ -607,15 +617,15 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
                 irl_lo = min(irl_lo, engine.gamma_eig_range[0])
                 irl_hi = max(irl_hi, engine.gamma_eig_range[1])
 
+            w = engine.weights
             records.append(MetricsRecord(
                 t=t,
-                tracking_error=float(np.linalg.norm(e)),
-                theta_error=float(np.linalg.norm(theta_star - theta_est.theta_hat)),
-                policy_error=float(np.linalg.norm(w_u_star - policy_est.weights)),
-                value_error=float(np.linalg.norm(targets.value - engine.value_weights)),
-                reward_error=float(np.linalg.norm(targets.reward - engine.reward_weights)),
-                control_error=float(np.linalg.norm(
-                    targets.control - engine.control_weights_rest)),
+                tracking_error=_norm(e),
+                theta_error=_norm(theta_star - theta_est.theta_hat),
+                policy_error=_norm(w_u_star - policy_est.weights),
+                value_error=_norm(targets.value - w[:p]),
+                reward_error=_norm(targets.reward - w[p:pl]),
+                control_error=_norm(targets.control - w[pl:]),
                 lambda_theta_stack=theta_est.stack.rank_metric,
                 lambda_policy_stack=policy_est.stack.rank_metric,
                 lambda_irl_stack=engine.stack.rank_metric,

@@ -75,9 +75,6 @@ class HistoryStack:
         """All stored targets stacked, shape (count*block_rows, target_dim)."""
         return self._targets[:self._count].reshape(-1, self.target_dim).copy()
 
-    def timestamps(self) -> np.ndarray:
-        return self._times[:self._count].copy()
-
     def tags(self) -> np.ndarray:
         return self._tags[:self._count].copy()
 
@@ -108,7 +105,7 @@ class HistoryStack:
             raise DimensionError(
                 f"target block must be ({self.block_rows}, {self.target_dim}), "
                 f"got shape {np.shape(target_block)}")
-        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(targets))):
+        if not (np.isfinite(rows).all() and np.isfinite(targets).all()):
             raise ValueError("non-finite row or target offered to history stack")
         return rows, targets
 

@@ -26,7 +26,7 @@ from .features import FeatureBasis
 from .history import HistoryStack
 from .param_estimator import ThetaSnapshot
 from .policy_estimator import PolicySnapshot
-from .rls import gain_step
+from .rls import _norm, gain_step
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -148,7 +148,7 @@ class RewardEstimator:
                t: float) -> bool:
         rows, offsets = build_row_block(self.basis, self.dyn, x, u_hat,
                                         theta.theta_hat, self.r1)
-        if np.linalg.norm(rows) < 1e-12:
+        if _norm(rows) < 1e-12:
             return False        # degenerate sample, cannot raise lambda_min
         return self.stack.try_insert(rows, offsets, t, tag=theta.generation)
 
@@ -171,7 +171,7 @@ class RewardEstimator:
         s = self.stack.normal_matrix()
         c = self.stack.cross_matrix()[:, 0]     # Sigma^T offsets
         w = self.weights + dt * self.alpha * (self.gamma @ (-s @ self.weights - c))
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DivergenceError("reward weight update went non-finite")
         self.weights = w
 

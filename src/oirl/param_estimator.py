@@ -8,6 +8,13 @@ sigma(x,u). Integrating over a sliding window [t - window, t] gives
 so each window yields a linear regressor/target pair without differentiating
 state measurements. Pairs are banked in a history stack and theta_hat follows
 a recursive least-squares law with forgetting, projected onto a known box.
+
+The window integral is a left-to-right sum of per-subinterval trapezoid
+terms. The estimator computes each subinterval's terms once, when its right
+sample arrives, and keeps them alongside the buffered samples; an offer sums
+the cached terms in the same order `accumulate_window` does, so the banked
+pair is bit-identical to re-integrating the window. A running add/subtract
+sum would be O(1) per offer too, but it rounds differently and drifts.
 """
 
 from __future__ import annotations
@@ -19,10 +26,30 @@ import numpy as np
 
 from .dynamics import AffineDynamics
 from .history import HistoryStack
-from .rls import gain_step
+from .rls import _norm, gain_step
 
 Matrix = np.ndarray
 Vector = np.ndarray
+
+
+def _interval_terms(nominal, features, t_a, x_a, u_a, t_b, x_b) -> tuple[Vector, Vector]:
+    """Trapezoid terms (int sigma, int f0) over [t_a, t_b] with u held at u_a."""
+    h = t_b - t_a
+    return (0.5 * h * (features(x_a, u_a) + features(x_b, u_a)),
+            0.5 * h * (nominal(x_a, u_a) + nominal(x_b, u_a)))
+
+
+def _window_pair(terms, x_start, x_end) -> tuple[Vector, Vector]:
+    """(Y, b) from a window's interval terms, summed left to right."""
+    if not terms:
+        raise ValueError("integration window needs at least 2 samples")
+    pairs = iter(terms)
+    y, f_int = next(pairs)
+    for sig, nom in pairs:
+        y = y + sig
+        f_int = f_int + nom
+    b = np.asarray(x_end, dtype=float) - np.asarray(x_start, dtype=float) - f_int
+    return y, b
 
 
 def accumulate_window(nominal, features, times, states, controls) -> tuple[Vector, Vector]:
@@ -34,21 +61,10 @@ def accumulate_window(nominal, features, times, states, controls) -> tuple[Vecto
     b = x(end) - x(start) - int f0 dt (n,).
     """
     times = np.asarray(times, dtype=float)
-    k = times.shape[0]
-    if k < 2:
-        raise ValueError("integration window needs at least 2 samples")
-    y = None
-    f_int = None
-    for i in range(k - 1):
-        h = times[i + 1] - times[i]
-        x_a, x_b = states[i], states[i + 1]
-        u_held = controls[i]
-        sig = 0.5 * h * (features(x_a, u_held) + features(x_b, u_held))
-        nom = 0.5 * h * (nominal(x_a, u_held) + nominal(x_b, u_held))
-        y = sig if y is None else y + sig
-        f_int = nom if f_int is None else f_int + nom
-    b = np.asarray(states[-1], dtype=float) - np.asarray(states[0], dtype=float) - f_int
-    return y, b
+    terms = [_interval_terms(nominal, features, times[i], states[i], controls[i],
+                             times[i + 1], states[i + 1])
+             for i in range(times.shape[0] - 1)]
+    return _window_pair(terms, states[0], states[-1])
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,7 @@ class ThetaEstimator:
         self.generation = 0
         self._anchor = self.theta_hat.copy()
         self._buffer: deque = deque()
+        self._terms: deque = deque()
         self._last_offer = -np.inf
         self.gain_resets = 0
         self.last_gain_reset = False
@@ -101,30 +118,29 @@ class ThetaEstimator:
     def snapshot(self) -> ThetaSnapshot:
         return ThetaSnapshot(self.theta_hat.copy(), self.generation)
 
-    def window_pair(self) -> tuple[Vector, Vector]:
-        """(Y, b) over the currently buffered window."""
-        times = [s[0] for s in self._buffer]
-        states = [s[1] for s in self._buffer]
-        controls = [s[2] for s in self._buffer]
-        return accumulate_window(self.dyn.nominal, self.dyn.features,
-                                 times, states, controls)
-
     def observe(self, t: float, x: Vector, u: Vector) -> bool:
         """Buffer one sample; offer a window pair to the stack when due.
 
         Returns whether the stack changed. Zero-signal windows are never
         offered since they cannot raise the stack's rank metric.
         """
-        self._buffer.append((float(t), np.asarray(x, dtype=float).copy(),
-                             np.asarray(u, dtype=float).copy()))
+        sample = (float(t), np.asarray(x, dtype=float).copy(),
+                  np.asarray(u, dtype=float).copy())
+        if self._buffer:
+            t_a, x_a, u_a = self._buffer[-1]
+            # _terms[i] covers [_buffer[i], _buffer[i + 1]]
+            self._terms.append(_interval_terms(self.dyn.nominal, self.dyn.features,
+                                               t_a, x_a, u_a, sample[0], sample[1]))
+        self._buffer.append(sample)
         while self._buffer[0][0] < t - self.window - 1e-9:
             self._buffer.popleft()
+            self._terms.popleft()
         spans = self._buffer[0][0] <= t - self.window + 1e-9
         if not spans or t - self._last_offer < self.offer_period - 1e-9:
             return False
-        y, b = self.window_pair()
+        y, b = _window_pair(self._terms, self._buffer[0][1], sample[1])
         self._last_offer = t
-        if np.linalg.norm(y) < 1e-12:
+        if _norm(y) < 1e-12:
             return False
         return self.stack.try_insert(y, b, t, tag=self.generation)
 
@@ -142,6 +158,6 @@ class ThetaEstimator:
         if reset:
             self.gain_resets += 1
         self.gamma_eig_range = (lam_lo, lam_hi)
-        if np.linalg.norm(self.theta_hat - self._anchor) > self.revision_threshold:
+        if _norm(self.theta_hat - self._anchor) > self.revision_threshold:
             self.generation += 1
             self._anchor = self.theta_hat.copy()

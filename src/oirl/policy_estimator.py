@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DivergenceError
 from .features import FeatureBasis
 from .history import HistoryStack
-from .rls import gain_step
+from .rls import _norm, gain_step
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -59,7 +59,7 @@ class PolicyEstimator:
         """
         row = self.basis.policy_features(x)
         u = np.asarray(u, dtype=float)
-        if np.linalg.norm(row) < 1e-12:
+        if _norm(row) < 1e-12:
             return False
         return self.stack.try_insert(row, u, t)
 
@@ -68,7 +68,7 @@ class PolicyEstimator:
         s = self.stack.normal_matrix()
         c = self.stack.cross_matrix()          # Sigma^T U, shape (K, m)
         w = self.weights + dt * self.alpha * (self.gamma @ (-c - s @ self.weights))
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DivergenceError("policy weight update went non-finite")
         self.weights = w
 

@@ -8,13 +8,27 @@ where Normal is the history stack's normal matrix. Forward Euler at the
 simulation step, with symmetrization and an eigenvalue floor/ceiling reset
 guard, since the forgetting term grows Gamma exponentially whenever the
 stack carries no excitation.
+
+`_norm` is the Frobenius/2-norm every estimator and the metrics record use on
+the step path. It computes exactly what `np.linalg.norm(a)` computes for a
+real array with ord=None, sqrt(v . v) on v = a.ravel(order="K"), so results
+are bit-identical; it only skips that function's argument dispatch, which
+dominates the cost on arrays of a few entries.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Matrix = np.ndarray
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) for a real float array, without its dispatch."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def gain_step(gamma: Matrix, normal: Matrix, alpha: float, beta: float,
@@ -27,9 +41,9 @@ def gain_step(gamma: Matrix, normal: Matrix, alpha: float, beta: float,
     to gamma0 (a recoverable gain-reset event, to be surfaced by the caller).
     """
     g = gamma + dt * (beta * gamma - alpha * (gamma @ normal @ gamma))
-    if np.all(np.isfinite(g)):
-        asym = np.linalg.norm(g - g.T)
-        if asym > 1e-10 * max(1.0, float(np.linalg.norm(g))):
+    if np.isfinite(g).all():
+        asym = _norm(g - g.T)
+        if asym > 1e-10 * max(1.0, _norm(g)):
             raise RuntimeError(f"gain matrix lost symmetry (drift {asym:.3e})")
         g = 0.5 * (g + g.T)
         eigs = np.linalg.eigvalsh(g)

@@ -1,0 +1,47 @@
+"""Exit codes of the command-line interface: 0 success, 1 tolerance, 2 config."""
+
+import json
+from pathlib import Path
+
+from oirl.cli import main
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
+
+
+def _write(tmp_path, data) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_non_object_section_exits_2(tmp_path):
+    data = json.loads(SHIPPED.read_text())
+    data["plant"] = "x"
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_non_object_config_exits_2(tmp_path):
+    assert main(["run", "--config", _write(tmp_path, ["plant"]),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_missing_config_file_exits_2(tmp_path):
+    assert main(["run", "--config", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_short_run_missing_its_tolerances_exits_1(tmp_path):
+    data = json.loads(SHIPPED.read_text())
+    data["simulation"]["duration"] = 2.0    # the shortest the purge dwell allows
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert (out / "metrics.csv").exists()
+
+
+def test_oracle_exits_0(capsys):
+    assert main(["oracle", "--config", str(SHIPPED)]) == 0
+    assert "K =" in capsys.readouterr().out

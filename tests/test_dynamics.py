@@ -89,7 +89,16 @@ def test_step_rk4_matches_generic_rk4_with_held_input():
     x = np.array([0.5, -0.2])
     u = np.array([0.3])
     expected = rk4(lambda s: eval_dynamics(dyn, s, u, dyn.theta_true), x, 0.01)
-    np.testing.assert_allclose(step_rk4(dyn, x, u, 0.01), expected, atol=0)
+    np.testing.assert_array_equal(step_rk4(dyn, x, u, 0.01), expected)
+
+
+def test_step_rk4_rejects_a_model_of_the_wrong_shape():
+    dyn = AffineDynamics(state_dim=2, input_dim=1,
+                         nominal=lambda x, u: np.zeros((2, 2)),
+                         features=lambda x, u: np.zeros(3),
+                         theta_true=THETA)
+    with pytest.raises(DimensionError):
+        step_rk4(dyn, np.array([0.5, -0.2]), np.array([0.3]), 0.01)
 
 
 def test_step_rk4_raises_on_blowup():

@@ -138,3 +138,51 @@ def test_generation_counts_significant_revisions():
     assert snap.generation == est.generation
     snap.theta_hat[0, 0] = 99.0
     assert est.theta_hat[0, 0] != 99.0
+
+
+def _loop_window(nominal, features, times, states, controls):
+    """The window integral as one plain left-to-right loop."""
+    y = f_int = None
+    for i in range(len(times) - 1):
+        h = times[i + 1] - times[i]
+        u = controls[i]
+        sig = 0.5 * h * (features(states[i], u) + features(states[i + 1], u))
+        nom = 0.5 * h * (nominal(states[i], u) + nominal(states[i + 1], u))
+        y = sig if y is None else y + sig
+        f_int = nom if f_int is None else f_int + nom
+    return y, states[-1] - states[0] - f_int
+
+
+def test_observe_banks_exactly_the_reference_window_integral():
+    """Cached interval terms reproduce accumulate_window bit for bit, with
+    irregular sample spacing, two inputs, and a buffer that keeps evicting."""
+    rng = np.random.default_rng(5)
+    a0 = np.array([[0.0, 1.0], [-1.0, -0.3]])
+    b0 = np.array([[0.0, 0.5], [1.0, 0.0]])
+    theta = rng.uniform(-0.5, 0.5, size=(4, 2))
+    dyn = linear_uncertain_plant(a0, b0, theta)
+    est = ThetaEstimator(dyn, window=0.25, offer_period=0.05)
+    offered = []
+
+    def spy(y, b, t, tag=0):
+        window = [[s[k] for s in est._buffer] for k in range(3)]
+        equal = True
+        for integrate in (accumulate_window, _loop_window):
+            ref_y, ref_b = integrate(dyn.nominal, dyn.features, *window)
+            equal = equal and np.array_equal(y, ref_y) and np.array_equal(b, ref_b)
+        offered.append((equal, len(window[0])))
+        return False
+
+    est.stack.try_insert = spy
+    # uneven spacing that repeats every offer period, so a sample lands
+    # exactly one window back whenever an offer is due
+    offsets = [0.0, 0.002, 0.011, 0.015, 0.03]
+    times = [0.05 * k + dt for k in range(60) for dt in offsets]
+    x = np.array([1.0, -0.5])
+    for t in times:
+        est.observe(t, x, np.array([np.sin(3.0 * t), np.cos(1.7 * t)]))
+        x = x + rng.normal(scale=0.05, size=2)
+    assert len(offered) > 20
+    assert all(equal for equal, _ in offered)
+    # the window was evicting: no offer saw anywhere near every sample
+    assert max(n for _, n in offered) < len(times) // 4

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from oirl.rls import gain_step
+from oirl.rls import _norm, gain_step
+
+
+@pytest.mark.parametrize("a", [
+    np.array([3.0, -4.0, 1e-3]),
+    np.linspace(-2.0, 7.0, 17)[::3],               # strided view
+    np.arange(12.0).reshape(3, 4) / 7.0,
+    (np.arange(12.0).reshape(3, 4) / 7.0).T,      # non-contiguous view
+    np.zeros(0),
+])
+def test_norm_helper_is_bit_identical_to_numpy(a):
+    assert _norm(a) == np.linalg.norm(a)
 
 
 def test_pure_forgetting_grows_geometrically():
