@@ -216,6 +216,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("dwell must be positive")
     if cfg.theta_estimator.window <= 0 or cfg.theta_estimator.offer_period <= 0:
         raise ConfigError("theta estimator window and offer period must be positive")
+    # theta windows are offered only when a sample lies exactly one window back
+    steps = cfg.theta_estimator.window / cfg.dt
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        raise ConfigError("dt must divide the theta window a whole number of times")
     if cfg.policy_estimator.offer_period <= 0 or cfg.irl.query_period <= 0:
         raise ConfigError("offer/query periods must be positive")
     box = np.asarray(cfg.irl.query_box, dtype=float)
@@ -598,17 +602,15 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
             if gate and t - last_collect >= ic.query_period - 1e-9:
                 snap = theta_est.snapshot()
                 if use_query:
-                    engine.generate_query(policy_est.snapshot(t), snap, t)
+                    engine.generate_query(policy_est.snapshot(), snap, t)
                 else:
                     engine.collect_trajectory_sample(e, mu, snap, t)
                 last_collect = t
 
             theta_est.update(dt)
-            policy_est.update_weights(dt)
-            policy_est.update_gain(dt)
+            policy_est.update(dt)
             if gate:
-                engine.update_weights(dt)
-                engine.update_gain(dt)
+                engine.update(dt)
 
             if policy_ready:
                 pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])

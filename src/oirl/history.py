@@ -2,9 +2,12 @@
 
 A stack holds up to `capacity` entries, each a small block of regressor rows
 with matching targets, a timestamp, and an integer tag identifying which
-parameter-estimate generation produced it. The informativity metric is
-lambda_min of the stacked normal matrix; admission maximizes it, purging
-clears everything subject to a dwell-time guard owned by the caller.
+parameter-estimate generation produced it. Owners bank rows so that
+rows @ W ~= target for their weights W, which is why the policy
+(u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0) bank
+-offsets. The informativity metric is lambda_min of the stacked normal
+matrix; admission maximizes it, purging clears everything subject to a
+dwell-time guard owned by the caller.
 """
 
 from __future__ import annotations
@@ -74,9 +77,6 @@ class HistoryStack:
     def targets(self) -> Matrix:
         """All stored targets stacked, shape (count*block_rows, target_dim)."""
         return self._targets[:self._count].reshape(-1, self.target_dim).copy()
-
-    def tags(self) -> np.ndarray:
-        return self._tags[:self._count].copy()
 
     def oldest_tag(self) -> int | None:
         if self._count == 0:

@@ -13,7 +13,8 @@ unknown weights. The reward is only identifiable up to scale, so the first
 control penalty r_1 is fixed by convention and moves to the row offsets.
 Rows are built from the current drift-parameter estimate, banked in a history
 stack tagged with that estimate's generation, and purged when fresher
-estimates make old rows stale.
+estimates make old rows stale. The stack holds -offsets as targets, so that
+rows @ W ~= target as `rls.ConcurrentLearner` expects.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import AffineDynamics, eval_dynamics, input_jacobian
-from .errors import DivergenceError
 from .features import FeatureBasis
 from .history import HistoryStack
 from .param_estimator import ThetaSnapshot
 from .policy_estimator import PolicySnapshot
-from .rls import _norm, gain_step
+from .rls import ConcurrentLearner, _norm
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -77,8 +77,8 @@ def build_row_block(basis: FeatureBasis, dyn: AffineDynamics, x: Vector,
     return rows, offsets
 
 
-class RewardEstimator:
-    """Maintains the queried-sample stack and the weight/gain update laws.
+class RewardEstimator(ConcurrentLearner):
+    """Concurrent-learning estimator over the queried-sample stack.
 
     The weight vector has length P + L + m - 1, partitioned as value weights,
     state-reward weights, and the diagonal control penalties beyond the
@@ -96,27 +96,19 @@ class RewardEstimator:
         self.basis = basis
         self.dyn = dyn
         self.r1 = float(r1)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self.dwell = float(dwell)
-        self.gamma_floor = float(gamma_floor)
-        self.gamma_ceiling = float(gamma_ceiling)
         n, m = dyn.state_dim, basis.input_dim
         if query_box is None:
             query_box = [(-1.0, 1.0)] * n
         self.query_box = np.asarray(query_box, dtype=float).reshape(n, 2)
         self.rng = np.random.default_rng(query_seed)
         self.dim = basis.value_dim + basis.reward_dim + m - 1
-        self.weights = np.zeros(self.dim)
-        self._gamma0 = gamma0 * np.eye(self.dim)
-        self.gamma = self._gamma0.copy()
-        self.stack = HistoryStack(stack_size, row_dim=self.dim,
-                                  block_rows=1 + m, target_dim=1)
+        super().__init__(
+            HistoryStack(stack_size, row_dim=self.dim, block_rows=1 + m,
+                         target_dim=1),
+            np.zeros(self.dim), alpha, beta, gamma0, gamma_floor, gamma_ceiling)
         self.last_purge = 0.0
         self.purge_times: list[float] = []
-        self.gain_resets = 0
-        self.last_gain_reset = False
-        self.gamma_eig_range = (gamma0, gamma0)
 
     # -- weight partitions ----------------------------------------------------
 
@@ -133,12 +125,6 @@ class RewardEstimator:
     def control_weights_rest(self) -> Vector:
         return self.weights[self.basis.value_dim + self.basis.reward_dim:].copy()
 
-    def full_weights(self) -> Vector:
-        """[W_V; W_Q; W_R] with the anchored r1 re-inserted."""
-        p, l = self.basis.value_dim, self.basis.reward_dim
-        return np.concatenate([self.weights[:p + l], [self.r1],
-                               self.weights[p + l:]])
-
     # -- sample collection -----------------------------------------------------
 
     def draw_query_state(self) -> Vector:
@@ -150,7 +136,7 @@ class RewardEstimator:
                                         theta.theta_hat, self.r1)
         if _norm(rows) < 1e-12:
             return False        # degenerate sample, cannot raise lambda_min
-        return self.stack.try_insert(rows, offsets, t, tag=theta.generation)
+        return self.stack.try_insert(rows, -offsets, t, tag=theta.generation)
 
     def generate_query(self, policy: PolicySnapshot, theta: ThetaSnapshot,
                        t: float) -> bool:
@@ -165,27 +151,6 @@ class RewardEstimator:
         return self._offer(np.asarray(x, dtype=float),
                            np.asarray(u, dtype=float), theta, t)
 
-    # -- updates ---------------------------------------------------------------
-
-    def update_weights(self, dt: float) -> None:
-        s = self.stack.normal_matrix()
-        c = self.stack.cross_matrix()[:, 0]     # Sigma^T offsets
-        w = self.weights + dt * self.alpha * (self.gamma @ (-s @ self.weights - c))
-        if not np.isfinite(w).all():
-            raise DivergenceError("reward weight update went non-finite")
-        self.weights = w
-
-    def update_gain(self, dt: float) -> bool:
-        s = self.stack.normal_matrix()
-        self.gamma, reset, lam_lo, lam_hi = gain_step(
-            self.gamma, s, self.alpha, self.beta, dt,
-            self.gamma_floor, self.gamma_ceiling, self._gamma0)
-        self.last_gain_reset = reset
-        if reset:
-            self.gain_resets += 1
-        self.gamma_eig_range = (lam_lo, lam_hi)
-        return reset
-
     # -- purging ---------------------------------------------------------------
 
     def schedule_purge(self, t: float, theta_generation: int) -> bool:
@@ -198,20 +163,3 @@ class RewardEstimator:
         self.last_purge = t
         self.purge_times.append(t)
         return True
-
-    # -- outputs ---------------------------------------------------------------
-
-    def assemble_reward(self):
-        """(Q_hat, R_hat, V_hat): state-reward map, diagonal R, value map."""
-        w_q = self.reward_weights
-        w_v = self.value_weights
-        r_hat = np.diag(np.concatenate([[self.r1], self.control_weights_rest]))
-        basis = self.basis
-
-        def q_hat(x):
-            return float(w_q @ basis.reward_features(x))
-
-        def v_hat(x):
-            return float(w_v @ basis.value_features(x))
-
-        return q_hat, r_hat, v_hat

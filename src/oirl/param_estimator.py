@@ -7,7 +7,7 @@ sigma(x,u). Integrating over a sliding window [t - window, t] gives
 
 so each window yields a linear regressor/target pair without differentiating
 state measurements. Pairs are banked in a history stack and theta_hat follows
-a recursive least-squares law with forgetting, projected onto a known box.
+the `rls.ConcurrentLearner` law with forgetting, projected onto a known box.
 
 The window integral is a left-to-right sum of per-subinterval trapezoid
 terms. The estimator computes each subinterval's terms once, when its right
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import AffineDynamics
 from .history import HistoryStack
-from .rls import _norm, gain_step
+from .rls import ConcurrentLearner, _norm
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -74,7 +74,7 @@ class ThetaSnapshot:
     generation: int
 
 
-class ThetaEstimator:
+class ThetaEstimator(ConcurrentLearner):
     """Windowed-integral concurrent-learning estimator for theta.
 
     `generation` counts significant estimate revisions: it increments whenever
@@ -93,30 +93,27 @@ class ThetaEstimator:
         self.dyn = dyn
         self.window = float(window)
         self.offer_period = float(offer_period)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self.box_lo, self.box_hi = float(box[0]), float(box[1])
         if not self.box_lo < self.box_hi:
             raise ValueError("projection box must have lo < hi")
         self.revision_threshold = float(revision_threshold)
-        self.gamma_floor = float(gamma_floor)
-        self.gamma_ceiling = float(gamma_ceiling)
-        center = 0.5 * (self.box_lo + self.box_hi)
-        self.theta_hat = np.full((p, n), center)
-        self._gamma0 = gamma0 * np.eye(p)
-        self.gamma = self._gamma0.copy()
-        self.stack = HistoryStack(stack_size, row_dim=p, block_rows=1, target_dim=n)
+        center = np.full((p, n), 0.5 * (self.box_lo + self.box_hi))
+        super().__init__(
+            HistoryStack(stack_size, row_dim=p, block_rows=1, target_dim=n),
+            center, alpha, beta, gamma0, gamma_floor, gamma_ceiling)
         self.generation = 0
-        self._anchor = self.theta_hat.copy()
+        self._anchor = self.weights.copy()
         self._buffer: deque = deque()
         self._terms: deque = deque()
         self._last_offer = -np.inf
-        self.gain_resets = 0
-        self.last_gain_reset = False
-        self.gamma_eig_range = (gamma0, gamma0)
+
+    @property
+    def theta_hat(self) -> Matrix:
+        """The current estimate; the learner's weights, read-only by name."""
+        return self.weights
 
     def snapshot(self) -> ThetaSnapshot:
-        return ThetaSnapshot(self.theta_hat.copy(), self.generation)
+        return ThetaSnapshot(self.weights.copy(), self.generation)
 
     def observe(self, t: float, x: Vector, u: Vector) -> bool:
         """Buffer one sample; offer a window pair to the stack when due.
@@ -145,19 +142,9 @@ class ThetaEstimator:
         return self.stack.try_insert(y, b, t, tag=self.generation)
 
     def update(self, dt: float) -> None:
-        """One Euler step of the RLS law, projection, and generation logic."""
-        s = self.stack.normal_matrix()
-        c = self.stack.cross_matrix()
-        self.theta_hat = self.theta_hat + dt * self.alpha * (
-            self.gamma @ (c - s @ self.theta_hat))
-        np.clip(self.theta_hat, self.box_lo, self.box_hi, out=self.theta_hat)
-        self.gamma, reset, lam_lo, lam_hi = gain_step(
-            self.gamma, s, self.alpha, self.beta, dt,
-            self.gamma_floor, self.gamma_ceiling, self._gamma0)
-        self.last_gain_reset = reset
-        if reset:
-            self.gain_resets += 1
-        self.gamma_eig_range = (lam_lo, lam_hi)
-        if _norm(self.theta_hat - self._anchor) > self.revision_threshold:
+        """One learner step, then the box projection and generation logic."""
+        super().update(dt)
+        np.clip(self.weights, self.box_lo, self.box_hi, out=self.weights)
+        if _norm(self.weights - self._anchor) > self.revision_threshold:
             self.generation += 1
-            self._anchor = self.theta_hat.copy()
+            self._anchor = self.weights.copy()

@@ -1,13 +1,17 @@
-"""Least-squares gain dynamics with forgetting, shared by all estimators.
+"""Concurrent learning: the least-squares core shared by all estimators.
 
-Each estimator evolves a gain matrix Gamma by
+Each estimator banks rows in a history stack so that rows @ W ~= target, and
+steps its weights W and gain Gamma by forward Euler on the stack's normal
+matrix S and cross matrix C:
 
-    Gamma_dot = beta * Gamma - alpha * Gamma @ Normal @ Gamma
+    W_dot     = alpha * Gamma @ (C - S @ W)
+    Gamma_dot = beta * Gamma - alpha * Gamma @ S @ Gamma
 
-where Normal is the history stack's normal matrix. Forward Euler at the
-simulation step, with symmetrization and an eigenvalue floor/ceiling reset
-guard, since the forgetting term grows Gamma exponentially whenever the
-stack carries no excitation.
+The gain step symmetrizes Gamma and resets it to Gamma0 when an eigenvalue
+leaves [floor, ceiling], since forgetting grows Gamma exponentially whenever
+the stack carries no excitation. The policy (u = -W^T sigma) banks -u and the
+reward rows (rows @ W + offsets = 0) bank -offsets to fit the convention;
+negation is exact, so their cross matrices are bit for bit the negated ones.
 
 `_norm` is the Frobenius/2-norm every estimator and the metrics record use on
 the step path. It computes exactly what `np.linalg.norm(a)` computes for a
@@ -21,6 +25,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DivergenceError
+from .history import HistoryStack
 
 Matrix = np.ndarray
 
@@ -53,3 +60,43 @@ def gain_step(gamma: Matrix, normal: Matrix, alpha: float, beta: float,
     g = gamma0.copy()
     eigs = np.linalg.eigvalsh(g)
     return g, True, float(eigs[0]), float(eigs[-1])
+
+
+class ConcurrentLearner:
+    """Weights W and gain Gamma driven by a history stack of rows @ W ~= target.
+
+    `gain_resets` counts gain resets, `last_gain_reset` flags one on the latest
+    step and `gamma_eig_range` is Gamma's (lambda_min, lambda_max) after it.
+    """
+
+    def __init__(self, stack: HistoryStack, weights: Matrix, alpha: float,
+                 beta: float, gamma0: float, gamma_floor: float,
+                 gamma_ceiling: float):
+        self.stack = stack
+        self.weights = weights
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.gamma_floor = float(gamma_floor)
+        self.gamma_ceiling = float(gamma_ceiling)
+        self._gamma0 = gamma0 * np.eye(stack.row_dim)
+        self.gamma = self._gamma0.copy()
+        self.gain_resets = 0
+        self.last_gain_reset = False
+        self.gamma_eig_range = (gamma0, gamma0)
+
+    def update(self, dt: float) -> None:
+        """One Euler step of the weight law, then one of the gain law."""
+        s = self.stack.normal_matrix()
+        c = self.stack.cross_matrix().reshape(self.weights.shape)
+        w = self.weights + dt * self.alpha * (self.gamma @ (c - s @ self.weights))
+        if not np.isfinite(w).all():
+            raise DivergenceError(
+                f"{type(self).__name__} weight update went non-finite")
+        self.weights = w
+        self.gamma, reset, lam_lo, lam_hi = gain_step(
+            self.gamma, s, self.alpha, self.beta, dt,
+            self.gamma_floor, self.gamma_ceiling, self._gamma0)
+        self.last_gain_reset = reset
+        if reset:
+            self.gain_resets += 1
+        self.gamma_eig_range = (lam_lo, lam_hi)

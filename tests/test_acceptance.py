@@ -165,10 +165,9 @@ def test_criterion_6_recursive_matches_batch(capsys):
         u = -(k_true @ x) + 0.01 * rng.normal(size=1)
         pol.record_sample(x, u, t=0.05 * i)
     for _ in range(40000):
-        pol.update_weights(dt)
-        pol.update_gain(dt)
+        pol.update(dt)
     s = pol.stack.normal_matrix()
-    batch_w = -np.linalg.solve(s, pol.stack.cross_matrix())
+    batch_w = np.linalg.solve(s, pol.stack.cross_matrix())
     pol_w_err = np.max(np.abs(pol.weights - batch_w))
     pol_g_err = np.max(np.abs(pol.gamma
                               - (pol.beta / pol.alpha) * np.linalg.inv(s)))
@@ -179,15 +178,14 @@ def test_criterion_6_recursive_matches_batch(capsys):
     dyn = linear_uncertain_plant(np.array([[0.0, 1.0], [0.0, 0.0]]),
                                  np.zeros((2, 1)), theta)
     eng = RewardEstimator(basis, dyn, query_seed=31)
-    policy = PolicySnapshot(k_true.T + 0.02 * rng.normal(size=(2, 1)), 0.0)
+    policy = PolicySnapshot(k_true.T + 0.02 * rng.normal(size=(2, 1)))
     snap = ThetaSnapshot(theta.copy(), 1)
     for i in range(40):
         eng.generate_query(policy, snap, t=0.05 * i)
     for _ in range(80000):
-        eng.update_weights(dt)
-        eng.update_gain(dt)
+        eng.update(dt)
     s_irl = eng.stack.normal_matrix()
-    batch_irl = -np.linalg.solve(s_irl, eng.stack.cross_matrix()[:, 0])
+    batch_irl = np.linalg.solve(s_irl, eng.stack.cross_matrix()[:, 0])
     irl_w_err = np.max(np.abs(eng.weights - batch_irl))
 
     ok = pol_w_err < 1e-8 and irl_w_err < 1e-8 and pol_g_err < 1e-6

@@ -1,7 +1,10 @@
-"""Exit codes of the command-line interface: 0 success, 1 tolerance, 2 config."""
+"""Exit codes of the command-line interface: 0 success, 1 tolerance, 2 config,
+3 divergence."""
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from oirl.cli import main
 
@@ -31,6 +34,13 @@ def test_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_dt_not_dividing_the_theta_window_exits_2(tmp_path):
+    data = json.loads(SHIPPED.read_text())
+    data["simulation"]["dt"] = 0.004        # 62.5 steps per 0.25 s window
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_short_run_missing_its_tolerances_exits_1(tmp_path):
     data = json.loads(SHIPPED.read_text())
     data["simulation"]["duration"] = 2.0    # the shortest the purge dwell allows
@@ -45,3 +55,14 @@ def test_short_run_missing_its_tolerances_exits_1(tmp_path):
 def test_oracle_exits_0(capsys):
     assert main(["oracle", "--config", str(SHIPPED)]) == 0
     assert "K =" in capsys.readouterr().out
+
+
+def test_diverging_policy_update_exits_3(tmp_path, capsys):
+    data = json.loads(SHIPPED.read_text())
+    data["policy_estimator"]["alpha"] = 1e300
+    data["simulation"]["duration"] = 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", _write(tmp_path, data),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "last valid record index" in capsys.readouterr().err

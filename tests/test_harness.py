@@ -13,7 +13,7 @@ from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
                           default_tracking_config, dump_stacks, emit_csv,
                           load_config, record_array, reward_weight_targets,
                           run_scenario, save_config, true_linear_system,
-                          build_basis)
+                          build_basis, validate_config)
 from oirl.oracle import solve_are
 
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
@@ -81,11 +81,17 @@ def test_true_linear_system_assembles_the_plant():
     {"r_true": ((-10.0,),)},
     {"value_basis": "fourier"},
     {"plant_family": "pendulum"},
+    {"dt": 0.004},                                        # 62.5 steps per window
 ])
 def test_invalid_configs_are_rejected(overrides):
     cfg = dataclasses.replace(default_tracking_config(), **overrides)
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("dt", [0.0025, 0.005, 0.01])
+def test_dt_dividing_the_theta_window_is_accepted(dt):
+    validate_config(dataclasses.replace(default_tracking_config(), dt=dt))
 
 
 def test_undersized_stacks_are_rejected():

@@ -160,26 +160,32 @@ def test_query_sequence_is_seed_deterministic():
 
 def _engine_with_optimal_queries(r1=10.0, n_queries=40):
     eng = RewardEstimator(_basis(), _plant(), r1=r1, query_seed=5)
-    policy = PolicySnapshot(K_EXACT.T.copy(), 0.0)
+    policy = PolicySnapshot(K_EXACT.T.copy())
     theta = ThetaSnapshot(THETA.copy(), 1)
     for i in range(n_queries):
         eng.generate_query(policy, theta, t=0.05 * i)
     return eng
 
 
+def test_banked_targets_follow_the_true_weights():
+    """The stack holds -offsets, so rows @ W_true ~= target."""
+    eng = _engine_with_optimal_queries()
+    residual = eng.stack.targets()[:, 0] - eng.stack.regressor() @ _anchored_truth()
+    assert np.max(np.abs(residual)) < 1e-12
+
+
 def test_anchored_truth_is_a_fixed_point():
     eng = _engine_with_optimal_queries()
     eng.weights = _anchored_truth()
     before = eng.weights.copy()
-    eng.update_weights(0.005)
+    eng.update(0.005)
     assert np.max(np.abs(eng.weights - before)) < 1e-10
 
 
 def test_weights_converge_to_anchored_truth_on_frozen_stack():
     eng = _engine_with_optimal_queries()
     for _ in range(60000):
-        eng.update_weights(0.005)
-        eng.update_gain(0.005)
+        eng.update(0.005)
     w_true = _anchored_truth()
     assert np.max(np.abs(eng.weights - w_true)) < 1e-8
     np.testing.assert_allclose(eng.value_weights, W_V_EXACT, atol=1e-8)
@@ -191,10 +197,8 @@ def test_doubling_the_anchor_doubles_the_weights():
     eng1 = _engine_with_optimal_queries(r1=10.0)
     eng2 = _engine_with_optimal_queries(r1=20.0)
     for _ in range(5000):
-        eng1.update_weights(0.005)
-        eng1.update_gain(0.005)
-        eng2.update_weights(0.005)
-        eng2.update_gain(0.005)
+        eng1.update(0.005)
+        eng2.update(0.005)
     # rows are anchor-free and offsets are linear in r1, so the trajectories
     # match to the bit, not merely to rounding
     np.testing.assert_array_equal(eng2.weights, 2.0 * eng1.weights)
@@ -218,14 +222,3 @@ def test_purge_requires_staleness_and_dwell():
     assert eng.purge_times == [2.5]
     # empty stack has nothing stale in it
     assert not eng.schedule_purge(9.0, theta_generation=2)
-
-
-def test_assemble_reward_reports_anchored_penalties():
-    eng = RewardEstimator(_basis(), _plant(), r1=10.0)
-    eng.weights = _anchored_truth()
-    q_hat, r_hat, v_hat = eng.assemble_reward()
-    np.testing.assert_allclose(r_hat, [[10.0]])
-    x = np.array([0.3, -0.4])
-    assert q_hat(x) == pytest.approx(x[0] ** 2 + x[1] ** 2)
-    assert v_hat(x) == pytest.approx(W_V_EXACT @ np.array(
-        [x[0] ** 2, x[1] ** 2, x[0] * x[1]]))

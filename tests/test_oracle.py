@@ -124,3 +124,15 @@ def test_ideal_policy_weights_need_linear_features():
     basis = FeatureBasis.from_names(2, 1, "quadratic", "squares", "quadratic")
     with pytest.raises(UnsupportedBasisError):
         ideal_policy_weights(sol, basis)
+
+
+@pytest.mark.parametrize("a, b, q, r", [
+    (A_SCN, B_SCN, Q_SCN, R_SCN),
+    (np.array([[0.0, 1.0], [-1.0, -1.0]]), np.array([[1.0, 0.0], [0.5, 1.0]]),
+     np.diag([1.0, 2.0]), np.diag([10.0, 5.0])),
+], ids=["shipped", "two_input"])
+def test_cost_matrix_matches_scipy(a, b, q, r):
+    linalg = pytest.importorskip("scipy.linalg")
+    np.testing.assert_allclose(solve_are(a, b, q, r).cost_matrix,
+                               linalg.solve_continuous_are(a, b, q, r),
+                               rtol=1e-9, atol=0)

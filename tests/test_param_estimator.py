@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oirl.dynamics import eval_dynamics, linear_uncertain_plant, step_rk4
+from oirl.errors import DivergenceError
 from oirl.oracle import solve_are
 from oirl.param_estimator import ThetaEstimator, accumulate_window
 
@@ -112,6 +113,15 @@ def test_estimate_respects_projection_box():
         est.update(0.005)
     assert np.max(est.theta_hat) <= 2.0 + 1e-12
     assert np.min(est.theta_hat) >= -2.0 - 1e-12
+
+
+def test_non_finite_update_raises():
+    est = ThetaEstimator(_plant())
+    est.stack.try_insert(np.array([1.0, 0.0, 0.0]), np.full(2, 1e308), t=0.0)
+    est.gamma = 1e308 * np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            est.update(0.005)
 
 
 def test_zero_windows_are_not_banked():
