@@ -7,9 +7,7 @@ informative, the estimated model and policy are queried at artificial states
 to keep the reward estimator's history stack rich.
 """
 
-from .dynamics import (AffineDynamics, TrackingScenario, eval_dynamics,
-                       input_jacobian, linear_uncertain_plant, rk4, step_rk4,
-                       tracking_error)
+from .dynamics import LinearPlant, TrackingScenario, eval_dynamics, rk4, step_rk4
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      RiccatiConvergenceError, UnstabilizableError,
                      UnsupportedBasisError)
@@ -26,8 +24,7 @@ from .policy_estimator import PolicyEstimator, PolicySnapshot
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDynamics", "TrackingScenario", "eval_dynamics", "input_jacobian",
-    "linear_uncertain_plant", "rk4", "step_rk4", "tracking_error",
+    "LinearPlant", "TrackingScenario", "eval_dynamics", "rk4", "step_rk4",
     "ConfigError", "DimensionError", "DivergenceError",
     "RiccatiConvergenceError", "UnstabilizableError", "UnsupportedBasisError",
     "BasisFamily", "FeatureBasis", "get_family", "register_family",

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .harness import (ablate, compare_to_oracle, dump_stacks, emit_csv,
-                      load_config, run_scenario, true_linear_system)
+from .harness import (ablate, build_plant, compare_to_oracle, dump_stacks,
+                      emit_csv, load_config, run_scenario)
 from .oracle import solve_are
 
 
@@ -87,7 +87,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load(args)
-    a, b = true_linear_system(cfg)
+    a, b = build_plant(cfg).true_system()
     sol = solve_are(a, b, cfg.q_matrix(), cfg.r_matrix())
     with np.printoptions(precision=6, suppress=True):
         print("P =")

@@ -1,13 +1,14 @@
-"""Control-affine dynamics with a structured uncertainty and tracking scenarios.
+"""The linear plant with an unknown additive part, and tracking scenarios.
 
 The plant model is
 
-    xdot = f0(x, u) + theta^T sigma(x, u)
+    xdot = A0 x + B0 u + theta^T [x; u]
 
-where f0 is the known nominal part, sigma is a known feature map, and theta
-(p x n) collects the unknown parameters. Both f0 and sigma are affine in u,
-which lets control Jacobians be recovered exactly by differencing instead of
-requiring hand-coded derivatives.
+where A0 (n x n) and B0 (n x m) are the known nominal part and theta
+((n + m) x n) collects the unknown parameters, so the feature vector stacks
+the state then the input. The true system is (A0 + theta[:n]^T,
+B0 + theta[n:]^T), and the input Jacobian B0 + theta[n:]^T is exact and
+independent of x.
 """
 
 from __future__ import annotations
@@ -28,33 +29,60 @@ Matrix = np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AffineDynamics:
+class LinearPlant:
     """Plant xdot = nominal(x, u) + theta_true^T features(x, u).
 
-    nominal maps (x, u) -> (n,) and features maps (x, u) -> (p,); both must be
-    affine in u. theta_true is (p, n) and is only read by the simulation loop,
-    never by the estimators.
+    Shapes are checked once, here. theta_true is only read by the simulation
+    loop, never by the estimators.
     """
 
-    state_dim: int
-    input_dim: int
-    nominal: Callable[[Vector, Vector], Vector]
-    features: Callable[[Vector, Vector], Vector]
+    a0: Matrix
+    b0: Matrix
     theta_true: Matrix
 
     def __post_init__(self):
+        a0 = np.atleast_2d(np.asarray(self.a0, dtype=float))
+        b0 = np.atleast_2d(np.asarray(self.b0, dtype=float))
         theta = np.asarray(self.theta_true, dtype=float)
-        if theta.ndim != 2 or theta.shape[1] != self.state_dim:
+        n, m = a0.shape[0], b0.shape[1]
+        if a0.shape != (n, n) or b0.shape != (n, m):
+            raise DimensionError(f"incompatible A0 {a0.shape} / B0 {b0.shape}")
+        if theta.shape != (n + m, n):
             raise DimensionError(
-                f"theta_true must be (p, {self.state_dim}), got {theta.shape}")
+                f"theta_true must be ({n + m}, {n}), got {theta.shape}")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "theta_true", theta)
+
+    @property
+    def state_dim(self) -> int:
+        return self.a0.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.b0.shape[1]
 
     @property
     def param_dim(self) -> int:
         return self.theta_true.shape[0]
 
+    def nominal(self, x: Vector, u: Vector) -> Vector:
+        return self.a0 @ x + self.b0 @ u
 
-def _check_xu(dyn: AffineDynamics, x: Vector, u: Vector) -> tuple[Vector, Vector]:
+    def features(self, x: Vector, u: Vector) -> Vector:
+        return np.concatenate([x, u])
+
+    def input_jacobian(self, theta: Matrix) -> Matrix:
+        """d/du of the modeled dynamics, (n, m): B0 + theta[n:]^T."""
+        return self.b0 + _check_theta(self, theta)[self.state_dim:].T
+
+    def true_system(self) -> tuple[Matrix, Matrix]:
+        """(A, B) of the true plant, nominal plus the theta contribution."""
+        n = self.state_dim
+        return self.a0 + self.theta_true[:n].T, self.b0 + self.theta_true[n:].T
+
+
+def _check_xu(dyn: LinearPlant, x: Vector, u: Vector) -> tuple[Vector, Vector]:
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != (dyn.state_dim,):
@@ -64,47 +92,18 @@ def _check_xu(dyn: AffineDynamics, x: Vector, u: Vector) -> tuple[Vector, Vector
     return x, u
 
 
-def eval_dynamics(dyn: AffineDynamics, x: Vector, u: Vector, theta: Matrix) -> Vector:
+def _check_theta(dyn: LinearPlant, theta: Matrix) -> Matrix:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != dyn.theta_true.shape:
+        raise DimensionError(
+            f"theta must be {dyn.theta_true.shape}, got {theta.shape}")
+    return theta
+
+
+def eval_dynamics(dyn: LinearPlant, x: Vector, u: Vector, theta: Matrix) -> Vector:
     """State derivative under parameter estimate theta (p x n)."""
     x, u = _check_xu(dyn, x, u)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dyn.param_dim, dyn.state_dim):
-        raise DimensionError(
-            f"theta must be ({dyn.param_dim}, {dyn.state_dim}), got {theta.shape}")
-    return dyn.nominal(x, u) + theta.T @ dyn.features(x, u)
-
-
-def nominal_input_jacobian(dyn: AffineDynamics, x: Vector) -> Matrix:
-    """d nominal / du at x, (n, m). Exact because nominal is affine in u."""
-    x = np.asarray(x, dtype=float)
-    m = dyn.input_dim
-    base = dyn.nominal(x, np.zeros(m))
-    cols = [dyn.nominal(x, _unit(m, j)) - base for j in range(m)]
-    return np.column_stack(cols)
-
-
-def feature_input_jacobian(dyn: AffineDynamics, x: Vector) -> Matrix:
-    """d features / du at x, (p, m). Exact because features are affine in u."""
-    x = np.asarray(x, dtype=float)
-    m = dyn.input_dim
-    base = dyn.features(x, np.zeros(m))
-    cols = [dyn.features(x, _unit(m, j)) - base for j in range(m)]
-    return np.column_stack(cols)
-
-
-def input_jacobian(dyn: AffineDynamics, x: Vector, theta: Matrix) -> Matrix:
-    """d/du of the modeled dynamics at x, i.e. d nominal/du + theta^T d features/du."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dyn.param_dim, dyn.state_dim):
-        raise DimensionError(
-            f"theta must be ({dyn.param_dim}, {dyn.state_dim}), got {theta.shape}")
-    return nominal_input_jacobian(dyn, x) + theta.T @ feature_input_jacobian(dyn, x)
-
-
-def _unit(m: int, j: int) -> Vector:
-    e = np.zeros(m)
-    e[j] = 1.0
-    return e
+    return dyn.nominal(x, u) + _check_theta(dyn, theta).T @ dyn.features(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +119,17 @@ def rk4(f: Callable[[Vector], Vector], x: Vector, dt: float) -> Vector:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_rk4(dyn: AffineDynamics, x: Vector, u: Vector, dt: float,
+def step_rk4(dyn: LinearPlant, x: Vector, u: Vector, dt: float,
              t: float = 0.0) -> Vector:
     """Advance the true plant one step with the control held constant (ZOH).
 
-    x and u are checked once here and x_next on the way out, rather than at
-    each of the four stages as `eval_dynamics` would; the stage arithmetic is
-    the same as `eval_dynamics` with theta_true.
+    x and u are checked once here rather than at each of the four stages as
+    `eval_dynamics` would; the stage arithmetic is the same as
+    `eval_dynamics` with theta_true.
     """
     x, u = _check_xu(dyn, x, u)
     nominal, features, theta_t = dyn.nominal, dyn.features, dyn.theta_true.T
     x_next = rk4(lambda s: nominal(s, u) + theta_t @ features(s, u), x, dt)
-    if x_next.shape != x.shape:
-        raise DimensionError(
-            f"plant model gave a state of shape {x_next.shape}, expected {x.shape}")
     if not np.isfinite(x_next).all():
         raise DivergenceError(f"non-finite state after step at t={t:.6g}",
                               t=t, state=x_next)
@@ -152,7 +148,7 @@ class TrackingScenario:
     eig(A_d) up to 1e-9 are accepted so marginally stable oscillators pass.
     """
 
-    plant: AffineDynamics
+    plant: LinearPlant
     reference_matrix: Matrix
     feedforward_gain: Matrix
 
@@ -174,41 +170,3 @@ class TrackingScenario:
 
     def step_reference(self, x_d: Vector, dt: float) -> Vector:
         return rk4(lambda s: self.reference_matrix @ s, np.asarray(x_d, dtype=float), dt)
-
-
-def tracking_error(scn: TrackingScenario, x: Vector, x_d: Vector,
-                   u: Vector) -> tuple[Vector, Vector]:
-    """Error coordinates (e, mu) = (x - xd, u - F xd)."""
-    x, u = _check_xu(scn.plant, x, u)
-    x_d = np.asarray(x_d, dtype=float)
-    if x_d.shape != x.shape:
-        raise DimensionError(f"x_d must be {x.shape}, got {x_d.shape}")
-    return x - x_d, u - scn.desired_control(x_d)
-
-
-# ---------------------------------------------------------------------------
-# named plant families
-# ---------------------------------------------------------------------------
-
-def linear_uncertain_plant(nominal_a: Matrix, nominal_b: Matrix,
-                           theta_true: Matrix) -> AffineDynamics:
-    """Linear plant xdot = A0 x + B0 u + theta^T [x; u].
-
-    The feature vector stacks the state then the input, so theta is
-    ((n + m), n) and absorbs any unknown additive linear dynamics.
-    """
-    a0 = np.atleast_2d(np.asarray(nominal_a, dtype=float))
-    b0 = np.atleast_2d(np.asarray(nominal_b, dtype=float))
-    n = a0.shape[0]
-    m = b0.shape[1]
-    if a0.shape != (n, n) or b0.shape != (n, m):
-        raise DimensionError(f"incompatible A0 {a0.shape} / B0 {b0.shape}")
-
-    def nominal(x, u):
-        return a0 @ x + b0 @ u
-
-    def features(x, u):
-        return np.concatenate([x, u])
-
-    return AffineDynamics(state_dim=n, input_dim=m, nominal=nominal,
-                          features=features, theta_true=theta_true)

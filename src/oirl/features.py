@@ -121,10 +121,6 @@ class FeatureBasis:
         return FeatureBasis(state_dim, input_dim, get_family(value),
                             get_family(reward), get_family(policy))
 
-    def to_names(self) -> dict[str, str]:
-        return {"value": self.value.name, "reward": self.reward.name,
-                "policy": self.policy.name}
-
     @property
     def value_dim(self) -> int:
         return self.value.dim(self.state_dim)
@@ -144,9 +140,6 @@ class FeatureBasis:
         if not np.isfinite(x).all():
             raise ValueError("non-finite state passed to feature basis")
         return x
-
-    def value_features(self, x: Vector) -> Vector:
-        return self.value.evaluate(self._check_state(x))
 
     def value_gradient(self, x: Vector) -> Matrix:
         """d sigma_V / dx, shape (value_dim, state_dim)."""

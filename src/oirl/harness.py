@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (AffineDynamics, TrackingScenario, linear_uncertain_plant,
-                       step_rk4)
+from .dynamics import LinearPlant, TrackingScenario, step_rk4
 from .errors import ConfigError, DivergenceError
 from .features import FeatureBasis
 from .irl_engine import RewardEstimator
@@ -87,7 +87,6 @@ class IrlConfig:
 class ScenarioConfig:
     """Full description of one closed-loop estimation scenario."""
 
-    plant_family: str
     nominal_a: tuple
     nominal_b: tuple
     theta_true: tuple
@@ -97,6 +96,7 @@ class ScenarioConfig:
     xd0: tuple
     q_true: tuple
     r_true: tuple
+    plant_family: str = "linear_uncertain"
     value_basis: str = "quadratic"
     reward_basis: str = "squares"
     policy_basis: str = "linear"
@@ -149,20 +149,11 @@ class ScenarioConfig:
         return self.b0().shape[1]
 
 
-def true_linear_system(cfg: ScenarioConfig) -> tuple[Matrix, Matrix]:
-    """(A, B) of the true plant, nominal plus the theta contribution."""
-    n = cfg.state_dim
-    theta = cfg.theta_true_matrix()
-    return cfg.a0() + theta[:n].T, cfg.b0() + theta[n:].T
+def build_plant(cfg: ScenarioConfig) -> LinearPlant:
+    return LinearPlant(cfg.a0(), cfg.b0(), cfg.theta_true_matrix())
 
 
-def build_plant(cfg: ScenarioConfig) -> AffineDynamics:
-    if cfg.plant_family != "linear_uncertain":
-        raise ConfigError(f"unknown plant family {cfg.plant_family!r}")
-    return linear_uncertain_plant(cfg.a0(), cfg.b0(), cfg.theta_true_matrix())
-
-
-def build_scenario(cfg: ScenarioConfig, dyn: AffineDynamics) -> TrackingScenario:
+def build_scenario(cfg: ScenarioConfig, dyn: LinearPlant) -> TrackingScenario:
     return TrackingScenario(dyn, cfg.a_d(), cfg.f_gain())
 
 
@@ -174,18 +165,13 @@ def build_basis(cfg: ScenarioConfig) -> FeatureBasis:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError on any inconsistency; cheap enough to run per use."""
-    try:
-        n, m = cfg.state_dim, cfg.input_dim
-    except Exception as exc:
-        raise ConfigError(f"malformed plant matrices: {exc}") from exc
-    a0, b0 = cfg.a0(), cfg.b0()
-    if a0.shape != (n, n) or b0.shape != (n, m):
-        raise ConfigError(f"plant matrices inconsistent: A0 {a0.shape}, B0 {b0.shape}")
     if cfg.plant_family != "linear_uncertain":
         raise ConfigError(f"unknown plant family {cfg.plant_family!r}")
-    theta = cfg.theta_true_matrix()
-    if theta.shape != (n + m, n):
-        raise ConfigError(f"theta_true must be ({n + m}, {n}), got {theta.shape}")
+    try:
+        plant = build_plant(cfg)
+    except (TypeError, ValueError) as exc:      # DimensionError is a ValueError
+        raise ConfigError(f"malformed plant matrices: {exc}") from exc
+    n, m = plant.state_dim, plant.input_dim
     if cfg.a_d().shape != (n, n) or cfg.f_gain().shape != (m, n):
         raise ConfigError("reference matrices have wrong shapes")
     if cfg.x0_vec().shape != (n,) or cfg.xd0_vec().shape != (n,):
@@ -241,7 +227,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("IRL stack smaller than its regressor dimension")
     # the demonstrator is LQR in error coordinates, which is only optimal if
     # the reference is consistent with the true plant: A_d = A + B F
-    a_true, b_true = true_linear_system(cfg)
+    a_true, b_true = plant.true_system()
     mismatch = np.linalg.norm(cfg.a_d() - (a_true + b_true @ cfg.f_gain()))
     if mismatch > 1e-9:
         raise ConfigError(
@@ -252,7 +238,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
 def default_tracking_config() -> ScenarioConfig:
     """The shipped 2-state oscillator-tracking scenario."""
     return ScenarioConfig(
-        plant_family="linear_uncertain",
         nominal_a=((0.0, 1.0), (0.0, 0.0)),
         nominal_b=((0.0,), (0.0,)),
         theta_true=((0.0, -0.5), (0.0, -0.5), (0.0, 1.0)),
@@ -267,106 +252,107 @@ def default_tracking_config() -> ScenarioConfig:
 
 # -- JSON round trip ---------------------------------------------------------
 
-def _subconfig_from_dict(cls, data: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-    coerced = dict(data)
-    for key in ("box", "query_box"):
-        if key in coerced:
-            coerced[key] = _as_nested_tuple(coerced[key])
-    return cls(**coerced)
+# (section, key) -> (ScenarioConfig field, kind). A dotted field names an
+# attribute of an estimator group or a key of the tolerances. Defaults come
+# from the dataclasses above; a field without one is a required key.
+CONFIG_TABLE = {
+    ("plant", "family"): ("plant_family", "str"),
+    ("plant", "nominal_a"): ("nominal_a", "matrix"),
+    ("plant", "nominal_b"): ("nominal_b", "matrix"),
+    ("plant", "theta_true"): ("theta_true", "matrix"),
+    ("reference", "matrix"): ("reference_matrix", "matrix"),
+    ("reference", "feedforward"): ("feedforward", "matrix"),
+    ("reference", "x0"): ("x0", "matrix"),
+    ("reference", "xd0"): ("xd0", "matrix"),
+    ("reward", "q"): ("q_true", "matrix"),
+    ("reward", "r"): ("r_true", "matrix"),
+    ("features", "value"): ("value_basis", "str"),
+    ("features", "reward"): ("reward_basis", "str"),
+    ("features", "policy"): ("policy_basis", "str"),
+    **{(group, f.name): (f"{group}.{f.name}",
+                         "matrix" if f.type == "tuple" else f.type)
+       for group, cls in (("policy_estimator", PolicyEstimatorConfig),
+                          ("theta_estimator", ThetaEstimatorConfig),
+                          ("irl", IrlConfig))
+       for f in dataclasses.fields(cls)},
+    ("simulation", "dt"): ("dt", "float"),
+    ("simulation", "duration"): ("duration", "float"),
+    ("simulation", "seed"): ("seed", "int"),
+    ("flags", "querying"): ("querying", "bool"),
+    ("flags", "dump_stacks"): ("dump_stacks", "bool"),
+    **{("tolerances", name): (f"tolerances.{name}", "float")
+       for name in DEFAULT_TOLERANCES},
+}
+_SECTIONS = {section for section, _ in CONFIG_TABLE}
+_REQUIRED = {f.name for f in dataclasses.fields(ScenarioConfig)
+             if f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING}
+
+_KINDS = {"float": ((int, float), "a finite number"), "int": (int, "an integer"),
+          "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def _as_nested_tuple(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_as_nested_tuple(v) for v in value)
-    return value
+def _read(kind: str, value, where: str):
+    """A JSON value checked against its kind; a matrix becomes nested tuples."""
+    if kind == "matrix":
+        if not isinstance(value, (list, tuple)):
+            return _read("float", value, where)
+        rows = tuple(_read(kind, v, where) for v in value)
+        if len({np.shape(row) for row in rows}) > 1:
+            raise ConfigError(f"{where} must be a rectangular matrix")
+        return rows
+    types, expected = _KINDS[kind]
+    # bool subclasses int, but true and false are never numbers
+    if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
+            or kind == "float" and not math.isfinite(value)):
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    known_sections = {"plant", "reference", "reward", "features",
-                      "policy_estimator", "theta_estimator", "irl",
-                      "simulation", "flags", "tolerances"}
-    unknown = set(data) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, section in data.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be an object, "
-                              f"got {type(section).__name__}")
-    try:
-        plant = data["plant"]
-        reference = data["reference"]
-        reward = data["reward"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc}") from exc
-    features = data.get("features", {})
-    sim = data.get("simulation", {})
-    flags = data.get("flags", {})
-    try:
-        return ScenarioConfig(
-            plant_family=plant.get("family", "linear_uncertain"),
-            nominal_a=_as_nested_tuple(plant["nominal_a"]),
-            nominal_b=_as_nested_tuple(plant["nominal_b"]),
-            theta_true=_as_nested_tuple(plant["theta_true"]),
-            reference_matrix=_as_nested_tuple(reference["matrix"]),
-            feedforward=_as_nested_tuple(reference["feedforward"]),
-            x0=_as_nested_tuple(reference["x0"]),
-            xd0=_as_nested_tuple(reference["xd0"]),
-            q_true=_as_nested_tuple(reward["q"]),
-            r_true=_as_nested_tuple(reward["r"]),
-            value_basis=features.get("value", "quadratic"),
-            reward_basis=features.get("reward", "squares"),
-            policy_basis=features.get("policy", "linear"),
-            policy_estimator=_subconfig_from_dict(
-                PolicyEstimatorConfig, data.get("policy_estimator", {}),
-                "policy_estimator"),
-            theta_estimator=_subconfig_from_dict(
-                ThetaEstimatorConfig, data.get("theta_estimator", {}),
-                "theta_estimator"),
-            irl=_subconfig_from_dict(IrlConfig, data.get("irl", {}), "irl"),
-            dt=float(sim.get("dt", 0.005)),
-            duration=float(sim.get("duration", 100.0)),
-            seed=int(sim.get("seed", 7)),
-            querying=bool(flags.get("querying", True)),
-            dump_stacks=bool(flags.get("dump_stacks", False)),
-            tolerances={**DEFAULT_TOLERANCES, **data.get("tolerances", {})},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    return value
+    for section, body in data.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be an object, "
+                              f"got {type(body).__name__}")
+        unknown = [key for key in body if (section, key) not in CONFIG_TABLE]
+        if unknown:
+            raise ConfigError(f"unknown keys in {section!r}: {unknown}")
+    values, groups, missing = {}, {}, []
+    for (section, key), (name, kind) in CONFIG_TABLE.items():
+        body = data.get(section, {})
+        head, _, leaf = name.partition(".")
+        if key in body:
+            value = _read(kind, body[key], f"{section}.{key}")
+            if leaf:
+                groups.setdefault(head, {})[leaf] = value
+            else:
+                values[head] = value
+        elif head in _REQUIRED:
+            missing.append(f"{section}.{key}")
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
+    cfg = ScenarioConfig(**values)
+    return dataclasses.replace(cfg, **{
+        head: ({**getattr(cfg, head), **given} if head == "tolerances"
+               else dataclasses.replace(getattr(cfg, head), **given))
+        for head, given in groups.items()})
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "plant": {"family": cfg.plant_family,
-                  "nominal_a": _listify(cfg.nominal_a),
-                  "nominal_b": _listify(cfg.nominal_b),
-                  "theta_true": _listify(cfg.theta_true)},
-        "reference": {"matrix": _listify(cfg.reference_matrix),
-                      "feedforward": _listify(cfg.feedforward),
-                      "x0": _listify(cfg.x0), "xd0": _listify(cfg.xd0)},
-        "reward": {"q": _listify(cfg.q_true), "r": _listify(cfg.r_true)},
-        "features": {"value": cfg.value_basis, "reward": cfg.reward_basis,
-                     "policy": cfg.policy_basis},
-        "policy_estimator": dataclasses.asdict(cfg.policy_estimator),
-        "theta_estimator": {**dataclasses.asdict(cfg.theta_estimator),
-                            "box": _listify(cfg.theta_estimator.box)},
-        "irl": {**dataclasses.asdict(cfg.irl),
-                "query_box": _listify(cfg.irl.query_box)},
-        "simulation": {"dt": cfg.dt, "duration": cfg.duration, "seed": cfg.seed},
-        "flags": {"querying": cfg.querying, "dump_stacks": cfg.dump_stacks},
-        "tolerances": dict(cfg.tolerances),
-    }
+    data = {}
+    for (section, key), (name, kind) in CONFIG_TABLE.items():
+        head, _, leaf = name.partition(".")
+        value = getattr(cfg, head)
+        if leaf:
+            value = value[leaf] if isinstance(value, dict) else getattr(value, leaf)
+        if kind == "matrix":
+            value = np.asarray(value, dtype=float).tolist()
+        data.setdefault(section, {})[key] = value
+    return data
 
 
 def load_config(path) -> ScenarioConfig:
@@ -519,12 +505,12 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
     scn = build_scenario(cfg, dyn)
     basis = build_basis(cfg)
 
-    a_true, b_true = true_linear_system(cfg)
+    a_true, b_true = dyn.true_system()
     sol = solve_are(a_true, b_true, cfg.q_matrix(), cfg.r_matrix())
     k_lqr = sol.gain
     w_u_star = ideal_policy_weights(sol, basis)
     targets = reward_weight_targets(cfg, basis, sol)
-    theta_star = cfg.theta_true_matrix()
+    theta_star = dyn.theta_true
 
     tc, pc, ic = cfg.theta_estimator, cfg.policy_estimator, cfg.irl
     theta_est = ThetaEstimator(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import AffineDynamics, eval_dynamics, input_jacobian
+from .dynamics import LinearPlant, eval_dynamics
 from .features import FeatureBasis
 from .history import HistoryStack
 from .param_estimator import ThetaSnapshot
@@ -32,7 +32,7 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def inverse_bellman_error(basis: FeatureBasis, dyn: AffineDynamics, x: Vector,
+def inverse_bellman_error(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
                           u: Vector, weights: Vector, theta_hat: Matrix) -> float:
     """Bellman residual for a full weight vector [W_V; W_Q; W_R] (r_1 included)."""
     p, l, m = basis.value_dim, basis.reward_dim, basis.input_dim
@@ -46,7 +46,7 @@ def inverse_bellman_error(basis: FeatureBasis, dyn: AffineDynamics, x: Vector,
                  + w_r @ basis.control_squares(u))
 
 
-def build_row_block(basis: FeatureBasis, dyn: AffineDynamics, x: Vector,
+def build_row_block(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
                     u_hat: Vector, theta_hat: Matrix,
                     r1: float) -> tuple[Matrix, Vector]:
     """Regressor rows and offsets contributed by one (x, u_hat) sample.
@@ -67,7 +67,7 @@ def build_row_block(basis: FeatureBasis, dyn: AffineDynamics, x: Vector,
     rows[0, p + l:] = u_sq[1:]
     offsets[0] = r1 * u_sq[0]
     # stationarity rows: dV/dx * d(xdot)/du_j + 2 r_j u_j = 0 per channel
-    g = grad_v @ input_jacobian(dyn, x, theta_hat)         # (P, m)
+    g = grad_v @ dyn.input_jacobian(theta_hat)             # (P, m)
     for j in range(m):
         rows[1 + j, :p] = g[:, j]
         if j == 0:
@@ -85,7 +85,7 @@ class RewardEstimator(ConcurrentLearner):
     anchored r1.
     """
 
-    def __init__(self, basis: FeatureBasis, dyn: AffineDynamics,
+    def __init__(self, basis: FeatureBasis, dyn: LinearPlant,
                  r1: float = 10.0, stack_size: int = 50,
                  alpha: float = 0.01 / 50, beta: float = 0.5,
                  dwell: float = 2.0, query_box=None, query_seed: int = 0,

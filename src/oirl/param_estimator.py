@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AffineDynamics
+from .dynamics import LinearPlant
 from .history import HistoryStack
 from .rls import ConcurrentLearner, _norm
 
@@ -83,7 +83,7 @@ class ThetaEstimator(ConcurrentLearner):
     when rows built from older estimates have gone stale.
     """
 
-    def __init__(self, dyn: AffineDynamics, stack_size: int = 50,
+    def __init__(self, dyn: LinearPlant, stack_size: int = 50,
                  window: float = 0.25, offer_period: float = 0.05,
                  alpha: float = 1.0, beta: float = 2.0, gamma0: float = 1.0,
                  box: tuple[float, float] = (-2.0, 2.0),

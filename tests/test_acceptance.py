@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-from oirl.dynamics import linear_uncertain_plant
+from oirl.dynamics import LinearPlant
 from oirl.features import FeatureBasis, get_family
 from oirl.harness import emit_csv, record_array
 from oirl.irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
@@ -127,7 +127,7 @@ def test_criterion_5_oracle_property_suite(capsys):
 
         # exact data: anchored true weights must zero every row block
         theta = np.vstack([a.T, b.T])
-        dyn = linear_uncertain_plant(np.zeros((n, n)), np.zeros((n, m)), theta)
+        dyn = LinearPlant(np.zeros((n, n)), np.zeros((n, m)), theta)
         basis = FeatureBasis.from_names(n, m, "quadratic", "squares", "linear")
         r1 = float(r[0, 0])
         w_true = np.concatenate([sol.value_weights, np.diag(q),
@@ -175,8 +175,8 @@ def test_criterion_6_recursive_matches_batch(capsys):
     # reward estimator on a frozen stack of queried row blocks built from a
     # perturbed policy, so the batch solution is a genuine least-squares fit
     theta = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
-    dyn = linear_uncertain_plant(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                 np.zeros((2, 1)), theta)
+    dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
+                      theta)
     eng = RewardEstimator(basis, dyn, query_seed=31)
     policy = PolicySnapshot(k_true.T + 0.02 * rng.normal(size=(2, 1)))
     snap = ThetaSnapshot(theta.copy(), 1)

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from oirl.cli import main
 
@@ -39,6 +40,33 @@ def test_dt_not_dividing_the_theta_window_exits_2(tmp_path):
     data["simulation"]["dt"] = 0.004        # 62.5 steps per 0.25 s window
     assert main(["run", "--config", _write(tmp_path, data),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+MISTYPED = [
+    # a key that is not in the section
+    ("plant", "famliy", "linear_uncertain"),
+    ("reference", "x_0", [0.0, 0.0]),
+    ("reward", "qq", [[1.0, 0.0], [0.0, 1.0]]),
+    ("features", "values", "quadratic"),
+    ("simulation", "dtt", 0.01),
+    ("flags", "query", False),
+    ("tolerances", "thetta", 0.5),
+    # a known key holding a value of the wrong kind
+    ("flags", "querying", "false"),
+    ("irl", "stack_size", 50.7),
+    ("irl", "alpha", "0.1"),
+    ("simulation", "duration", float("nan")),
+]
+
+
+@pytest.mark.parametrize("section, key, value", MISTYPED,
+                         ids=[f"{s}.{k}" for s, k, _ in MISTYPED])
+def test_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
+    data = json.loads(SHIPPED.read_text())
+    data[section][key] = value
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_short_run_missing_its_tolerances_exits_1(tmp_path):

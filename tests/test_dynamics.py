@@ -1,11 +1,10 @@
-"""Plant evaluation, integrator accuracy, and tracking-error coordinates."""
+"""Plant evaluation, integrator accuracy, and the tracking reference."""
 
 import numpy as np
 import pytest
 
-from oirl.dynamics import (AffineDynamics, TrackingScenario, eval_dynamics,
-                           input_jacobian, linear_uncertain_plant, rk4,
-                           step_rk4, tracking_error)
+from oirl.dynamics import (LinearPlant, TrackingScenario, eval_dynamics, rk4,
+                           step_rk4)
 from oirl.errors import DimensionError, DivergenceError
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -14,7 +13,7 @@ THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
 
 
 def _plant():
-    return linear_uncertain_plant(A0, B0, THETA)
+    return LinearPlant(A0, B0, THETA)
 
 
 def test_linear_uncertain_plant_matches_closed_form():
@@ -38,18 +37,28 @@ def test_nominal_part_is_theta_free():
 
 
 def test_input_jacobian_exact_for_linear_plant():
-    # affine differencing recovers B with no truncation error
-    dyn = _plant()
-    b = B0 + THETA[2:].T
+    """B0 + theta_b^T, the same at every state, for a non-zero B0."""
+    b0 = np.array([[0.5], [-1.0]])
+    dyn = LinearPlant(A0, b0, THETA)
+    theta = THETA + 0.25
     for x in (np.zeros(2), np.array([1.0, -2.0])):
-        np.testing.assert_allclose(input_jacobian(dyn, x, dyn.theta_true), b,
-                                   rtol=0, atol=1e-14)
+        jac = dyn.input_jacobian(theta)
+        np.testing.assert_array_equal(jac, b0 + theta[2:].T)
+        # the columns are the exact change of the modeled xdot per unit input
+        u = np.array([0.7])
+        np.testing.assert_allclose(
+            eval_dynamics(dyn, x, u + 1.0, theta) - eval_dynamics(dyn, x, u, theta),
+            jac[:, 0], rtol=0, atol=1e-14)
+    with pytest.raises(DimensionError):
+        dyn.input_jacobian(np.zeros((2, 2)))
 
 
 def test_theta_shape_is_validated():
-    with pytest.raises(DimensionError):
-        AffineDynamics(2, 1, lambda x, u: x, lambda x, u: x,
-                       np.zeros((3, 3)))
+    for theta in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)):
+        with pytest.raises(DimensionError):
+            LinearPlant(A0, B0, theta)
+        with pytest.raises(DimensionError):
+            eval_dynamics(_plant(), np.zeros(2), np.zeros(1), theta)
 
 
 def test_state_and_input_shapes_are_validated():
@@ -93,17 +102,16 @@ def test_step_rk4_matches_generic_rk4_with_held_input():
 
 
 def test_step_rk4_rejects_a_model_of_the_wrong_shape():
-    dyn = AffineDynamics(state_dim=2, input_dim=1,
-                         nominal=lambda x, u: np.zeros((2, 2)),
-                         features=lambda x, u: np.zeros(3),
-                         theta_true=THETA)
-    with pytest.raises(DimensionError):
-        step_rk4(dyn, np.array([0.5, -0.2]), np.array([0.3]), 0.01)
+    """A mis-shaped plant fails at construction, so it never reaches step_rk4."""
+    for a0, b0 in ((np.zeros((2, 3)), B0),          # A0 not square
+                   (A0, np.zeros((3, 1))),          # B0 rows != state dimension
+                   (np.zeros((2, 2, 2)), B0)):      # A0 not a matrix
+        with pytest.raises(DimensionError):
+            LinearPlant(a0, b0, THETA)
 
 
 def test_step_rk4_raises_on_blowup():
-    dyn = linear_uncertain_plant(np.array([[1.0]]), np.array([[0.0]]),
-                                 np.zeros((2, 1)))
+    dyn = LinearPlant(np.array([[1.0]]), np.array([[0.0]]), np.zeros((2, 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             step_rk4(dyn, np.array([1e300]), np.zeros(1), 1e3, t=0.0)
@@ -125,23 +133,3 @@ def test_unstable_reference_is_rejected():
     with pytest.raises(ValueError):
         TrackingScenario(dyn, np.array([[1.0, 0.0], [0.0, -1.0]]),
                          np.array([[0.0, 0.0]]))
-
-
-def test_tracking_error_coordinates():
-    dyn = _plant()
-    scn = TrackingScenario(dyn, np.array([[0.0, 1.0], [-2.0, 0.0]]),
-                           np.array([[-1.5, 0.5]]))
-    x = np.array([1.0, 1.0])
-    xd = np.array([0.5, 0.0])
-    u = np.array([2.0])
-    e, mu = tracking_error(scn, x, xd, u)
-    np.testing.assert_allclose(e, [0.5, 1.0])
-    np.testing.assert_allclose(mu, [2.0 - (-1.5 * 0.5)])
-
-
-def test_tracking_error_checks_reference_shape():
-    dyn = _plant()
-    scn = TrackingScenario(dyn, np.array([[0.0, 1.0], [-2.0, 0.0]]),
-                           np.array([[-1.5, 0.5]]))
-    with pytest.raises(DimensionError):
-        tracking_error(scn, np.zeros(2), np.zeros(3), np.zeros(1))

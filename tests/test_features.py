@@ -63,8 +63,6 @@ def test_basis_bundle_dimensions():
     assert basis.value_dim == 3
     assert basis.reward_dim == 2
     assert basis.policy_dim == 2
-    assert basis.to_names() == {"value": "quadratic", "reward": "squares",
-                                "policy": "linear"}
 
 
 def test_value_gradient_shape_and_content():
@@ -85,7 +83,7 @@ def test_control_squares():
 def test_non_finite_state_is_rejected():
     basis = FeatureBasis.from_names(2, 1)
     with pytest.raises(ValueError):
-        basis.value_features(np.array([1.0, np.nan]))
+        basis.value_gradient(np.array([1.0, np.nan]))
 
 
 def test_wrong_state_dimension_is_rejected():

@@ -8,12 +8,11 @@ import pytest
 
 from oirl.errors import ConfigError
 from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
-                          combined_weight_error, compare_to_oracle,
-                          config_from_dict, config_to_dict,
+                          build_basis, build_plant, combined_weight_error,
+                          compare_to_oracle, config_from_dict, config_to_dict,
                           default_tracking_config, dump_stacks, emit_csv,
                           load_config, record_array, reward_weight_targets,
-                          run_scenario, save_config, true_linear_system,
-                          build_basis, validate_config)
+                          run_scenario, save_config, validate_config)
 from oirl.oracle import solve_are
 
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
@@ -21,7 +20,7 @@ W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
 
 
 def _scenario_oracle(cfg):
-    a, b = true_linear_system(cfg)
+    a, b = build_plant(cfg).true_system()
     return solve_are(a, b, cfg.q_matrix(), cfg.r_matrix())
 
 
@@ -58,6 +57,38 @@ def test_unknown_key_is_rejected():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("plant", "nominal_a", None),                         # a required key
+    ("simulation", "seed", 7.0),                          # int, not float
+    ("simulation", "duration", True),                     # bool is not a number
+    ("irl", "gamma_ceiling", float("inf")),               # not finite
+    ("reference", "x0", [0.0, [0.0]]),                    # not rectangular
+    ("reward", "q", [[1.0, "0"], [0.0, 1.0]]),            # a string entry
+    ("features", "value", 3),
+])
+def test_values_are_checked_against_their_kind(section, key, value):
+    data = config_to_dict(default_tracking_config())
+    if value is None:
+        del data[section][key]
+    else:
+        data[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        config_from_dict(data)
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    data = config_to_dict(default_tracking_config())
+    for section in ("features", "policy_estimator", "theta_estimator", "irl",
+                    "simulation", "flags", "tolerances"):
+        del data[section]
+    del data["plant"]["family"]
+    data["irl"] = {"r1": 20.0}
+    cfg = config_from_dict(data)
+    assert cfg.irl == dataclasses.replace(default_tracking_config().irl, r1=20.0)
+    assert dataclasses.replace(cfg, irl=default_tracking_config().irl) \
+        == default_tracking_config()
+
+
 def test_malformed_json_is_a_config_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{broken")
@@ -67,7 +98,7 @@ def test_malformed_json_is_a_config_error(tmp_path):
 
 def test_true_linear_system_assembles_the_plant():
     cfg = default_tracking_config()
-    a, b = true_linear_system(cfg)
+    a, b = build_plant(cfg).true_system()
     np.testing.assert_allclose(a, [[0.0, 1.0], [-0.5, -0.5]])
     np.testing.assert_allclose(b, [[0.0], [1.0]])
 

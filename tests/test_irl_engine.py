@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oirl.dynamics import eval_dynamics, linear_uncertain_plant
+from oirl.dynamics import LinearPlant, eval_dynamics
 from oirl.features import FeatureBasis
 from oirl.irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
 from oirl.oracle import solve_are
@@ -20,7 +20,7 @@ K_EXACT = np.array([[0.0916079783099616, 0.2302163765760962]])
 
 
 def _plant():
-    return linear_uncertain_plant(A0, B0, THETA)
+    return LinearPlant(A0, B0, THETA)
 
 
 def _basis(m=1):
@@ -70,7 +70,7 @@ def test_second_input_channel_gets_its_own_unknown():
     a = np.array([[0.0, 1.0], [-1.0, -1.0]])
     b = np.array([[1.0, 0.0], [0.0, 1.0]])
     theta = np.vstack([a.T, b.T])
-    dyn = linear_uncertain_plant(np.zeros((2, 2)), np.zeros((2, 2)), theta)
+    dyn = LinearPlant(np.zeros((2, 2)), np.zeros((2, 2)), theta)
     basis = _basis(m=2)
     x = rng.uniform(-1, 1, 2)
     u = rng.uniform(-1, 1, 2)

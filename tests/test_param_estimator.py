@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oirl.dynamics import eval_dynamics, linear_uncertain_plant, step_rk4
+from oirl.dynamics import LinearPlant, eval_dynamics, step_rk4
 from oirl.errors import DivergenceError
 from oirl.oracle import solve_are
 from oirl.param_estimator import ThetaEstimator, accumulate_window
@@ -14,7 +14,7 @@ THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
 
 
 def _plant():
-    return linear_uncertain_plant(A0, B0, THETA)
+    return LinearPlant(A0, B0, THETA)
 
 
 def test_window_regression_on_scalar_exponential():
@@ -170,7 +170,7 @@ def test_observe_banks_exactly_the_reference_window_integral():
     a0 = np.array([[0.0, 1.0], [-1.0, -0.3]])
     b0 = np.array([[0.0, 0.5], [1.0, 0.0]])
     theta = rng.uniform(-0.5, 0.5, size=(4, 2))
-    dyn = linear_uncertain_plant(a0, b0, theta)
+    dyn = LinearPlant(a0, b0, theta)
     est = ThetaEstimator(dyn, window=0.25, offer_period=0.05)
     offered = []
 

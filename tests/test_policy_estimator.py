@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oirl.dynamics import linear_uncertain_plant
+from oirl.dynamics import LinearPlant
 from oirl.errors import DivergenceError
 from oirl.features import FeatureBasis
 from oirl.irl_engine import RewardEstimator, build_row_block
@@ -83,8 +83,8 @@ def test_query_is_linear_in_the_state():
     """A query banks the rows of u_hat = -W_u^T sigma_pi(x) = -K x."""
     est = PolicyEstimator(_basis())
     est.weights = K_TRUE.T.copy()
-    dyn = linear_uncertain_plant(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                 np.zeros((2, 1)), THETA)
+    dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
+                      THETA)
     eng = RewardEstimator(_basis(), dyn, query_seed=3)
     twin = RewardEstimator(_basis(), dyn, query_seed=3)
     for i in range(5):
