@@ -11,10 +11,9 @@ from .dynamics import LinearPlant, TrackingScenario, eval_dynamics, rk4, step_rk
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      RiccatiConvergenceError, UnstabilizableError,
                      UnsupportedBasisError)
-from .features import BasisFamily, FeatureBasis, get_family, register_family
+from .features import BasisFamily, FeatureBasis, get_family
 from .harness import (MetricsRecord, RunResult, ScenarioConfig, ablate,
-                      compare_to_oracle, default_tracking_config, emit_csv,
-                      load_config, run_scenario, save_config)
+                      compare_to_oracle, emit_csv, load_config, run_scenario)
 from .history import HistoryStack
 from .irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
 from .oracle import LqrSolution, ideal_policy_weights, solve_are
@@ -27,10 +26,9 @@ __all__ = [
     "LinearPlant", "TrackingScenario", "eval_dynamics", "rk4", "step_rk4",
     "ConfigError", "DimensionError", "DivergenceError",
     "RiccatiConvergenceError", "UnstabilizableError", "UnsupportedBasisError",
-    "BasisFamily", "FeatureBasis", "get_family", "register_family",
+    "BasisFamily", "FeatureBasis", "get_family",
     "MetricsRecord", "RunResult", "ScenarioConfig", "ablate",
-    "compare_to_oracle", "default_tracking_config", "emit_csv", "load_config",
-    "run_scenario", "save_config",
+    "compare_to_oracle", "emit_csv", "load_config", "run_scenario",
     "HistoryStack",
     "RewardEstimator", "build_row_block", "inverse_bellman_error",
     "LqrSolution", "ideal_policy_weights", "solve_are",

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .harness import (ablate, build_plant, compare_to_oracle, dump_stacks,
-                      emit_csv, load_config, run_scenario)
-from .oracle import solve_are
+from .harness import (ablate, compare_to_oracle, dump_stacks, emit_csv,
+                      load_config, run_scenario, validate_config)
 
 
 def _load(args) -> "ScenarioConfig":
@@ -32,9 +31,6 @@ def _load(args) -> "ScenarioConfig":
 
 
 def _print_report(report: dict) -> None:
-    if not report.get("ground_truth", False):
-        print("no ground truth available; skipping tolerance checks")
-        return
     for name, entry in report["quantities"].items():
         if entry["error"] is None:
             print(f"{name}: {entry['note']} [FAIL]")
@@ -59,8 +55,6 @@ def _cmd_run(args) -> int:
     if result.purge_times:
         times = ", ".join(f"{t:.3f}" for t in result.purge_times)
         print(f"purges at t = {times}")
-    if report.get("pass") is None:
-        return 0
     return 0 if report["pass"] else 1
 
 
@@ -86,9 +80,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load(args)
-    a, b = build_plant(cfg).true_system()
-    sol = solve_are(a, b, cfg.q_matrix(), cfg.r_matrix())
+    sol = validate_config(_load(args)).oracle
     with np.printoptions(precision=6, suppress=True):
         print("P =")
         print(sol.cost_matrix)

@@ -1,8 +1,8 @@
 """Polynomial feature bases for value, reward, and policy parameterizations.
 
 Each basis family packages an evaluator with its analytic gradient so the
-estimators never fall back to finite differences at runtime. Families are kept
-in a registry keyed by name so scenario configs can select them by string.
+estimators never fall back to finite differences at runtime. Scenario configs
+select the families by name.
 """
 
 from __future__ import annotations
@@ -72,28 +72,20 @@ def _quadratic_grad(z: Vector) -> Matrix:
     return rows
 
 
-_REGISTRY: dict[str, BasisFamily] = {}
-
-
-def register_family(family: BasisFamily) -> None:
-    """Add a basis family to the registry (name must be unused)."""
-    if family.name in _REGISTRY:
-        raise ValueError(f"basis family {family.name!r} already registered")
-    _REGISTRY[family.name] = family
+_FAMILIES = {
+    "linear": BasisFamily("linear", lambda n: n, _linear_eval, _linear_grad),
+    "squares": BasisFamily("squares", lambda n: n, _squares_eval, _squares_grad),
+    "quadratic": BasisFamily("quadratic", lambda n: n * (n + 1) // 2,
+                             _quadratic_eval, _quadratic_grad),
+}
 
 
 def get_family(name: str) -> BasisFamily:
     try:
-        return _REGISTRY[name]
+        return _FAMILIES[name]
     except KeyError:
         raise KeyError(f"unknown basis family {name!r}; "
-                       f"known: {sorted(_REGISTRY)}") from None
-
-
-register_family(BasisFamily("linear", lambda n: n, _linear_eval, _linear_grad))
-register_family(BasisFamily("squares", lambda n: n, _squares_eval, _squares_grad))
-register_family(BasisFamily(
-    "quadratic", lambda n: n * (n + 1) // 2, _quadratic_eval, _quadratic_grad))
+                       f"known: {sorted(_FAMILIES)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import LinearPlant, TrackingScenario, step_rk4
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import FeatureBasis
 from .irl_engine import RewardEstimator
 from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
@@ -110,79 +111,41 @@ class ScenarioConfig:
     dump_stacks: bool = False
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
-    # matrix accessors (config fields stay as plain nested lists/tuples so the
-    # JSON round trip is trivial)
 
-    def a0(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.nominal_a, dtype=float))
+# -- building a scenario from its config -------------------------------------
 
-    def b0(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.nominal_b, dtype=float))
-
-    def theta_true_matrix(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.theta_true, dtype=float))
-
-    def a_d(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.reference_matrix, dtype=float))
-
-    def f_gain(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.feedforward, dtype=float))
-
-    def q_matrix(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.q_true, dtype=float))
-
-    def r_matrix(self) -> Matrix:
-        return np.atleast_2d(np.asarray(self.r_true, dtype=float))
-
-    def x0_vec(self) -> np.ndarray:
-        return np.asarray(self.x0, dtype=float)
-
-    def xd0_vec(self) -> np.ndarray:
-        return np.asarray(self.xd0, dtype=float)
-
-    @property
-    def state_dim(self) -> int:
-        return self.a0().shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.b0().shape[1]
+@dataclass(frozen=True)
+class WeightTargets:
+    """Oracle weight values in the estimator's anchored scale."""
+    value: np.ndarray
+    reward: np.ndarray
+    control: np.ndarray
+    policy: np.ndarray
+    scale: float
 
 
-def build_plant(cfg: ScenarioConfig) -> LinearPlant:
-    return LinearPlant(cfg.a0(), cfg.b0(), cfg.theta_true_matrix())
+class ValidScenario(NamedTuple):
+    """The objects `validate_config` builds from a config."""
+    scenario: TrackingScenario        # holds the plant
+    basis: FeatureBasis
+    oracle: LqrSolution
+    targets: WeightTargets
 
 
-def build_scenario(cfg: ScenarioConfig, dyn: LinearPlant) -> TrackingScenario:
-    return TrackingScenario(dyn, cfg.a_d(), cfg.f_gain())
+def _matrix(value) -> Matrix:
+    return np.atleast_2d(np.asarray(value, dtype=float))
 
 
-def build_basis(cfg: ScenarioConfig) -> FeatureBasis:
-    return FeatureBasis.from_names(cfg.state_dim, cfg.input_dim,
-                                   value=cfg.value_basis, reward=cfg.reward_basis,
-                                   policy=cfg.policy_basis)
+def validate_config(cfg: ScenarioConfig) -> ValidScenario:
+    """Build what a run of cfg and its scoring use, or raise ConfigError.
 
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError on any inconsistency; cheap enough to run per use."""
+    This is the only code that turns a ScenarioConfig into objects. A config
+    passes only if its plant, reference, basis, stabilizing Riccati solution
+    and weight targets can all be built, so every config that loads can also
+    run and be scored.
+    """
     if cfg.plant_family != "linear_uncertain":
         raise ConfigError(f"unknown plant family {cfg.plant_family!r}")
-    try:
-        plant = build_plant(cfg)
-    except (TypeError, ValueError) as exc:      # DimensionError is a ValueError
-        raise ConfigError(f"malformed plant matrices: {exc}") from exc
-    n, m = plant.state_dim, plant.input_dim
-    if cfg.a_d().shape != (n, n) or cfg.f_gain().shape != (m, n):
-        raise ConfigError("reference matrices have wrong shapes")
-    if cfg.x0_vec().shape != (n,) or cfg.xd0_vec().shape != (n,):
-        raise ConfigError("initial states have wrong shapes")
-    q, r = cfg.q_matrix(), cfg.r_matrix()
-    if q.shape != (n, n) or np.linalg.norm(q - q.T) > 1e-12:
-        raise ConfigError("q_true must be symmetric (n, n)")
-    if r.shape != (m, m) or np.any(np.abs(r - np.diag(np.diag(r))) > 1e-12):
-        raise ConfigError("r_true must be diagonal (m, m)")
-    if np.any(np.diag(r) <= 0):
-        raise ConfigError("r_true diagonal must be positive")
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
     if cfg.duration < 0:
@@ -196,6 +159,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{group_name} gains must be positive")
         if group.stack_size < 1:
             raise ConfigError(f"{group_name} stack size must be positive")
+    for group_name, group in (("policy_estimator", cfg.policy_estimator),
+                              ("irl", cfg.irl)):
+        if group.rank_threshold <= 0:
+            raise ConfigError(f"{group_name}.rank_threshold must be positive")
     if cfg.irl.r1 <= 0:
         raise ConfigError("r1 must be positive")
     if cfg.irl.dwell <= 0:
@@ -208,16 +175,29 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("dt must divide the theta window a whole number of times")
     if cfg.policy_estimator.offer_period <= 0 or cfg.irl.query_period <= 0:
         raise ConfigError("offer/query periods must be positive")
+    tb = cfg.theta_estimator.box
+    if np.shape(tb) != (2,) or not tb[0] < tb[1]:
+        raise ConfigError("theta box must be (lo, hi) with lo < hi")
+
+    try:
+        plant = LinearPlant(cfg.nominal_a, cfg.nominal_b, cfg.theta_true)
+        scenario = TrackingScenario(plant, _matrix(cfg.reference_matrix),
+                                    _matrix(cfg.feedforward))
+        basis = FeatureBasis.from_names(
+            plant.state_dim, plant.input_dim, value=cfg.value_basis,
+            reward=cfg.reward_basis, policy=cfg.policy_basis)
+    except (KeyError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
+        raise ConfigError(f"cannot build the scenario: {exc}") from exc
+    n, m = plant.state_dim, plant.input_dim
+    if np.shape(cfg.x0) != (n,) or np.shape(cfg.xd0) != (n,):
+        raise ConfigError("initial states have wrong shapes")
+    r = _matrix(cfg.r_true)
+    if (r.shape != (m, m) or np.any(np.abs(r - np.diag(np.diag(r))) > 1e-12)
+            or np.any(np.diag(r) <= 0)):
+        raise ConfigError("r_true must be diagonal (m, m) with a positive diagonal")
     box = np.asarray(cfg.irl.query_box, dtype=float)
     if box.shape != (n, 2) or np.any(box[:, 0] >= box[:, 1]):
         raise ConfigError(f"query_box must be ({n}, 2) with lo < hi")
-    tb = cfg.theta_estimator.box
-    if len(tb) != 2 or not float(tb[0]) < float(tb[1]):
-        raise ConfigError("theta box must be (lo, hi) with lo < hi")
-    try:
-        basis = build_basis(cfg)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
     if cfg.policy_estimator.stack_size < basis.policy_dim:
         raise ConfigError("policy stack smaller than its regressor dimension")
     if cfg.theta_estimator.stack_size < n + m:
@@ -228,26 +208,41 @@ def validate_config(cfg: ScenarioConfig) -> None:
     # the demonstrator is LQR in error coordinates, which is only optimal if
     # the reference is consistent with the true plant: A_d = A + B F
     a_true, b_true = plant.true_system()
-    mismatch = np.linalg.norm(cfg.a_d() - (a_true + b_true @ cfg.f_gain()))
+    mismatch = np.linalg.norm(scenario.reference_matrix
+                              - (a_true + b_true @ scenario.feedforward_gain))
     if mismatch > 1e-9:
         raise ConfigError(
             f"reference generator inconsistent with plant: |A_d - (A + B F)| = "
             f"{mismatch:.3e}")
 
-
-def default_tracking_config() -> ScenarioConfig:
-    """The shipped 2-state oscillator-tracking scenario."""
-    return ScenarioConfig(
-        nominal_a=((0.0, 1.0), (0.0, 0.0)),
-        nominal_b=((0.0,), (0.0,)),
-        theta_true=((0.0, -0.5), (0.0, -0.5), (0.0, 1.0)),
-        reference_matrix=((0.0, 1.0), (-2.0, 0.0)),
-        feedforward=((-1.5, 0.5),),
-        x0=(0.0, 0.0),
-        xd0=(1.0, 0.0),
-        q_true=((1.0, 0.0), (0.0, 1.0)),
-        r_true=((10.0,),),
-    )
+    q = _matrix(cfg.q_true)
+    try:
+        oracle = solve_are(a_true, b_true, q, r)
+        policy = ideal_policy_weights(oracle, basis)
+    except (ValueError, RiccatiConvergenceError) as exc:
+        raise ConfigError(f"no ground truth for this scenario: {exc}") from exc
+    # The reward is identifiable only up to a positive scale; anchoring the
+    # first control penalty at r1 means every recovered weight is the true
+    # one times r1 / r_true[0, 0].
+    scale = cfg.irl.r1 / float(r[0, 0])
+    if basis.reward.name == "squares":
+        if np.any(np.abs(q - np.diag(np.diag(q))) > 1e-12):
+            raise ConfigError("squares reward basis cannot represent "
+                              "off-diagonal q_true")
+        w_q = np.diag(q).copy()
+    elif basis.reward.name == "quadratic":
+        w_q = quadratic_value_weights(q)
+    else:
+        raise ConfigError(
+            f"no ground-truth reward weights for basis {basis.reward.name!r}")
+    if basis.value.name != "quadratic":
+        raise ConfigError(
+            f"no ground-truth value weights for basis {basis.value.name!r}")
+    targets = WeightTargets(value=scale * oracle.value_weights,
+                            reward=scale * w_q,
+                            control=scale * np.diag(r)[1:].copy(),
+                            policy=policy, scale=scale)
+    return ValidScenario(scenario, basis, oracle, targets)
 
 
 # -- JSON round trip ---------------------------------------------------------
@@ -365,11 +360,6 @@ def load_config(path) -> ScenarioConfig:
     return cfg
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2,
-                                     sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -428,48 +418,6 @@ def combined_weight_error(records) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ground-truth targets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightTargets:
-    """Oracle weight values in the estimator's anchored scale."""
-    value: np.ndarray
-    reward: np.ndarray
-    control: np.ndarray
-    scale: float
-
-
-def reward_weight_targets(cfg: ScenarioConfig, basis: FeatureBasis,
-                          sol: LqrSolution) -> WeightTargets:
-    """Scale the true (Q, R, P) weights to the anchored-r1 convention.
-
-    The reward is identifiable only up to a positive scale; anchoring the
-    first control penalty at r1 means every recovered weight is the true one
-    times r1 / r_true[0, 0].
-    """
-    q, r = cfg.q_matrix(), cfg.r_matrix()
-    scale = cfg.irl.r1 / float(r[0, 0])
-    if basis.reward.name == "squares":
-        if np.any(np.abs(q - np.diag(np.diag(q))) > 1e-12):
-            raise ConfigError("squares reward basis cannot represent "
-                              "off-diagonal q_true")
-        w_q = np.diag(q).copy()
-    elif basis.reward.name == "quadratic":
-        w_q = quadratic_value_weights(q)
-    else:
-        raise ConfigError(
-            f"no ground-truth reward weights for basis {basis.reward.name!r}")
-    if basis.value.name != "quadratic":
-        raise ConfigError(
-            f"no ground-truth value weights for basis {basis.value.name!r}")
-    return WeightTargets(value=scale * sol.value_weights,
-                         reward=scale * w_q,
-                         control=scale * np.diag(r)[1:].copy(),
-                         scale=scale)
-
-
-# ---------------------------------------------------------------------------
 # the simulation loop
 # ---------------------------------------------------------------------------
 
@@ -487,8 +435,8 @@ class RunResult:
     config: ScenarioConfig
     querying: bool
     records: list
-    oracle: LqrSolution | None
-    targets: WeightTargets | None
+    oracle: LqrSolution
+    targets: WeightTargets
     estimates: FinalEstimates
     purge_times: list
     first_policy_rank_time: float | None
@@ -499,17 +447,11 @@ class RunResult:
 
 def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult:
     """Run the closed-loop scenario; `querying` overrides the config flag."""
-    validate_config(cfg)
     use_query = cfg.querying if querying is None else bool(querying)
-    dyn = build_plant(cfg)
-    scn = build_scenario(cfg, dyn)
-    basis = build_basis(cfg)
-
-    a_true, b_true = dyn.true_system()
-    sol = solve_are(a_true, b_true, cfg.q_matrix(), cfg.r_matrix())
+    scn, basis, sol, targets = validate_config(cfg)
+    dyn = scn.plant
     k_lqr = sol.gain
-    w_u_star = ideal_policy_weights(sol, basis)
-    targets = reward_weight_targets(cfg, basis, sol)
+    w_u_star = targets.policy
     theta_star = dyn.theta_true
 
     tc, pc, ic = cfg.theta_estimator, cfg.policy_estimator, cfg.irl
@@ -556,8 +498,8 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
 
     steps = int(round(cfg.duration / cfg.dt))
     dt = cfg.dt
-    x = cfg.x0_vec()
-    xd = cfg.xd0_vec()
+    x = np.asarray(cfg.x0, dtype=float)
+    xd = np.asarray(cfg.xd0, dtype=float)
     last_policy_offer = -np.inf
     last_collect = -np.inf
     first_rank = None
@@ -642,22 +584,21 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
 # scoring and ablation
 # ---------------------------------------------------------------------------
 
-def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution | None,
+def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution,
                       cfg: ScenarioConfig) -> dict:
-    """Terminal error norms against the oracle, with per-quantity pass flags."""
-    if sol is None:
-        return {"ground_truth": False, "pass": None, "quantities": {},
-                "note": "no ground truth available for this scenario"}
-    basis = build_basis(cfg)
+    """Terminal error norms against the oracle, with per-quantity pass flags.
+
+    `sol` is the run's `RunResult.oracle`. The targets come from
+    `validate_config(cfg)`, which solves for the same oracle.
+    """
+    scenario, _, _, targets = validate_config(cfg)
     tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
-    targets = reward_weight_targets(cfg, basis, sol)
-    w_u_star = ideal_policy_weights(sol, basis)
     checks = [
         ("value_weights", estimates.value_weights, targets.value),
         ("reward_weights", estimates.reward_weights, targets.reward),
         ("control_weights", estimates.control_weights, targets.control),
-        ("policy_weights", estimates.policy_weights, w_u_star),
-        ("theta", estimates.theta_hat, cfg.theta_true_matrix()),
+        ("policy_weights", estimates.policy_weights, targets.policy),
+        ("theta", estimates.theta_hat, scenario.plant.theta_true),
     ]
     report = {"ground_truth": True, "quantities": {}, "pass": True}
     for name, got, want in checks:

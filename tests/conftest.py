@@ -3,15 +3,18 @@
 reused by the harness and acceptance tests."""
 
 import time
+from pathlib import Path
 
 import pytest
 
-from oirl.harness import ablate, default_tracking_config, run_scenario
+from oirl.harness import ablate, load_config, run_scenario
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
 
 @pytest.fixture(scope="session")
 def tracking_cfg():
-    return default_tracking_config()
+    return load_config(SHIPPED)
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,7 @@ MISTYPED = [
     ("irl", "stack_size", 50.7),
     ("irl", "alpha", "0.1"),
     ("simulation", "duration", float("nan")),
+    ("theta_estimator", "box", [[-2.0, 2.0], [-2.0, 2.0]]),
 ]
 
 
@@ -67,6 +68,37 @@ def test_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
     assert main(["run", "--config", _write(tmp_path, data),
                  "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+# Configs that read cleanly but yield no scenario to run and score: no
+# stabilizing reference, no closed-form policy or value weights, no
+# stabilizing Riccati solution, or a rank test that can never pass.
+UNBUILDABLE = {
+    "unstable_reference": {("reference", "matrix"): [[0.0, 1.0], [-2.0, 1.0]],
+                           ("reference", "feedforward"): [[-1.5, 1.5]]},
+    "quadratic_policy": {("features", "policy"): "quadratic"},
+    "negative_q": {("reward", "q"): [[-1.0, 0.0], [0.0, -1.0]]},
+    "policy_rank_threshold": {("policy_estimator", "rank_threshold"): 0.0},
+    "irl_rank_threshold": {("irl", "rank_threshold"): 0.0},
+    "squares_value": {("features", "value"): "squares"},
+}
+# `run` rejected a squares value basis before `oracle` did
+UNBUILDABLE_CASES = [(command, case) for case in UNBUILDABLE
+                     for command in ("run", "oracle")
+                     if (command, case) != ("run", "squares_value")]
+
+
+@pytest.mark.parametrize("command, case", UNBUILDABLE_CASES,
+                         ids=[f"{c}-{k}" for c, k in UNBUILDABLE_CASES])
+def test_unbuildable_config_exits_2(tmp_path, capsys, command, case):
+    data = json.loads(SHIPPED.read_text())
+    for (section, key), value in UNBUILDABLE[case].items():
+        data[section][key] = value
+    argv = [command, "--config", _write(tmp_path, data)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_short_run_missing_its_tolerances_exits_1(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oirl.errors import DimensionError
-from oirl.features import BasisFamily, FeatureBasis, get_family, register_family
+from oirl.features import FeatureBasis, get_family
 
 
 def _fd_gradient(evaluate, z, h=1e-6):
@@ -50,12 +50,6 @@ def test_gradients_match_finite_differences():
 def test_unknown_family_raises():
     with pytest.raises(KeyError):
         get_family("fourier")
-
-
-def test_duplicate_registration_raises():
-    with pytest.raises(ValueError):
-        register_family(BasisFamily("linear", lambda n: n,
-                                    lambda z: z, lambda z: np.eye(len(z))))
 
 
 def test_basis_bundle_dimensions():

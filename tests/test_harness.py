@@ -2,56 +2,51 @@
 
 import dataclasses
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oirl.errors import ConfigError
 from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
-                          build_basis, build_plant, combined_weight_error,
-                          compare_to_oracle, config_from_dict, config_to_dict,
-                          default_tracking_config, dump_stacks, emit_csv,
-                          load_config, record_array, reward_weight_targets,
-                          run_scenario, save_config, validate_config)
-from oirl.oracle import solve_are
+                          combined_weight_error, compare_to_oracle,
+                          config_from_dict, config_to_dict, dump_stacks,
+                          emit_csv, load_config, record_array, run_scenario,
+                          validate_config)
 
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
                       1.8321595661992322])
 
-
-def _scenario_oracle(cfg):
-    a, b = build_plant(cfg).true_system()
-    return solve_are(a, b, cfg.q_matrix(), cfg.r_matrix())
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
+CFG = load_config(SHIPPED)
 
 
 def _short_cfg(**overrides):
-    cfg = default_tracking_config()
-    return dataclasses.replace(cfg, duration=2.0, **overrides)
+    return dataclasses.replace(CFG, duration=2.0, **overrides)
 
 
 # -- configuration ------------------------------------------------------------
 
 def test_config_json_round_trip(tmp_path):
-    cfg = default_tracking_config()
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
+    path.write_text(json.dumps(config_to_dict(CFG)))
+    assert load_config(path) == CFG
 
 
 def test_config_dict_round_trip():
-    cfg = default_tracking_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(config_to_dict(CFG)) == CFG
 
 
 def test_unknown_section_is_rejected():
-    data = config_to_dict(default_tracking_config())
+    data = config_to_dict(CFG)
     data["extras"] = {}
     with pytest.raises(ConfigError):
         config_from_dict(data)
 
 
 def test_unknown_key_is_rejected():
-    data = config_to_dict(default_tracking_config())
+    data = config_to_dict(CFG)
     data["irl"]["momentum"] = 0.9
     with pytest.raises(ConfigError):
         config_from_dict(data)
@@ -67,7 +62,7 @@ def test_unknown_key_is_rejected():
     ("features", "value", 3),
 ])
 def test_values_are_checked_against_their_kind(section, key, value):
-    data = config_to_dict(default_tracking_config())
+    data = config_to_dict(CFG)
     if value is None:
         del data[section][key]
     else:
@@ -77,16 +72,15 @@ def test_values_are_checked_against_their_kind(section, key, value):
 
 
 def test_omitted_keys_take_the_dataclass_defaults():
-    data = config_to_dict(default_tracking_config())
+    data = config_to_dict(CFG)
     for section in ("features", "policy_estimator", "theta_estimator", "irl",
                     "simulation", "flags", "tolerances"):
         del data[section]
     del data["plant"]["family"]
     data["irl"] = {"r1": 20.0}
     cfg = config_from_dict(data)
-    assert cfg.irl == dataclasses.replace(default_tracking_config().irl, r1=20.0)
-    assert dataclasses.replace(cfg, irl=default_tracking_config().irl) \
-        == default_tracking_config()
+    assert cfg.irl == dataclasses.replace(CFG.irl, r1=20.0)
+    assert dataclasses.replace(cfg, irl=CFG.irl) == CFG
 
 
 def test_malformed_json_is_a_config_error(tmp_path):
@@ -97,8 +91,7 @@ def test_malformed_json_is_a_config_error(tmp_path):
 
 
 def test_true_linear_system_assembles_the_plant():
-    cfg = default_tracking_config()
-    a, b = build_plant(cfg).true_system()
+    a, b = validate_config(CFG).scenario.plant.true_system()
     np.testing.assert_allclose(a, [[0.0, 1.0], [-0.5, -0.5]])
     np.testing.assert_allclose(b, [[0.0], [1.0]])
 
@@ -115,34 +108,30 @@ def test_true_linear_system_assembles_the_plant():
     {"dt": 0.004},                                        # 62.5 steps per window
 ])
 def test_invalid_configs_are_rejected(overrides):
-    cfg = dataclasses.replace(default_tracking_config(), **overrides)
+    cfg = dataclasses.replace(CFG, **overrides)
     with pytest.raises(ConfigError):
         run_scenario(cfg)
 
 
 @pytest.mark.parametrize("dt", [0.0025, 0.005, 0.01])
 def test_dt_dividing_the_theta_window_is_accepted(dt):
-    validate_config(dataclasses.replace(default_tracking_config(), dt=dt))
+    validate_config(dataclasses.replace(CFG, dt=dt))
 
 
 def test_undersized_stacks_are_rejected():
-    cfg = default_tracking_config()
-    irl = dataclasses.replace(cfg.irl, stack_size=3)
+    irl = dataclasses.replace(CFG.irl, stack_size=3)
     with pytest.raises(ConfigError):
-        run_scenario(dataclasses.replace(cfg, irl=irl))
+        run_scenario(dataclasses.replace(CFG, irl=irl))
 
 
 def test_weight_targets_follow_the_anchor():
-    cfg = default_tracking_config()
-    basis = build_basis(cfg)
-    sol = _scenario_oracle(cfg)
-    t10 = reward_weight_targets(cfg, basis, sol)
+    t10 = validate_config(CFG).targets
     assert t10.scale == pytest.approx(1.0)
     np.testing.assert_allclose(t10.value, W_V_EXACT, atol=1e-12)
     np.testing.assert_allclose(t10.reward, [1.0, 1.0])
     assert t10.control.shape == (0,)
-    doubled = dataclasses.replace(cfg, irl=dataclasses.replace(cfg.irl, r1=20.0))
-    t20 = reward_weight_targets(doubled, basis, sol)
+    doubled = dataclasses.replace(CFG, irl=dataclasses.replace(CFG.irl, r1=20.0))
+    t20 = validate_config(doubled).targets
     assert t20.scale == pytest.approx(2.0)
     np.testing.assert_allclose(t20.value, 2.0 * t10.value)
     np.testing.assert_allclose(t20.reward, 2.0 * t10.reward)
@@ -183,7 +172,7 @@ def test_combined_weight_error():
 # -- runner -------------------------------------------------------------------
 
 def test_zero_duration_yields_an_empty_run(tmp_path):
-    cfg = dataclasses.replace(default_tracking_config(), duration=0.0)
+    cfg = dataclasses.replace(CFG, duration=0.0)
     result = run_scenario(cfg)
     assert result.records == []
     assert result.purge_times == []
@@ -223,18 +212,19 @@ def test_dump_stacks_writes_one_file_per_stack(tmp_path):
 
 # -- scoring ------------------------------------------------------------------
 
-def _exact_estimates(cfg):
-    sol = _scenario_oracle(cfg)
-    return FinalEstimates(theta_hat=cfg.theta_true_matrix(),
-                          policy_weights=sol.gain.T.copy(),
-                          value_weights=sol.value_weights.copy(),
+ORACLE = validate_config(CFG).oracle
+
+
+def _exact_estimates():
+    return FinalEstimates(theta_hat=np.asarray(CFG.theta_true),
+                          policy_weights=ORACLE.gain.T.copy(),
+                          value_weights=ORACLE.value_weights.copy(),
                           reward_weights=np.array([1.0, 1.0]),
                           control_weights=np.zeros(0))
 
 
 def test_compare_to_oracle_accepts_exact_estimates():
-    cfg = default_tracking_config()
-    report = compare_to_oracle(_exact_estimates(cfg), _scenario_oracle(cfg), cfg)
+    report = compare_to_oracle(_exact_estimates(), ORACLE, CFG)
     assert report["pass"] is True
     assert report["ground_truth"] is True
     for entry in report["quantities"].values():
@@ -242,30 +232,20 @@ def test_compare_to_oracle_accepts_exact_estimates():
 
 
 def test_compare_to_oracle_flags_a_bad_quantity():
-    cfg = default_tracking_config()
-    est = _exact_estimates(cfg)
+    est = _exact_estimates()
     est = dataclasses.replace(est, value_weights=est.value_weights + 0.1)
-    report = compare_to_oracle(est, _scenario_oracle(cfg), cfg)
+    report = compare_to_oracle(est, ORACLE, CFG)
     assert report["pass"] is False
     assert report["quantities"]["value_weights"]["pass"] is False
     assert report["quantities"]["reward_weights"]["pass"] is True
 
 
 def test_compare_to_oracle_reports_dimension_mismatch():
-    cfg = default_tracking_config()
-    est = _exact_estimates(cfg)
-    est = dataclasses.replace(est, theta_hat=np.zeros((2, 2)))
-    report = compare_to_oracle(est, _scenario_oracle(cfg), cfg)
+    est = dataclasses.replace(_exact_estimates(), theta_hat=np.zeros((2, 2)))
+    report = compare_to_oracle(est, ORACLE, CFG)
     entry = report["quantities"]["theta"]
     assert entry["pass"] is False
     assert "mismatch" in entry["note"]
-
-
-def test_compare_to_oracle_without_ground_truth():
-    cfg = default_tracking_config()
-    report = compare_to_oracle(_exact_estimates(cfg), None, cfg)
-    assert report["pass"] is None
-    assert report["ground_truth"] is False
 
 
 # -- reference-run regressions (shared session fixture) ------------------------
