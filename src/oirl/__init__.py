@@ -15,10 +15,12 @@ from .features import BasisFamily, FeatureBasis, get_family
 from .harness import (MetricsRecord, RunResult, ScenarioConfig, ablate,
                       compare_to_oracle, emit_csv, load_config, run_scenario)
 from .history import HistoryStack
-from .irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
+from .irl_engine import (IrlConfig, RewardEstimator, build_row_block,
+                         inverse_bellman_error)
 from .oracle import LqrSolution, ideal_policy_weights, solve_are
-from .param_estimator import ThetaEstimator, ThetaSnapshot, accumulate_window
-from .policy_estimator import PolicyEstimator, PolicySnapshot
+from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
+                              accumulate_window)
+from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
 
 __version__ = "0.1.0"
 
@@ -30,8 +32,8 @@ __all__ = [
     "MetricsRecord", "RunResult", "ScenarioConfig", "ablate",
     "compare_to_oracle", "emit_csv", "load_config", "run_scenario",
     "HistoryStack",
-    "RewardEstimator", "build_row_block", "inverse_bellman_error",
+    "IrlConfig", "RewardEstimator", "build_row_block", "inverse_bellman_error",
     "LqrSolution", "ideal_policy_weights", "solve_are",
-    "ThetaEstimator", "ThetaSnapshot", "accumulate_window",
-    "PolicyEstimator", "PolicySnapshot",
+    "ThetaEstimator", "ThetaEstimatorConfig", "ThetaSnapshot", "accumulate_window",
+    "PolicyEstimator", "PolicyEstimatorConfig", "PolicySnapshot",
 ]

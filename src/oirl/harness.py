@@ -21,11 +21,11 @@ import numpy as np
 from .dynamics import LinearPlant, TrackingScenario, step_rk4
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import FeatureBasis
-from .irl_engine import RewardEstimator
+from .irl_engine import IrlConfig, RewardEstimator
 from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
-from .param_estimator import ThetaEstimator
-from .policy_estimator import PolicyEstimator
+from .param_estimator import ThetaEstimator, ThetaEstimatorConfig
+from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 from .rls import _norm
 
 Matrix = np.ndarray
@@ -42,47 +42,6 @@ DEFAULT_TOLERANCES = {
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolicyEstimatorConfig:
-    alpha: float = 1.0
-    beta: float = 2.0
-    stack_size: int = 50
-    offer_period: float = 0.05
-    gamma0: float = 1.0
-    rank_threshold: float = 0.1
-    gamma_floor: float = 1e-9
-    gamma_ceiling: float = 1e7
-
-
-@dataclass(frozen=True)
-class ThetaEstimatorConfig:
-    alpha: float = 1.0
-    beta: float = 2.0
-    stack_size: int = 50
-    window: float = 0.25
-    offer_period: float = 0.05
-    gamma0: float = 1.0
-    box: tuple = (-2.0, 2.0)
-    revision_threshold: float = 0.05
-    gamma_floor: float = 1e-9
-    gamma_ceiling: float = 1e7
-
-
-@dataclass(frozen=True)
-class IrlConfig:
-    alpha: float = 0.01 / 50
-    beta: float = 0.5
-    stack_size: int = 50
-    r1: float = 10.0
-    dwell: float = 2.0
-    query_box: tuple = ((-1.0, 1.0), (-1.0, 1.0))
-    query_period: float = 0.05
-    rank_threshold: float = 0.1
-    gamma0: float = 1.0
-    gamma_floor: float = 1e-9
-    gamma_ceiling: float = 1e7
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -157,8 +116,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
                               ("irl", cfg.irl)):
         if group.alpha <= 0 or group.beta <= 0 or group.gamma0 <= 0:
             raise ConfigError(f"{group_name} gains must be positive")
-        if group.stack_size < 1:
-            raise ConfigError(f"{group_name} stack size must be positive")
+        if not group.gamma_floor < group.gamma0 < group.gamma_ceiling:
+            raise ConfigError(f"{group_name} needs gamma_floor < gamma0 "
+                              f"< gamma_ceiling")
     for group_name, group in (("policy_estimator", cfg.policy_estimator),
                               ("irl", cfg.irl)):
         if group.rank_threshold <= 0:
@@ -167,6 +127,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
         raise ConfigError("r1 must be positive")
     if cfg.irl.dwell <= 0:
         raise ConfigError("dwell must be positive")
+    if cfg.theta_estimator.revision_threshold <= 0:
+        raise ConfigError("theta_estimator.revision_threshold must be positive")
     if cfg.theta_estimator.window <= 0 or cfg.theta_estimator.offer_period <= 0:
         raise ConfigError("theta estimator window and offer period must be positive")
     # theta windows are offered only when a sample lies exactly one window back
@@ -454,22 +416,10 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
     w_u_star = targets.policy
     theta_star = dyn.theta_true
 
-    tc, pc, ic = cfg.theta_estimator, cfg.policy_estimator, cfg.irl
-    theta_est = ThetaEstimator(
-        dyn, stack_size=tc.stack_size, window=tc.window,
-        offer_period=tc.offer_period, alpha=tc.alpha, beta=tc.beta,
-        gamma0=tc.gamma0, box=tuple(tc.box),
-        revision_threshold=tc.revision_threshold,
-        gamma_floor=tc.gamma_floor, gamma_ceiling=tc.gamma_ceiling)
-    policy_est = PolicyEstimator(
-        basis, stack_size=pc.stack_size, alpha=pc.alpha, beta=pc.beta,
-        gamma0=pc.gamma0, gamma_floor=pc.gamma_floor,
-        gamma_ceiling=pc.gamma_ceiling)
-    engine = RewardEstimator(
-        basis, dyn, r1=ic.r1, stack_size=ic.stack_size, alpha=ic.alpha,
-        beta=ic.beta, dwell=ic.dwell, query_box=ic.query_box,
-        query_seed=cfg.seed, gamma0=ic.gamma0, gamma_floor=ic.gamma_floor,
-        gamma_ceiling=ic.gamma_ceiling)
+    pc, ic = cfg.policy_estimator, cfg.irl
+    theta_est = ThetaEstimator(dyn, cfg.theta_estimator)
+    policy_est = PolicyEstimator(basis, pc)
+    engine = RewardEstimator(basis, dyn, ic, cfg.seed)
 
     records: list[MetricsRecord] = []
     gamma_stats = {"policy": None, "irl": None}
@@ -617,14 +567,17 @@ def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution,
     return report
 
 
-def ablate(cfg: ScenarioConfig, min_ratio: float = 10.0,
-           plateau_limit: float = 0.05) -> dict:
+ABLATION_MIN_RATIO = 10.0       # no-query / query terminal weight error
+ABLATION_PLATEAU_LIMIT = 0.05   # no-query relative change over the final half
+
+
+def ablate(cfg: ScenarioConfig) -> dict:
     """Run the querying and no-querying variants and contrast them.
 
     The no-querying run is expected to plateau far from the truth: its
-    terminal weight error should be at least `min_ratio` times the querying
-    run's, while changing less than `plateau_limit` (relative) over the final
-    half of the run.
+    terminal weight error should be at least `ABLATION_MIN_RATIO` times the
+    querying run's, while changing less than `ABLATION_PLATEAU_LIMIT`
+    (relative) over the final half of the run.
     """
     with_query = run_scenario(cfg, querying=True)
     without_query = run_scenario(cfg, querying=False)
@@ -641,10 +594,11 @@ def ablate(cfg: ScenarioConfig, min_ratio: float = 10.0,
         "terminal_error_with_querying": terminal_q,
         "terminal_error_without_querying": terminal_n,
         "ratio": float(ratio),
-        "min_ratio": float(min_ratio),
+        "min_ratio": ABLATION_MIN_RATIO,
         "plateau_change": plateau,
-        "plateau_limit": float(plateau_limit),
-        "pass": bool(ratio >= min_ratio and plateau < plateau_limit),
+        "plateau_limit": ABLATION_PLATEAU_LIMIT,
+        "pass": bool(ratio >= ABLATION_MIN_RATIO
+                     and plateau < ABLATION_PLATEAU_LIMIT),
     }
     return {"report": report, "with_query": with_query,
             "without_query": without_query}

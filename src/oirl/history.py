@@ -18,6 +18,8 @@ from .errors import DimensionError
 
 Matrix = np.ndarray
 
+ADMISSION_MARGIN = 1e-6     # a full stack's least relative lambda_min gain
+
 
 class HistoryStack:
     """Fixed-capacity regressor/target store with lambda_min-greedy admission.
@@ -29,14 +31,13 @@ class HistoryStack:
     """
 
     def __init__(self, capacity: int, row_dim: int, block_rows: int = 1,
-                 target_dim: int = 1, margin: float = 1e-6):
+                 target_dim: int = 1):
         if capacity < 1 or row_dim < 1 or block_rows < 1 or target_dim < 1:
             raise ValueError("capacity and dimensions must be positive")
         self.capacity = int(capacity)
         self.row_dim = int(row_dim)
         self.block_rows = int(block_rows)
         self.target_dim = int(target_dim)
-        self.margin = float(margin)
         self._rows = np.zeros((capacity, block_rows, row_dim))
         self._targets = np.zeros((capacity, block_rows, target_dim))
         self._times = np.zeros(capacity)
@@ -149,7 +150,7 @@ class HistoryStack:
         trial = (self._normal + cand_gram)[None, :, :] - self._grams
         lam = np.linalg.eigvalsh(trial)[:, 0]
         best = int(np.argmax(lam))
-        accept = lam[best] > self._rank_metric * (1.0 + self.margin) \
+        accept = lam[best] > self._rank_metric * (1.0 + ADMISSION_MARGIN) \
             if self._rank_metric > 0.0 else lam[best] > 0.0
         if not accept:
             return False

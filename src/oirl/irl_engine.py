@@ -19,6 +19,8 @@ rows @ W ~= target as `rls.ConcurrentLearner` expects.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .dynamics import LinearPlant, eval_dynamics
@@ -77,6 +79,23 @@ def build_row_block(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
     return rows, offsets
 
 
+@dataclass(frozen=True)
+class IrlConfig:
+    """The `irl` config group. The default `query_box` is the unit box of a
+    2-state plant; any other state count must give its own."""
+    alpha: float = 0.01 / 50
+    beta: float = 0.5
+    stack_size: int = 50
+    r1: float = 10.0
+    dwell: float = 2.0
+    query_box: tuple = ((-1.0, 1.0), (-1.0, 1.0))
+    query_period: float = 0.05
+    rank_threshold: float = 0.1
+    gamma0: float = 1.0
+    gamma_floor: float = 1e-9
+    gamma_ceiling: float = 1e7
+
+
 class RewardEstimator(ConcurrentLearner):
     """Concurrent-learning estimator over the queried-sample stack.
 
@@ -85,28 +104,20 @@ class RewardEstimator(ConcurrentLearner):
     anchored r1.
     """
 
-    def __init__(self, basis: FeatureBasis, dyn: LinearPlant,
-                 r1: float = 10.0, stack_size: int = 50,
-                 alpha: float = 0.01 / 50, beta: float = 0.5,
-                 dwell: float = 2.0, query_box=None, query_seed: int = 0,
-                 gamma0: float = 1.0, gamma_floor: float = 1e-9,
-                 gamma_ceiling: float = 1e7):
-        if r1 <= 0.0:
+    def __init__(self, basis: FeatureBasis, dyn: LinearPlant, cfg: IrlConfig,
+                 query_seed: int):
+        if cfg.r1 <= 0.0:
             raise ValueError("the scale anchor r1 must be positive")
         self.basis = basis
         self.dyn = dyn
-        self.r1 = float(r1)
-        self.dwell = float(dwell)
         n, m = dyn.state_dim, basis.input_dim
-        if query_box is None:
-            query_box = [(-1.0, 1.0)] * n
-        self.query_box = np.asarray(query_box, dtype=float).reshape(n, 2)
+        self.query_box = np.asarray(cfg.query_box, dtype=float).reshape(n, 2)
         self.rng = np.random.default_rng(query_seed)
         self.dim = basis.value_dim + basis.reward_dim + m - 1
         super().__init__(
-            HistoryStack(stack_size, row_dim=self.dim, block_rows=1 + m,
-                         target_dim=1),
-            np.zeros(self.dim), alpha, beta, gamma0, gamma_floor, gamma_ceiling)
+            cfg, HistoryStack(cfg.stack_size, row_dim=self.dim, block_rows=1 + m,
+                              target_dim=1),
+            np.zeros(self.dim))
         self.last_purge = 0.0
         self.purge_times: list[float] = []
 
@@ -133,7 +144,7 @@ class RewardEstimator(ConcurrentLearner):
     def _offer(self, x: Vector, u_hat: Vector, theta: ThetaSnapshot,
                t: float) -> bool:
         rows, offsets = build_row_block(self.basis, self.dyn, x, u_hat,
-                                        theta.theta_hat, self.r1)
+                                        theta.theta_hat, self.cfg.r1)
         if _norm(rows) < 1e-12:
             return False        # degenerate sample, cannot raise lambda_min
         return self.stack.try_insert(rows, -offsets, t, tag=theta.generation)
@@ -158,7 +169,7 @@ class RewardEstimator(ConcurrentLearner):
         oldest = self.stack.oldest_tag()
         if oldest is None or theta_generation <= oldest:
             return False
-        if not self.stack.purge(t, self.dwell, self.last_purge):
+        if not self.stack.purge(t, self.cfg.dwell, self.last_purge):
             return False
         self.last_purge = t
         self.purge_times.append(t)

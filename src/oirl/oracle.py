@@ -77,13 +77,16 @@ def quadratic_value_weights(p: Matrix) -> np.ndarray:
     return np.concatenate(w)
 
 
-def solve_are(a: Matrix, b: Matrix, q: Matrix, r: Matrix,
-              tol: float = 1e-9, max_refine: int = 30) -> LqrSolution:
+ARE_TOL = 1e-9          # Riccati residual bound, relative to max(1, ||P||_F)
+ARE_MAX_REFINE = 30     # at most this many Newton (Kleinman) steps
+
+
+def solve_are(a: Matrix, b: Matrix, q: Matrix, r: Matrix) -> LqrSolution:
     """Stabilizing ARE solution for the pair (a, b) with costs (q, r).
 
-    `tol` bounds the residual relative to max(1, ||P||_F); an absolute bound
-    would be unattainable for badly scaled problems whose solution norm is
-    large. Raises UnstabilizableError when no stabilizing solution exists and
+    `ARE_TOL` is relative, since an absolute bound would be unattainable for
+    badly scaled problems whose solution norm is large. Raises
+    UnstabilizableError when no stabilizing solution exists and
     RiccatiConvergenceError when refinement cannot reach the tolerance.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -127,7 +130,7 @@ def solve_are(a: Matrix, b: Matrix, q: Matrix, r: Matrix,
 
     # Kleinman polish: Newton steps on the ARE, each one a Lyapunov solve.
     r_inv_bt = np.linalg.solve(r_n, b.T)
-    for _ in range(max_refine):
+    for _ in range(ARE_MAX_REFINE):
         k = r_inv_bt @ p
         a_c = a - b @ k
         if np.max(np.linalg.eigvals(a_c).real) >= 0.0:
@@ -141,9 +144,9 @@ def solve_are(a: Matrix, b: Matrix, q: Matrix, r: Matrix,
     p = s * p
     scale = max(1.0, float(np.linalg.norm(p)))
     resid = riccati_residual(a, b, q, r, p)
-    if resid > tol * scale:
+    if resid > ARE_TOL * scale:
         raise RiccatiConvergenceError(
-            f"Riccati residual {resid:.3e} above {tol:.3e} * {scale:.3e}")
+            f"Riccati residual {resid:.3e} above {ARE_TOL:.3e} * {scale:.3e}")
     # first-order forward-error certificate: |P - P_exact| <~ resid / sep.
     # Refuse problems whose conditioning eats the advertised accuracy instead
     # of returning a silently degraded solution.

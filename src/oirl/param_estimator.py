@@ -74,6 +74,21 @@ class ThetaSnapshot:
     generation: int
 
 
+@dataclass(frozen=True)
+class ThetaEstimatorConfig:
+    """The `theta_estimator` config group."""
+    alpha: float = 1.0
+    beta: float = 2.0
+    stack_size: int = 50
+    window: float = 0.25
+    offer_period: float = 0.05
+    gamma0: float = 1.0
+    box: tuple = (-2.0, 2.0)
+    revision_threshold: float = 0.05
+    gamma_floor: float = 1e-9
+    gamma_ceiling: float = 1e7
+
+
 class ThetaEstimator(ConcurrentLearner):
     """Windowed-integral concurrent-learning estimator for theta.
 
@@ -83,24 +98,16 @@ class ThetaEstimator(ConcurrentLearner):
     when rows built from older estimates have gone stale.
     """
 
-    def __init__(self, dyn: LinearPlant, stack_size: int = 50,
-                 window: float = 0.25, offer_period: float = 0.05,
-                 alpha: float = 1.0, beta: float = 2.0, gamma0: float = 1.0,
-                 box: tuple[float, float] = (-2.0, 2.0),
-                 revision_threshold: float = 0.05,
-                 gamma_floor: float = 1e-9, gamma_ceiling: float = 1e7):
+    def __init__(self, dyn: LinearPlant, cfg: ThetaEstimatorConfig):
         p, n = dyn.param_dim, dyn.state_dim
         self.dyn = dyn
-        self.window = float(window)
-        self.offer_period = float(offer_period)
-        self.box_lo, self.box_hi = float(box[0]), float(box[1])
-        if not self.box_lo < self.box_hi:
+        lo, hi = cfg.box
+        if not lo < hi:
             raise ValueError("projection box must have lo < hi")
-        self.revision_threshold = float(revision_threshold)
-        center = np.full((p, n), 0.5 * (self.box_lo + self.box_hi))
+        center = np.full((p, n), 0.5 * (lo + hi))
         super().__init__(
-            HistoryStack(stack_size, row_dim=p, block_rows=1, target_dim=n),
-            center, alpha, beta, gamma0, gamma_floor, gamma_ceiling)
+            cfg, HistoryStack(cfg.stack_size, row_dim=p, block_rows=1, target_dim=n),
+            center)
         self.generation = 0
         self._anchor = self.weights.copy()
         self._buffer: deque = deque()
@@ -129,11 +136,11 @@ class ThetaEstimator(ConcurrentLearner):
             self._terms.append(_interval_terms(self.dyn.nominal, self.dyn.features,
                                                t_a, x_a, u_a, sample[0], sample[1]))
         self._buffer.append(sample)
-        while self._buffer[0][0] < t - self.window - 1e-9:
+        while self._buffer[0][0] < t - self.cfg.window - 1e-9:
             self._buffer.popleft()
             self._terms.popleft()
-        spans = self._buffer[0][0] <= t - self.window + 1e-9
-        if not spans or t - self._last_offer < self.offer_period - 1e-9:
+        spans = self._buffer[0][0] <= t - self.cfg.window + 1e-9
+        if not spans or t - self._last_offer < self.cfg.offer_period - 1e-9:
             return False
         y, b = _window_pair(self._terms, self._buffer[0][1], sample[1])
         self._last_offer = t
@@ -144,7 +151,7 @@ class ThetaEstimator(ConcurrentLearner):
     def update(self, dt: float) -> None:
         """One learner step, then the box projection and generation logic."""
         super().update(dt)
-        np.clip(self.weights, self.box_lo, self.box_hi, out=self.weights)
-        if _norm(self.weights - self._anchor) > self.revision_threshold:
+        np.clip(self.weights, *self.cfg.box, out=self.weights)
+        if _norm(self.weights - self._anchor) > self.cfg.revision_threshold:
             self.generation += 1
             self._anchor = self.weights.copy()

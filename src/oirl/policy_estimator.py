@@ -27,17 +27,28 @@ class PolicySnapshot:
     weights: Matrix
 
 
+@dataclass(frozen=True)
+class PolicyEstimatorConfig:
+    """The `policy_estimator` config group."""
+    alpha: float = 1.0
+    beta: float = 2.0
+    stack_size: int = 50
+    offer_period: float = 0.05
+    gamma0: float = 1.0
+    rank_threshold: float = 0.1
+    gamma_floor: float = 1e-9
+    gamma_ceiling: float = 1e7
+
+
 class PolicyEstimator(ConcurrentLearner):
     """Concurrent-learning estimator of the feedback-policy weights W_u (K x m)."""
 
-    def __init__(self, basis: FeatureBasis, stack_size: int = 50,
-                 alpha: float = 1.0, beta: float = 2.0, gamma0: float = 1.0,
-                 gamma_floor: float = 1e-9, gamma_ceiling: float = 1e7):
+    def __init__(self, basis: FeatureBasis, cfg: PolicyEstimatorConfig):
         self.basis = basis
         k, m = basis.policy_dim, basis.input_dim
         super().__init__(
-            HistoryStack(stack_size, row_dim=k, block_rows=1, target_dim=m),
-            np.zeros((k, m)), alpha, beta, gamma0, gamma_floor, gamma_ceiling)
+            cfg, HistoryStack(cfg.stack_size, row_dim=k, block_rows=1, target_dim=m),
+            np.zeros((k, m)))
 
     def snapshot(self) -> PolicySnapshot:
         return PolicySnapshot(self.weights.copy())

@@ -65,37 +65,35 @@ def gain_step(gamma: Matrix, normal: Matrix, alpha: float, beta: float,
 class ConcurrentLearner:
     """Weights W and gain Gamma driven by a history stack of rows @ W ~= target.
 
-    `gain_resets` counts gain resets, `last_gain_reset` flags one on the latest
-    step and `gamma_eig_range` is Gamma's (lambda_min, lambda_max) after it.
+    `cfg` is the owner's config group; the learner reads its `alpha`, `beta`,
+    `gamma0`, `gamma_floor` and `gamma_ceiling`. `gain_resets` counts gain
+    resets, `last_gain_reset` flags one on the latest step and
+    `gamma_eig_range` is Gamma's (lambda_min, lambda_max) after it.
     """
 
-    def __init__(self, stack: HistoryStack, weights: Matrix, alpha: float,
-                 beta: float, gamma0: float, gamma_floor: float,
-                 gamma_ceiling: float):
+    def __init__(self, cfg, stack: HistoryStack, weights: Matrix):
+        self.cfg = cfg
         self.stack = stack
         self.weights = weights
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.gamma_floor = float(gamma_floor)
-        self.gamma_ceiling = float(gamma_ceiling)
-        self._gamma0 = gamma0 * np.eye(stack.row_dim)
+        self._gamma0 = cfg.gamma0 * np.eye(stack.row_dim)
         self.gamma = self._gamma0.copy()
         self.gain_resets = 0
         self.last_gain_reset = False
-        self.gamma_eig_range = (gamma0, gamma0)
+        self.gamma_eig_range = (cfg.gamma0, cfg.gamma0)
 
     def update(self, dt: float) -> None:
         """One Euler step of the weight law, then one of the gain law."""
+        cfg = self.cfg
         s = self.stack.normal_matrix()
         c = self.stack.cross_matrix().reshape(self.weights.shape)
-        w = self.weights + dt * self.alpha * (self.gamma @ (c - s @ self.weights))
+        w = self.weights + dt * cfg.alpha * (self.gamma @ (c - s @ self.weights))
         if not np.isfinite(w).all():
             raise DivergenceError(
                 f"{type(self).__name__} weight update went non-finite")
         self.weights = w
         self.gamma, reset, lam_lo, lam_hi = gain_step(
-            self.gamma, s, self.alpha, self.beta, dt,
-            self.gamma_floor, self.gamma_ceiling, self._gamma0)
+            self.gamma, s, cfg.alpha, cfg.beta, dt,
+            cfg.gamma_floor, cfg.gamma_ceiling, self._gamma0)
         self.last_gain_reset = reset
         if reset:
             self.gain_resets += 1

@@ -22,10 +22,11 @@ import numpy as np
 from oirl.dynamics import LinearPlant
 from oirl.features import FeatureBasis, get_family
 from oirl.harness import emit_csv, record_array
-from oirl.irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
+from oirl.irl_engine import (IrlConfig, RewardEstimator, build_row_block,
+                             inverse_bellman_error)
 from oirl.oracle import riccati_residual, solve_are
 from oirl.param_estimator import ThetaSnapshot
-from oirl.policy_estimator import PolicyEstimator, PolicySnapshot
+from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
 from oirl.errors import RiccatiConvergenceError, UnstabilizableError
 
 POLICY_FLOOR = 1e-12     # below this, policy error is rounding noise
@@ -158,7 +159,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
 
     # policy estimator on a frozen stack of noisy pairs
     basis = FeatureBasis.from_names(2, 1, "quadratic", "squares", "linear")
-    pol = PolicyEstimator(basis)
+    pol = PolicyEstimator(basis, PolicyEstimatorConfig())
     k_true = np.array([[0.0916079783099616, 0.2302163765760962]])
     for i in range(40):
         x = rng.uniform(-1.0, 1.0, 2)
@@ -170,14 +171,14 @@ def test_criterion_6_recursive_matches_batch(capsys):
     batch_w = np.linalg.solve(s, pol.stack.cross_matrix())
     pol_w_err = np.max(np.abs(pol.weights - batch_w))
     pol_g_err = np.max(np.abs(pol.gamma
-                              - (pol.beta / pol.alpha) * np.linalg.inv(s)))
+                              - (pol.cfg.beta / pol.cfg.alpha) * np.linalg.inv(s)))
 
     # reward estimator on a frozen stack of queried row blocks built from a
     # perturbed policy, so the batch solution is a genuine least-squares fit
     theta = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
     dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
                       theta)
-    eng = RewardEstimator(basis, dyn, query_seed=31)
+    eng = RewardEstimator(basis, dyn, IrlConfig(), 31)
     policy = PolicySnapshot(k_true.T + 0.02 * rng.normal(size=(2, 1)))
     snap = ThetaSnapshot(theta.copy(), 1)
     for i in range(40):

@@ -72,7 +72,9 @@ def test_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
 
 # Configs that read cleanly but yield no scenario to run and score: no
 # stabilizing reference, no closed-form policy or value weights, no
-# stabilizing Riccati solution, or a rank test that can never pass.
+# stabilizing Riccati solution, a rank test that can never pass, a gain that
+# starts outside its own reset limits, or a revision test that fires on every
+# step.
 UNBUILDABLE = {
     "unstable_reference": {("reference", "matrix"): [[0.0, 1.0], [-2.0, 1.0]],
                            ("reference", "feedforward"): [[-1.5, 1.5]]},
@@ -81,6 +83,11 @@ UNBUILDABLE = {
     "policy_rank_threshold": {("policy_estimator", "rank_threshold"): 0.0},
     "irl_rank_threshold": {("irl", "rank_threshold"): 0.0},
     "squares_value": {("features", "value"): "squares"},
+    "theta_floor_above_ceiling": {("theta_estimator", "gamma_floor"): 10.0,
+                                  ("theta_estimator", "gamma_ceiling"): 5.0},
+    "policy_gamma0_above_ceiling": {("policy_estimator", "gamma0"): 1e8},
+    "negative_revision_threshold": {
+        ("theta_estimator", "revision_threshold"): -1.0},
 }
 # `run` rejected a squares value basis before `oracle` did
 UNBUILDABLE_CASES = [(command, case) for case in UNBUILDABLE

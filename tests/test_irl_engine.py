@@ -5,7 +5,8 @@ import pytest
 
 from oirl.dynamics import LinearPlant, eval_dynamics
 from oirl.features import FeatureBasis
-from oirl.irl_engine import RewardEstimator, build_row_block, inverse_bellman_error
+from oirl.irl_engine import (IrlConfig, RewardEstimator, build_row_block,
+                             inverse_bellman_error)
 from oirl.oracle import solve_are
 from oirl.param_estimator import ThetaSnapshot
 from oirl.policy_estimator import PolicySnapshot
@@ -128,11 +129,11 @@ def test_bellman_error_checks_weight_length():
 
 def test_anchor_must_be_positive():
     with pytest.raises(ValueError):
-        RewardEstimator(_basis(), _plant(), r1=0.0)
+        RewardEstimator(_basis(), _plant(), IrlConfig(r1=0.0), 0)
 
 
 def test_degenerate_origin_sample_is_rejected():
-    eng = RewardEstimator(_basis(), _plant())
+    eng = RewardEstimator(_basis(), _plant(), IrlConfig(), 0)
     snap = ThetaSnapshot(THETA.copy(), 1)
     assert not eng.collect_trajectory_sample(np.zeros(2), np.zeros(1), snap, 0.0)
     assert len(eng.stack) == 0
@@ -140,7 +141,7 @@ def test_degenerate_origin_sample_is_rejected():
 
 def test_query_states_stay_inside_the_box():
     eng = RewardEstimator(_basis(), _plant(),
-                          query_box=[(-0.5, 0.5), (0.0, 1.0)], query_seed=3)
+                          IrlConfig(query_box=((-0.5, 0.5), (0.0, 1.0))), 3)
     for _ in range(100):
         x = eng.draw_query_state()
         assert -0.5 <= x[0] <= 0.5
@@ -148,9 +149,9 @@ def test_query_states_stay_inside_the_box():
 
 
 def test_query_sequence_is_seed_deterministic():
-    eng_a = RewardEstimator(_basis(), _plant(), query_seed=7)
-    eng_b = RewardEstimator(_basis(), _plant(), query_seed=7)
-    eng_c = RewardEstimator(_basis(), _plant(), query_seed=8)
+    eng_a = RewardEstimator(_basis(), _plant(), IrlConfig(), 7)
+    eng_b = RewardEstimator(_basis(), _plant(), IrlConfig(), 7)
+    eng_c = RewardEstimator(_basis(), _plant(), IrlConfig(), 8)
     seq_a = np.array([eng_a.draw_query_state() for _ in range(20)])
     seq_b = np.array([eng_b.draw_query_state() for _ in range(20)])
     seq_c = np.array([eng_c.draw_query_state() for _ in range(20)])
@@ -159,7 +160,7 @@ def test_query_sequence_is_seed_deterministic():
 
 
 def _engine_with_optimal_queries(r1=10.0, n_queries=40):
-    eng = RewardEstimator(_basis(), _plant(), r1=r1, query_seed=5)
+    eng = RewardEstimator(_basis(), _plant(), IrlConfig(r1=r1), 5)
     policy = PolicySnapshot(K_EXACT.T.copy())
     theta = ThetaSnapshot(THETA.copy(), 1)
     for i in range(n_queries):
@@ -205,7 +206,7 @@ def test_doubling_the_anchor_doubles_the_weights():
 
 
 def test_purge_requires_staleness_and_dwell():
-    eng = RewardEstimator(_basis(), _plant(), dwell=2.0)
+    eng = RewardEstimator(_basis(), _plant(), IrlConfig(dwell=2.0), 0)
     theta0 = ThetaSnapshot(THETA.copy(), 0)
     rng = np.random.default_rng(4)
     for i in range(10):

@@ -6,7 +6,8 @@ import pytest
 from oirl.dynamics import LinearPlant, eval_dynamics, step_rk4
 from oirl.errors import DivergenceError
 from oirl.oracle import solve_are
-from oirl.param_estimator import ThetaEstimator, accumulate_window
+from oirl.param_estimator import (ThetaEstimator, ThetaEstimatorConfig,
+                                  accumulate_window)
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -72,7 +73,7 @@ def _closed_loop_rollout(duration, dt=0.005):
 def test_stacked_windows_are_consistent_with_the_true_parameters():
     """Every stored (Y, b) pair must satisfy b ~= theta_true^T Y closely."""
     dyn, rollout = _closed_loop_rollout(6.0)
-    est = ThetaEstimator(dyn)
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig())
     for t, x, u in rollout:
         est.observe(t, x, u)
     assert len(est.stack) > 20
@@ -82,7 +83,7 @@ def test_stacked_windows_are_consistent_with_the_true_parameters():
 
 def test_estimate_converges_on_frozen_stack():
     dyn, rollout = _closed_loop_rollout(6.0)
-    est = ThetaEstimator(dyn)
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig())
     for t, x, u in rollout:
         est.observe(t, x, u)
     for _ in range(40000):
@@ -96,14 +97,14 @@ def test_estimate_converges_on_frozen_stack():
 
 
 def test_empty_stack_grows_gain_geometrically():
-    est = ThetaEstimator(_plant(), beta=2.0, gamma0=1.0)
+    est = ThetaEstimator(_plant(), ThetaEstimatorConfig(beta=2.0, gamma0=1.0))
     est.update(0.005)
     np.testing.assert_allclose(est.gamma, 1.01 * np.eye(3), atol=1e-15)
 
 
 def test_estimate_respects_projection_box():
     dyn = _plant()
-    est = ThetaEstimator(dyn, box=(-2.0, 2.0))
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig(box=(-2.0, 2.0)))
     # rows demanding theta far outside the box
     for i in range(3):
         row = np.zeros(3)
@@ -116,7 +117,7 @@ def test_estimate_respects_projection_box():
 
 
 def test_non_finite_update_raises():
-    est = ThetaEstimator(_plant())
+    est = ThetaEstimator(_plant(), ThetaEstimatorConfig())
     est.stack.try_insert(np.array([1.0, 0.0, 0.0]), np.full(2, 1e308), t=0.0)
     est.gamma = 1e308 * np.eye(3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,7 +127,7 @@ def test_non_finite_update_raises():
 
 def test_zero_windows_are_not_banked():
     dyn = _plant()
-    est = ThetaEstimator(dyn)
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig())
     accepted = [est.observe(k * 0.005, np.zeros(2), np.zeros(1))
                 for k in range(200)]
     assert not any(accepted)
@@ -135,7 +136,7 @@ def test_zero_windows_are_not_banked():
 
 def test_generation_counts_significant_revisions():
     dyn, rollout = _closed_loop_rollout(3.0)
-    est = ThetaEstimator(dyn)
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig())
     generations = []
     for t, x, u in rollout:
         est.observe(t, x, u)
@@ -171,7 +172,7 @@ def test_observe_banks_exactly_the_reference_window_integral():
     b0 = np.array([[0.0, 0.5], [1.0, 0.0]])
     theta = rng.uniform(-0.5, 0.5, size=(4, 2))
     dyn = LinearPlant(a0, b0, theta)
-    est = ThetaEstimator(dyn, window=0.25, offer_period=0.05)
+    est = ThetaEstimator(dyn, ThetaEstimatorConfig(window=0.25, offer_period=0.05))
     offered = []
 
     def spy(y, b, t, tag=0):

@@ -6,9 +6,9 @@ import pytest
 from oirl.dynamics import LinearPlant
 from oirl.errors import DivergenceError
 from oirl.features import FeatureBasis
-from oirl.irl_engine import RewardEstimator, build_row_block
+from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.param_estimator import ThetaSnapshot
-from oirl.policy_estimator import PolicyEstimator
+from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 
 K_TRUE = np.array([[0.0916079783099616, 0.2302163765760962]])
 THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
@@ -21,7 +21,7 @@ def _basis():
 def _filled_estimator(n_samples=30, seed=2):
     """Estimator whose stack holds optimal pairs u = -K_TRUE x."""
     rng = np.random.default_rng(seed)
-    est = PolicyEstimator(_basis())
+    est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     for i in range(n_samples):
         x = rng.uniform(-1.0, 1.0, 2)
         est.record_sample(x, -(K_TRUE @ x), t=0.05 * i)
@@ -29,7 +29,7 @@ def _filled_estimator(n_samples=30, seed=2):
 
 
 def test_zero_state_samples_are_rejected():
-    est = PolicyEstimator(_basis())
+    est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     assert not est.record_sample(np.zeros(2), np.zeros(1), t=0.0)
     assert len(est.stack) == 0
     assert est.record_sample(np.array([0.1, 0.0]), np.array([0.5]), t=0.0)
@@ -61,13 +61,13 @@ def test_gain_converges_to_forgetting_scaled_inverse_normal():
     est = _filled_estimator()
     for _ in range(40000):
         est.update(0.005)
-    target = (est.beta / est.alpha) * np.linalg.inv(est.stack.normal_matrix())
+    target = (est.cfg.beta / est.cfg.alpha) * np.linalg.inv(est.stack.normal_matrix())
     assert np.max(np.abs(est.gamma - target)) < 1e-6
     assert est.gain_resets == 0
 
 
 def test_empty_stack_gain_grows_until_reset():
-    est = PolicyEstimator(_basis(), beta=2.0, gamma0=1.0)
+    est = PolicyEstimator(_basis(), PolicyEstimatorConfig(beta=2.0, gamma0=1.0))
     est.update(0.005)
     np.testing.assert_allclose(est.gamma, 1.01 * np.eye(2), atol=1e-15)
     resets = 0
@@ -81,17 +81,17 @@ def test_empty_stack_gain_grows_until_reset():
 
 def test_query_is_linear_in_the_state():
     """A query banks the rows of u_hat = -W_u^T sigma_pi(x) = -K x."""
-    est = PolicyEstimator(_basis())
+    est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     est.weights = K_TRUE.T.copy()
     dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
                       THETA)
-    eng = RewardEstimator(_basis(), dyn, query_seed=3)
-    twin = RewardEstimator(_basis(), dyn, query_seed=3)
+    eng = RewardEstimator(_basis(), dyn, IrlConfig(), 3)
+    twin = RewardEstimator(_basis(), dyn, IrlConfig(), 3)
     for i in range(5):
         x = twin.draw_query_state()
         assert eng.generate_query(est.snapshot(), ThetaSnapshot(THETA, 1), 0.05 * i)
         rows, offsets = build_row_block(_basis(), dyn, x, -(K_TRUE @ x), THETA,
-                                        eng.r1)
+                                        eng.cfg.r1)
         np.testing.assert_allclose(eng.stack.regressor()[-2:], rows,
                                    rtol=1e-14, atol=0)
         np.testing.assert_allclose(eng.stack.targets()[-2:, 0], -offsets,
