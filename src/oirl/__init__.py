@@ -7,7 +7,7 @@ informative, the estimated model and policy are queried at artificial states
 to keep the reward estimator's history stack rich.
 """
 
-from .dynamics import LinearPlant, TrackingScenario, eval_dynamics, rk4, step_rk4
+from .dynamics import LinearPlant, TrackingScenario, eval_dynamics
 from .errors import (ConfigError, DimensionError, DivergenceError,
                      RiccatiConvergenceError, UnstabilizableError,
                      UnsupportedBasisError)
@@ -15,8 +15,7 @@ from .features import BasisFamily, FeatureBasis, get_family
 from .harness import (MetricsRecord, RunResult, ScenarioConfig, ablate,
                       compare_to_oracle, emit_csv, load_config, run_scenario)
 from .history import HistoryStack
-from .irl_engine import (IrlConfig, RewardEstimator, build_row_block,
-                         inverse_bellman_error)
+from .irl_engine import IrlConfig, RewardEstimator, build_row_block
 from .oracle import LqrSolution, ideal_policy_weights, solve_are
 from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
                               accumulate_window)
@@ -25,14 +24,14 @@ from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnap
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearPlant", "TrackingScenario", "eval_dynamics", "rk4", "step_rk4",
+    "LinearPlant", "TrackingScenario", "eval_dynamics",
     "ConfigError", "DimensionError", "DivergenceError",
     "RiccatiConvergenceError", "UnstabilizableError", "UnsupportedBasisError",
     "BasisFamily", "FeatureBasis", "get_family",
     "MetricsRecord", "RunResult", "ScenarioConfig", "ablate",
     "compare_to_oracle", "emit_csv", "load_config", "run_scenario",
     "HistoryStack",
-    "IrlConfig", "RewardEstimator", "build_row_block", "inverse_bellman_error",
+    "IrlConfig", "RewardEstimator", "build_row_block",
     "LqrSolution", "ideal_policy_weights", "solve_are",
     "ThetaEstimator", "ThetaEstimatorConfig", "ThetaSnapshot", "accumulate_window",
     "PolicyEstimator", "PolicyEstimatorConfig", "PolicySnapshot",

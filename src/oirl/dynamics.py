@@ -14,11 +14,10 @@ independent of x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -110,30 +109,16 @@ def eval_dynamics(dyn: LinearPlant, x: Vector, u: Vector, theta: Matrix) -> Vect
 # integration
 # ---------------------------------------------------------------------------
 
-def rk4(f: Callable[[Vector], Vector], x: Vector, dt: float) -> Vector:
-    """One classical Runge-Kutta step of xdot = f(x)."""
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_rk4(dyn: LinearPlant, x: Vector, u: Vector, dt: float,
-             t: float = 0.0) -> Vector:
-    """Advance the true plant one step with the control held constant (ZOH).
-
-    x and u are checked once here rather than at each of the four stages as
-    `eval_dynamics` would; the stage arithmetic is the same as
-    `eval_dynamics` with theta_true.
+def rk4_transition(a: Matrix, b: Matrix, dt: float) -> tuple[Matrix, Matrix]:
+    """(Phi, G) with Phi x + G u one classical RK4 step of xdot = A x + B u,
+    u held over the step: on a linear field the four stages reduce exactly to
+    Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
+    G = (I + hA/2 + (hA)^2/6 + (hA)^3/24) hB.
     """
-    x, u = _check_xu(dyn, x, u)
-    nominal, features, theta_t = dyn.nominal, dyn.features, dyn.theta_true.T
-    x_next = rk4(lambda s: nominal(s, u) + theta_t @ features(s, u), x, dt)
-    if not np.isfinite(x_next).all():
-        raise DivergenceError(f"non-finite state after step at t={t:.6g}",
-                              t=t, state=x_next)
-    return x_next
+    ha = dt * np.asarray(a, dtype=float)
+    eye = np.eye(ha.shape[0])
+    g = eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0))
+    return eye + ha @ g, g @ (dt * np.asarray(b, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +152,3 @@ class TrackingScenario:
 
     def desired_control(self, x_d: Vector) -> Vector:
         return self.feedforward_gain @ x_d
-
-    def step_reference(self, x_d: Vector, dt: float) -> Vector:
-        return rk4(lambda s: self.reference_matrix @ s, np.asarray(x_d, dtype=float), dt)

@@ -14,7 +14,9 @@ class DimensionError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Numerical integration produced a non-finite state."""
+    """The closed loop went non-finite: the plant state after a step (the
+    precomputed exact zero-order-hold RK4 step; `t` and `state` are set), an
+    estimator's weights, or a step-path eigenvalue computation."""
 
     def __init__(self, message: str, t: float | None = None, state=None):
         super().__init__(message)

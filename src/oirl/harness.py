@@ -1,8 +1,10 @@
 """Scenario configuration, the closed-loop simulation loop, and metrics output.
 
-The loop integrates the plant under the demonstrator's true optimal policy
-(LQR feedback around the reference feedforward), feeds the three estimators
-on a shared clock, and records per-step diagnostics against the oracle.
+The loop drives the plant with the demonstrator's true optimal policy (LQR
+feedback around the reference feedforward), steps it and the reference with
+the precomputed exact zero-order-hold RK4 step of `rk4_transition`, feeds
+the three estimators on a shared clock, and records per-step diagnostics
+against the oracle.
 Everything is deterministic given (config, seed): reruns produce
 byte-identical CSV output.
 """
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import LinearPlant, TrackingScenario, step_rk4
+from .dynamics import LinearPlant, TrackingScenario, rk4_transition
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import FeatureBasis
 from .irl_engine import IrlConfig, RewardEstimator
@@ -448,6 +450,9 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
 
     steps = int(round(cfg.duration / cfg.dt))
     dt = cfg.dt
+    phi, g_in = rk4_transition(*dyn.true_system(), dt)
+    phi_d, _ = rk4_transition(scn.reference_matrix,
+                              np.zeros((dyn.state_dim, 0)), dt)
     x = np.asarray(cfg.x0, dtype=float)
     xd = np.asarray(cfg.xd0, dtype=float)
     last_policy_offer = -np.inf
@@ -517,8 +522,11 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
                 irl_gain_reset=int(engine.last_gain_reset)))
 
             if k < steps:
-                x = step_rk4(dyn, x, u, dt, t)
-                xd = scn.step_reference(xd, dt)
+                x = phi @ x + g_in @ u
+                xd = phi_d @ xd
+                if not np.isfinite(x).all():
+                    raise DivergenceError(
+                        f"non-finite state after step at t={t:.6g}", t=t, state=x)
     except DivergenceError as err:
         err.last_record_index = len(records) - 1
         raise

@@ -13,12 +13,28 @@ dwell-time guard owned by the caller.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 
 Matrix = np.ndarray
 
 ADMISSION_MARGIN = 1e-6     # a full stack's least relative lambda_min gain
+
+
+def eigvalsh(a: Matrix) -> np.ndarray:
+    """Ascending eigenvalues of float64 symmetric a, shape (..., k, k).
+
+    The LAPACK gufunc behind `np.linalg.eigvalsh`, called directly: bit for
+    bit the same result without that function's dispatch and `errstate`,
+    which cost more than the solve at these sizes. The gufunc returns NaN
+    where numpy would raise `LinAlgError`, so a non-finite result raises
+    DivergenceError. It lives here, not in `rls`, which imports this module.
+    """
+    w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    if not np.isfinite(w).all():
+        raise DivergenceError("symmetric eigenvalues went non-finite")
+    return w
 
 
 class HistoryStack:
@@ -130,7 +146,7 @@ class HistoryStack:
         flat_rows = self._rows[:k].reshape(-1, self.row_dim)
         flat_targets = self._targets[:k].reshape(-1, self.target_dim)
         self._cross = flat_rows.T @ flat_targets
-        self._rank_metric = float(np.linalg.eigvalsh(self._normal)[0])
+        self._rank_metric = float(eigvalsh(self._normal)[0])
 
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal
@@ -148,7 +164,7 @@ class HistoryStack:
         cand_gram = rows.T @ rows
         # lambda_min of the normal matrix with entry i swapped for the candidate
         trial = (self._normal + cand_gram)[None, :, :] - self._grams
-        lam = np.linalg.eigvalsh(trial)[:, 0]
+        lam = eigvalsh(trial)[:, 0]
         best = int(np.argmax(lam))
         accept = lam[best] > self._rank_metric * (1.0 + ADMISSION_MARGIN) \
             if self._rank_metric > 0.0 else lam[best] > 0.0

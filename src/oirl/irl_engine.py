@@ -34,20 +34,6 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def inverse_bellman_error(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
-                          u: Vector, weights: Vector, theta_hat: Matrix) -> float:
-    """Bellman residual for a full weight vector [W_V; W_Q; W_R] (r_1 included)."""
-    p, l, m = basis.value_dim, basis.reward_dim, basis.input_dim
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (p + l + m,):
-        raise ValueError(f"weights must have length {p + l + m}, got {weights.shape}")
-    w_v, w_q, w_r = weights[:p], weights[p:p + l], weights[p + l:]
-    xdot = eval_dynamics(dyn, x, u, theta_hat)
-    return float(w_v @ (basis.value_gradient(x) @ xdot)
-                 + w_q @ basis.reward_features(x)
-                 + w_r @ basis.control_squares(u))
-
-
 def build_row_block(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
                     u_hat: Vector, theta_hat: Matrix,
                     r1: float) -> tuple[Matrix, Vector]:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError
-from .history import HistoryStack
+from .history import HistoryStack, eigvalsh
 
 Matrix = np.ndarray
 
@@ -53,12 +53,12 @@ def gain_step(gamma: Matrix, normal: Matrix, alpha: float, beta: float,
         if asym > 1e-10 * max(1.0, _norm(g)):
             raise RuntimeError(f"gain matrix lost symmetry (drift {asym:.3e})")
         g = 0.5 * (g + g.T)
-        eigs = np.linalg.eigvalsh(g)
+        eigs = eigvalsh(g)
         lam_min, lam_max = float(eigs[0]), float(eigs[-1])
         if lam_min > floor and lam_max < ceiling:
             return g, False, lam_min, lam_max
     g = gamma0.copy()
-    eigs = np.linalg.eigvalsh(g)
+    eigs = eigvalsh(g)
     return g, True, float(eigs[0]), float(eigs[-1])
 
 

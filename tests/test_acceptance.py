@@ -22,12 +22,13 @@ import numpy as np
 from oirl.dynamics import LinearPlant
 from oirl.features import FeatureBasis, get_family
 from oirl.harness import emit_csv, record_array
-from oirl.irl_engine import (IrlConfig, RewardEstimator, build_row_block,
-                             inverse_bellman_error)
+from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import riccati_residual, solve_are
 from oirl.param_estimator import ThetaSnapshot
 from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
 from oirl.errors import RiccatiConvergenceError, UnstabilizableError
+
+from bellman import inverse_bellman_error
 
 POLICY_FLOOR = 1e-12     # below this, policy error is rounding noise
 

@@ -1,15 +1,18 @@
-"""Plant evaluation, integrator accuracy, and the tracking reference."""
+"""Plant evaluation, the precomputed RK4 step, and the tracking reference."""
 
 import numpy as np
 import pytest
 
-from oirl.dynamics import (LinearPlant, TrackingScenario, eval_dynamics, rk4,
-                           step_rk4)
-from oirl.errors import DimensionError, DivergenceError
+from oirl.dynamics import (LinearPlant, TrackingScenario, eval_dynamics,
+                           rk4_transition)
+from oirl.errors import DimensionError
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
 THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
+# the 2-input plant of perfbench/configs/two_input.json
+THETA_2IN = np.array([[0.0, -0.5], [0.0, -0.5], [1.0, 0.0], [0.0, 1.0]])
+NO_INPUT = np.zeros((1, 0))
 
 
 def _plant():
@@ -69,52 +72,74 @@ def test_state_and_input_shapes_are_validated():
         eval_dynamics(dyn, np.zeros(2), np.zeros(2), dyn.theta_true)
 
 
+def _rk4(a, b, x, u, h):
+    """One four-stage classical RK4 step of xdot = A x + B u, u held."""
+    f = lambda s: a @ s + b @ u
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def test_rk4_single_step_accuracy():
     """One step of xdot = -x at dt = 0.1: local error is O(dt^5)."""
-    out = rk4(lambda x: -x, np.array([1.0]), 0.1)
+    phi, _ = rk4_transition(np.array([[-1.0]]), NO_INPUT, 0.1)
+    out = phi @ np.array([1.0])
     assert abs(out[0] - np.exp(-0.1)) < 1e-7
 
 
 def test_rk4_accumulated_accuracy():
+    phi, _ = rk4_transition(np.array([[-1.0]]), NO_INPUT, 0.005)
     x = np.array([1.0])
     for _ in range(200):
-        x = rk4(lambda s: -s, x, 0.005)
+        x = phi @ x
     assert abs(x[0] - np.exp(-1.0)) < 1e-11
 
 
 def test_rk4_oscillator_energy_drift_is_tiny():
     """The marginally stable reference oscillator must not decay numerically."""
     a_d = np.array([[0.0, 1.0], [-2.0, 0.0]])
+    phi, _ = rk4_transition(a_d, np.zeros((2, 0)), 0.005)
     s = np.array([1.0, 0.0])
     energy0 = 2.0 * s[0] ** 2 + s[1] ** 2
     for _ in range(2000):  # 10 s at dt = 0.005
-        s = rk4(lambda z: a_d @ z, s, 0.005)
+        s = phi @ s
     energy = 2.0 * s[0] ** 2 + s[1] ** 2
     assert abs(energy - energy0) < 1e-10
 
 
-def test_step_rk4_matches_generic_rk4_with_held_input():
-    dyn = _plant()
-    x = np.array([0.5, -0.2])
-    u = np.array([0.3])
-    expected = rk4(lambda s: eval_dynamics(dyn, s, u, dyn.theta_true), x, 0.01)
-    np.testing.assert_array_equal(step_rk4(dyn, x, u, 0.01), expected)
+def test_rk4_transition_matches_four_stage_rk4():
+    """Phi x + G u is one RK4 step with u held, on the shipped plant and the
+    2-input plant."""
+    rng = np.random.default_rng(5)
+    for plant in (LinearPlant(A0, B0, THETA),
+                  LinearPlant(A0, np.zeros((2, 2)), THETA_2IN)):
+        a, b = plant.true_system()
+        n, m = b.shape
+        for dt in (0.005, 0.01, 0.1):
+            phi, g = rk4_transition(a, b, dt)
+            assert phi.shape == (n, n) and g.shape == (n, m)
+            # column by column, then on random states and held inputs
+            np.testing.assert_allclose(
+                phi, np.column_stack([_rk4(a, b, e, np.zeros(m), dt)
+                                      for e in np.eye(n)]), rtol=1e-13)
+            np.testing.assert_allclose(
+                g, np.column_stack([_rk4(a, b, np.zeros(n), e, dt)
+                                    for e in np.eye(m)]), rtol=1e-13)
+            for _ in range(20):
+                x, u = rng.normal(size=n), rng.normal(size=m)
+                np.testing.assert_allclose(phi @ x + g @ u,
+                                           _rk4(a, b, x, u, dt), rtol=1e-13)
 
 
-def test_step_rk4_rejects_a_model_of_the_wrong_shape():
-    """A mis-shaped plant fails at construction, so it never reaches step_rk4."""
+def test_mis_shaped_plant_is_rejected_at_construction():
+    """A mis-shaped plant fails at construction, so it never reaches a step."""
     for a0, b0 in ((np.zeros((2, 3)), B0),          # A0 not square
                    (A0, np.zeros((3, 1))),          # B0 rows != state dimension
                    (np.zeros((2, 2, 2)), B0)):      # A0 not a matrix
         with pytest.raises(DimensionError):
             LinearPlant(a0, b0, THETA)
-
-
-def test_step_rk4_raises_on_blowup():
-    dyn = LinearPlant(np.array([[1.0]]), np.array([[0.0]]), np.zeros((2, 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            step_rk4(dyn, np.array([1e300]), np.zeros(1), 1e3, t=0.0)
 
 
 def test_reference_rotates_and_feedforward_tracks():
@@ -123,8 +148,9 @@ def test_reference_rotates_and_feedforward_tracks():
                            np.array([[-1.5, 0.5]]))
     xd = np.array([1.0, 0.0])
     np.testing.assert_allclose(scn.desired_control(xd), [-1.5])
+    phi_d, _ = rk4_transition(scn.reference_matrix, np.zeros((2, 0)), 0.005)
     for _ in range(889):  # roughly one period, T = 2 pi / sqrt(2)
-        xd = scn.step_reference(xd, 0.005)
+        xd = phi_d @ xd
     np.testing.assert_allclose(xd, [1.0, 0.0], atol=5e-3)
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oirl.errors import ConfigError
+from oirl import harness
+from oirl.dynamics import rk4_transition
+from oirl.errors import ConfigError, DivergenceError
 from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
                           combined_weight_error, compare_to_oracle,
                           config_from_dict, config_to_dict, dump_stacks,
@@ -199,6 +201,23 @@ def test_short_runs_are_byte_identical(tmp_path):
     h1 = hashlib.sha256(p1.read_bytes()).hexdigest()
     h2 = hashlib.sha256(p2.read_bytes()).hexdigest()
     assert h1 == h2
+
+
+def test_non_finite_state_raises_divergence_with_t_and_state(monkeypatch):
+    """A plant step that overflows ends the run with a DivergenceError that
+    carries the step's time and the offending state."""
+    def overflowing(a, b, dt):
+        phi, g = rk4_transition(a, b, dt)
+        return 1e300 * phi, g
+
+    monkeypatch.setattr(harness, "rk4_transition", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            run_scenario(_short_cfg(x0=(1e10, 0.0)))
+    err = info.value
+    assert err.t == 0.0
+    assert err.state.shape == (2,) and not np.isfinite(err.state).all()
+    assert err.last_record_index == 0
 
 
 def test_dump_stacks_writes_one_file_per_stack(tmp_path):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oirl.errors import DimensionError
-from oirl.history import HistoryStack
+from oirl.errors import DimensionError, DivergenceError
+from oirl.history import HistoryStack, eigvalsh
 
 
 def test_empty_stack_accepts_any_finite_row():
@@ -140,3 +140,34 @@ def test_dump_rows_roundtrip():
     assert (t, tag) == (0.3, 2)
     np.testing.assert_allclose(row, [1.0, 2.0])
     np.testing.assert_allclose(target, [5.0])
+
+
+def _symmetric(rng, *shape):
+    a = rng.normal(size=shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+def test_eigvalsh_matches_numpy_bit_for_bit():
+    """The direct gufunc call returns exactly what np.linalg.eigvalsh does,
+    on single matrices and on the stacked swap trials of try_insert."""
+    rng = np.random.default_rng(17)
+    for k in (2, 3, 5):
+        for _ in range(200):
+            a = _symmetric(rng, k, k)
+            np.testing.assert_array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+    for k in (3, 5):
+        stack = _symmetric(rng, 50, k, k)
+        np.testing.assert_array_equal(eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+
+def test_eigvalsh_raises_divergence_on_non_finite_input():
+    """The gufunc returns NaN where numpy raises; the helper raises instead
+    of passing the NaN on."""
+    bad = np.eye(3)
+    bad[1, 1] = np.nan
+    stack = np.tile(np.eye(3), (50, 1, 1))
+    stack[7, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        for a in (bad, stack):
+            with pytest.raises(DivergenceError):
+                eigvalsh(a)

@@ -5,11 +5,12 @@ import pytest
 
 from oirl.dynamics import LinearPlant, eval_dynamics
 from oirl.features import FeatureBasis
-from oirl.irl_engine import (IrlConfig, RewardEstimator, build_row_block,
-                             inverse_bellman_error)
+from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
 from oirl.param_estimator import ThetaSnapshot
 from oirl.policy_estimator import PolicySnapshot
+
+from bellman import inverse_bellman_error
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oirl.dynamics import LinearPlant, eval_dynamics, step_rk4
+from oirl.dynamics import LinearPlant, eval_dynamics, rk4_transition
 from oirl.errors import DivergenceError
 from oirl.oracle import solve_are
 from oirl.param_estimator import (ThetaEstimator, ThetaEstimatorConfig,
@@ -52,6 +52,7 @@ def _closed_loop_rollout(duration, dt=0.005):
     a = A0 + THETA[:2].T
     b = B0 + THETA[2:].T
     k_gain = solve_are(a, b, np.eye(2), np.array([[10.0]])).gain
+    phi, g = rk4_transition(a, b, dt)
     a_d = np.array([[0.0, 1.0], [-2.0, 0.0]])
     f_gain = np.array([[-1.5, 0.5]])
     x = np.zeros(2)
@@ -62,7 +63,7 @@ def _closed_loop_rollout(duration, dt=0.005):
         t = k * dt
         u = f_gain @ xd - k_gain @ (x - xd)
         out.append((t, x.copy(), u.copy()))
-        x = step_rk4(dyn, x, u, dt)
+        x = phi @ x + g @ u
         xd = np.asarray([xd[0] * np.cos(np.sqrt(2) * dt)
                          + xd[1] * np.sin(np.sqrt(2) * dt) / np.sqrt(2),
                          -np.sqrt(2) * xd[0] * np.sin(np.sqrt(2) * dt)
