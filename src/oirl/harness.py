@@ -4,7 +4,9 @@ The loop drives the plant with the demonstrator's true optimal policy (LQR
 feedback around the reference feedforward), steps it and the reference with
 the precomputed exact zero-order-hold RK4 step of `rk4_transition`, feeds
 the three estimators on a shared clock, and records per-step diagnostics
-against the oracle.
+against the oracle. Nothing the reward estimator does feeds back into the
+loop, so it steps several lanes, each a reward estimator with its records,
+over one shared demonstration: `run_scenario` is one lane, `ablate` two.
 Everything is deterministic given (config, seed): reruns produce
 byte-identical CSV output.
 """
@@ -412,6 +414,18 @@ class RunResult:
 def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult:
     """Run the closed-loop scenario; `querying` overrides the config flag."""
     use_query = cfg.querying if querying is None else bool(querying)
+    return _run_lanes(cfg, (use_query,))[0]
+
+
+def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
+    """One run per querying flag in `modes`, over one shared demonstration.
+
+    The true LQR policy drives the plant, so the state, the control and the
+    theta and policy estimators (stacks included) never depend on the reward
+    learner: they step once and every lane shares them. Each lane keeps its
+    own RewardEstimator, gate, collection clock and records, so lane i is
+    exactly a stand-alone run with querying=modes[i].
+    """
     scn, basis, sol, targets = validate_config(cfg)
     dyn = scn.plant
     k_lqr = sol.gain
@@ -421,32 +435,32 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
     pc, ic = cfg.policy_estimator, cfg.irl
     theta_est = ThetaEstimator(dyn, cfg.theta_estimator)
     policy_est = PolicyEstimator(basis, pc)
-    engine = RewardEstimator(basis, dyn, ic, cfg.seed)
+    engines = [RewardEstimator(basis, dyn, ic, cfg.seed) for _ in modes]
+    records: list[list[MetricsRecord]] = [[] for _ in modes]
 
-    records: list[MetricsRecord] = []
-    gamma_stats = {"policy": None, "irl": None}
-
-    def final_result(first_rank):
-        estimates = FinalEstimates(
-            theta_hat=theta_est.theta_hat.copy(),
-            policy_weights=policy_est.weights.copy(),
-            value_weights=engine.value_weights,
-            reward_weights=engine.reward_weights,
-            control_weights=engine.control_weights_rest)
-        return RunResult(
-            config=cfg, querying=use_query, records=records, oracle=sol,
-            targets=targets, estimates=estimates,
+    def final_results(first_rank, gamma_stats):
+        return [RunResult(
+            config=cfg, querying=query, records=lane_records, oracle=sol,
+            targets=targets,
+            estimates=FinalEstimates(
+                theta_hat=theta_est.theta_hat.copy(),
+                policy_weights=policy_est.weights.copy(),
+                value_weights=engine.value_weights,
+                reward_weights=engine.reward_weights,
+                control_weights=engine.control_weights_rest),
             purge_times=list(engine.purge_times),
             first_policy_rank_time=first_rank,
-            gamma_stats=gamma_stats,
+            gamma_stats=stats,
             gain_resets={"theta": theta_est.gain_resets,
                          "policy": policy_est.gain_resets,
                          "irl": engine.gain_resets},
             stacks={"theta": theta_est.stack, "policy": policy_est.stack,
                     "irl": engine.stack})
+            for query, engine, lane_records, stats
+            in zip(modes, engines, records, gamma_stats)]
 
     if cfg.duration == 0.0:
-        return final_result(None)
+        return final_results(None, [{"policy": None, "irl": None} for _ in modes])
 
     steps = int(round(cfg.duration / cfg.dt))
     dt = cfg.dt
@@ -456,10 +470,12 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
     x = np.asarray(cfg.x0, dtype=float)
     xd = np.asarray(cfg.xd0, dtype=float)
     last_policy_offer = -np.inf
-    last_collect = -np.inf
     first_rank = None
     pol_lo, pol_hi = np.inf, -np.inf
-    irl_lo, irl_hi = np.inf, -np.inf
+    lanes = list(zip(range(len(modes)), engines, modes))
+    last_collect = [-np.inf for _ in lanes]
+    irl_lo, irl_hi = [np.inf for _ in lanes], [-np.inf for _ in lanes]
+    gates, purged = [False for _ in lanes], [False for _ in lanes]
     p = basis.value_dim
     pl = p + basis.reward_dim
 
@@ -479,47 +495,51 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
             if first_rank is None and policy_ready:
                 first_rank = t
             generation = theta_est.generation
-            gate = generation >= 1 and (policy_ready or not use_query)
-
-            purged = engine.schedule_purge(t, generation)
-            if gate and t - last_collect >= ic.query_period - 1e-9:
-                snap = theta_est.snapshot()
-                if use_query:
-                    engine.generate_query(policy_est.snapshot(), snap, t)
-                else:
-                    engine.collect_trajectory_sample(e, mu, snap, t)
-                last_collect = t
+            for i, engine, query in lanes:
+                gates[i] = gate = generation >= 1 and (policy_ready or not query)
+                purged[i] = engine.schedule_purge(t, generation)
+                if gate and t - last_collect[i] >= ic.query_period - 1e-9:
+                    snap = theta_est.snapshot()
+                    if query:
+                        engine.generate_query(policy_est.snapshot(), snap, t)
+                    else:
+                        engine.collect_trajectory_sample(e, mu, snap, t)
+                    last_collect[i] = t
 
             theta_est.update(dt)
             policy_est.update(dt)
-            if gate:
-                engine.update(dt)
+            for i, engine, _ in lanes:
+                if gates[i]:
+                    engine.update(dt)
 
             if policy_ready:
                 pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])
                 pol_hi = max(pol_hi, policy_est.gamma_eig_range[1])
-            if engine.stack.is_full_rank(ic.rank_threshold):
-                irl_lo = min(irl_lo, engine.gamma_eig_range[0])
-                irl_hi = max(irl_hi, engine.gamma_eig_range[1])
-
-            w = engine.weights
-            records.append(MetricsRecord(
-                t=t,
-                tracking_error=_norm(e),
-                theta_error=_norm(theta_star - theta_est.theta_hat),
-                policy_error=_norm(w_u_star - policy_est.weights),
-                value_error=_norm(targets.value - w[:p]),
-                reward_error=_norm(targets.reward - w[p:pl]),
-                control_error=_norm(targets.control - w[pl:]),
-                lambda_theta_stack=theta_est.stack.rank_metric,
-                lambda_policy_stack=policy_est.stack.rank_metric,
-                lambda_irl_stack=engine.stack.rank_metric,
-                lambda_gamma_policy=policy_est.gamma_eig_range[0],
-                lambda_gamma_irl=engine.gamma_eig_range[0],
-                purge=int(purged),
-                theta_gain_reset=int(theta_est.last_gain_reset),
-                policy_gain_reset=int(policy_est.last_gain_reset),
-                irl_gain_reset=int(engine.last_gain_reset)))
+            tracking_error = _norm(e)
+            theta_error = _norm(theta_star - theta_est.theta_hat)
+            policy_error = _norm(w_u_star - policy_est.weights)
+            for i, engine, _ in lanes:
+                if engine.stack.is_full_rank(ic.rank_threshold):
+                    irl_lo[i] = min(irl_lo[i], engine.gamma_eig_range[0])
+                    irl_hi[i] = max(irl_hi[i], engine.gamma_eig_range[1])
+                w = engine.weights
+                records[i].append(MetricsRecord(
+                    t=t,
+                    tracking_error=tracking_error,
+                    theta_error=theta_error,
+                    policy_error=policy_error,
+                    value_error=_norm(targets.value - w[:p]),
+                    reward_error=_norm(targets.reward - w[p:pl]),
+                    control_error=_norm(targets.control - w[pl:]),
+                    lambda_theta_stack=theta_est.stack.rank_metric,
+                    lambda_policy_stack=policy_est.stack.rank_metric,
+                    lambda_irl_stack=engine.stack.rank_metric,
+                    lambda_gamma_policy=policy_est.gamma_eig_range[0],
+                    lambda_gamma_irl=engine.gamma_eig_range[0],
+                    purge=int(purged[i]),
+                    theta_gain_reset=int(theta_est.last_gain_reset),
+                    policy_gain_reset=int(policy_est.last_gain_reset),
+                    irl_gain_reset=int(engine.last_gain_reset)))
 
             if k < steps:
                 x = phi @ x + g_in @ u
@@ -528,14 +548,13 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
                     raise DivergenceError(
                         f"non-finite state after step at t={t:.6g}", t=t, state=x)
     except DivergenceError as err:
-        err.last_record_index = len(records) - 1
+        err.last_record_index = len(records[0]) - 1
         raise
 
-    if np.isfinite(pol_lo):
-        gamma_stats["policy"] = (float(pol_lo), float(pol_hi))
-    if np.isfinite(irl_lo):
-        gamma_stats["irl"] = (float(irl_lo), float(irl_hi))
-    return final_result(first_rank)
+    pol = (float(pol_lo), float(pol_hi)) if np.isfinite(pol_lo) else None
+    return final_results(first_rank, [
+        {"policy": pol, "irl": (float(lo), float(hi)) if np.isfinite(lo) else None}
+        for lo, hi in zip(irl_lo, irl_hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +601,17 @@ ABLATION_PLATEAU_LIMIT = 0.05   # no-query relative change over the final half
 def ablate(cfg: ScenarioConfig) -> dict:
     """Run the querying and no-querying variants and contrast them.
 
+    Both lanes step in lockstep over one demonstration (`_run_lanes`), each
+    byte-identical to `run_scenario` with its flag; their RunResults share
+    the theta and policy stack objects. The DivergenceError raised is the
+    first of either lane in simulated time.
+
     The no-querying run is expected to plateau far from the truth: its
     terminal weight error should be at least `ABLATION_MIN_RATIO` times the
     querying run's, while changing less than `ABLATION_PLATEAU_LIMIT`
     (relative) over the final half of the run.
     """
-    with_query = run_scenario(cfg, querying=True)
-    without_query = run_scenario(cfg, querying=False)
+    with_query, without_query = _run_lanes(cfg, (True, False))
     err_q = combined_weight_error(with_query.records)
     err_n = combined_weight_error(without_query.records)
     terminal_q = float(err_q[-1])

@@ -1,5 +1,6 @@
-"""Shared fixtures: the reference tracking scenario is expensive enough
-(~5 s per run) that the full-length runs are computed once per session and
+"""Shared fixtures. A full-length reference run takes seconds (its 20,001
+steps are interpreter-bound), and `ablate` steps both of its lanes in one
+pass of about the same length, so each is computed once per session and
 reused by the harness and acceptance tests."""
 
 import time
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from oirl import harness
+from oirl.dynamics import rk4_transition
 from oirl.harness import ablate, load_config, run_scenario
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
@@ -29,3 +32,13 @@ def query_run(tracking_cfg):
 def ablation(tracking_cfg):
     """Querying vs no-querying contrast on the reference scenario."""
     return ablate(tracking_cfg)
+
+
+@pytest.fixture
+def overflowing_plant_step(monkeypatch):
+    """Scale the plant's transition matrix so that its first step overflows."""
+    def overflowing(a, b, dt):
+        phi, g = rk4_transition(a, b, dt)
+        return 1e300 * phi, g
+
+    monkeypatch.setattr(harness, "rk4_transition", overflowing)

@@ -133,3 +133,15 @@ def test_diverging_policy_update_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 3
     assert "last valid record index" in capsys.readouterr().err
+
+
+def test_diverging_plant_step_in_ablate_exits_3(tmp_path, capsys,
+                                                overflowing_plant_step):
+    data = json.loads(SHIPPED.read_text())
+    data["reference"]["x0"] = [1e10, 0.0]
+    data["simulation"]["duration"] = 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["ablate", "--config", _write(tmp_path, data),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "last valid record index 0" in capsys.readouterr().err

@@ -8,10 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oirl import harness
-from oirl.dynamics import rk4_transition
 from oirl.errors import ConfigError, DivergenceError
-from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
+from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord, ablate,
                           combined_weight_error, compare_to_oracle,
                           config_from_dict, config_to_dict, dump_stacks,
                           emit_csv, load_config, record_array, run_scenario,
@@ -20,7 +18,9 @@ from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
                       1.8321595661992322])
 
-SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ROOT / "configs" / "tracking.json"
+TWO_INPUT = ROOT / "perfbench" / "configs" / "two_input.json"
 CFG = load_config(SHIPPED)
 
 
@@ -203,21 +203,27 @@ def test_short_runs_are_byte_identical(tmp_path):
     assert h1 == h2
 
 
-def test_non_finite_state_raises_divergence_with_t_and_state(monkeypatch):
-    """A plant step that overflows ends the run with a DivergenceError that
-    carries the step's time and the offending state."""
-    def overflowing(a, b, dt):
-        phi, g = rk4_transition(a, b, dt)
-        return 1e300 * phi, g
-
-    monkeypatch.setattr(harness, "rk4_transition", overflowing)
+def _assert_diverges_after_the_first_step(run):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as info:
-            run_scenario(_short_cfg(x0=(1e10, 0.0)))
+            run(_short_cfg(x0=(1e10, 0.0)))
     err = info.value
     assert err.t == 0.0
     assert err.state.shape == (2,) and not np.isfinite(err.state).all()
     assert err.last_record_index == 0
+
+
+def test_non_finite_state_raises_divergence_with_t_and_state(
+        overflowing_plant_step):
+    """A plant step that overflows ends the run with a DivergenceError that
+    carries the step's time and the offending state."""
+    _assert_diverges_after_the_first_step(run_scenario)
+
+
+def test_non_finite_state_ends_both_ablate_lanes(overflowing_plant_step):
+    """The lanes share one plant step, so its overflow ends the ablation with
+    the same error."""
+    _assert_diverges_after_the_first_step(ablate)
 
 
 def test_dump_stacks_writes_one_file_per_stack(tmp_path):
@@ -290,3 +296,52 @@ def test_reference_run_tracks_the_oscillator(query_run):
     # the control is held over each step while the reference keeps moving,
     # so tracking settles at a small sampled-data floor rather than zero
     assert np.max(err[-2000:]) < 1e-2    # last 10 s
+
+
+# -- ablate's lanes ------------------------------------------------------------
+
+def _csv_bytes(result, path):
+    emit_csv(result.records, path)
+    return path.read_bytes()
+
+
+def _stack_rows(stack):
+    return [(t, tag, row.tolist(), target.tolist())
+            for t, tag, row, target in stack.dump_rows()]
+
+
+def test_ablate_lanes_equal_stand_alone_runs(tmp_path):
+    """Each lane of the lockstep ablation is exactly a run of its own. The
+    35 s window covers the purges at 2, 4 and 6 s and the no-query IRL gain
+    reset at t = 32.695 s."""
+    cfg = dataclasses.replace(load_config(TWO_INPUT), duration=35.0)
+    outcome = ablate(cfg)
+    for key, querying in (("with_query", True), ("without_query", False)):
+        lane, alone = outcome[key], run_scenario(cfg, querying=querying)
+        assert lane.querying is alone.querying is querying
+        assert (_csv_bytes(lane, tmp_path / f"{key}_lane.csv")
+                == _csv_bytes(alone, tmp_path / f"{key}_alone.csv"))
+        for name in ("theta_hat", "policy_weights", "value_weights",
+                     "reward_weights", "control_weights"):
+            np.testing.assert_array_equal(getattr(lane.estimates, name),
+                                          getattr(alone.estimates, name))
+        assert lane.gain_resets == alone.gain_resets
+        assert lane.purge_times == alone.purge_times == [2.0, 4.0, 6.0]
+        assert lane.gamma_stats == alone.gamma_stats
+        assert lane.first_policy_rank_time == alone.first_policy_rank_time
+        for name in ("theta", "policy", "irl"):
+            assert _stack_rows(lane.stacks[name]) == _stack_rows(alone.stacks[name])
+    with_query, without_query = outcome["with_query"], outcome["without_query"]
+    assert without_query.gain_resets["irl"] == 1
+    reset_times = [rec.t for rec in without_query.records if rec.irl_gain_reset]
+    assert reset_times == [pytest.approx(32.695)]
+    for name in ("theta", "policy"):
+        assert with_query.stacks[name] is without_query.stacks[name]
+    assert with_query.stacks["irl"] is not without_query.stacks["irl"]
+
+
+def test_shipped_query_lane_equals_the_reference_run(query_run, ablation,
+                                                      tmp_path):
+    result, _ = query_run
+    assert (_csv_bytes(ablation["with_query"], tmp_path / "lane.csv")
+            == _csv_bytes(result, tmp_path / "run.csv"))
