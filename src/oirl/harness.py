@@ -7,7 +7,13 @@ the three estimators on a shared clock, and records per-step diagnostics
 against the oracle. Nothing the reward estimator does feeds back into the
 loop, so it steps several lanes, each a reward estimator with its records,
 over one shared demonstration: `run_scenario` is one lane, `ablate` two.
-Everything is deterministic given (config, seed): reruns produce
+
+Each step writes raw values into preallocated arrays: the tracking error e,
+theta_hat, W_u and each lane's W as rows, the stack and gain eigenvalues and
+the flags as they are. The error norms are taken after the loop, one pass
+per column (`rls.row_norms`, bit for bit the per-step norm), and each lane's
+records become one `RecordTable`, a (steps + 1, 16) array in CSV column
+order. Everything is deterministic given (config, seed): reruns produce
 byte-identical CSV output.
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -25,12 +32,13 @@ import numpy as np
 from .dynamics import LinearPlant, TrackingScenario, rk4_transition
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import FeatureBasis
+from .history import all_finite
 from .irl_engine import IrlConfig, RewardEstimator
 from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
 from .param_estimator import ThetaEstimator, ThetaEstimatorConfig
 from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
-from .rls import _norm
+from .rls import row_norms
 
 Matrix = np.ndarray
 
@@ -99,6 +107,12 @@ def _matrix(value) -> Matrix:
     return np.atleast_2d(np.asarray(value, dtype=float))
 
 
+def _step_count(span: float, dt: float) -> int | None:
+    """span in dt steps if that is a whole number to 1e-9 of a step, else None."""
+    steps = span / dt
+    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
+
+
 def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     """Build what a run of cfg and its scoring use, or raise ConfigError.
 
@@ -115,6 +129,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
         raise ConfigError("duration must be non-negative")
     if cfg.duration > 0 and cfg.duration < cfg.irl.dwell:
         raise ConfigError("duration must be at least the purge dwell time")
+    if _step_count(cfg.duration, cfg.dt) is None:
+        raise ConfigError("dt must divide the duration a whole number of times")
     for group_name, group in (("policy_estimator", cfg.policy_estimator),
                               ("theta_estimator", cfg.theta_estimator),
                               ("irl", cfg.irl)):
@@ -136,8 +152,7 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     if cfg.theta_estimator.window <= 0 or cfg.theta_estimator.offer_period <= 0:
         raise ConfigError("theta estimator window and offer period must be positive")
     # theta windows are offered only when a sample lies exactly one window back
-    steps = cfg.theta_estimator.window / cfg.dt
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+    if not _step_count(cfg.theta_estimator.window, cfg.dt):
         raise ConfigError("dt must divide the theta window a whole number of times")
     if cfg.policy_estimator.offer_period <= 0 or cfg.irl.query_period <= 0:
         raise ConfigError("offer/query periods must be positive")
@@ -353,29 +368,54 @@ class MetricsRecord:
 
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(MetricsRecord)]
+_FIRST_FLAG = CSV_COLUMNS.index("purge")     # the flag columns come last
+# the columns the loop records as they are; the error norms come before them
+_RAW_COLUMNS = slice(CSV_COLUMNS.index("lambda_theta_stack"), None)
 
-_INT_FIELDS = {"purge", "theta_gain_reset", "policy_gain_reset", "irl_gain_reset"}
+
+class RecordTable:
+    """A run's metrics as one float64 array, `table`, of shape (steps + 1, 16):
+    a row per step, columns in CSV_COLUMNS order, flags stored as 0.0/1.0.
+
+    It reads like the list of MetricsRecord it stands for: `len`, indexing
+    (negative indices too) and iteration build each record from its row only
+    when read. `emit_csv`, `record_array` and `combined_weight_error` read
+    the columns.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def __getitem__(self, index: int) -> MetricsRecord:
+        row = self.table[operator.index(index)].tolist()
+        return MetricsRecord(*row[:_FIRST_FLAG], *map(int, row[_FIRST_FLAG:]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def emit_csv(records, path) -> None:
-    """Write records deterministically: 17 significant digits, ',' separator."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        values = []
-        for name in CSV_COLUMNS:
-            v = getattr(rec, name)
-            values.append(str(int(v)) if name in _INT_FIELDS
-                          else format(float(v), ".17g"))
-        lines.append(",".join(values))
+def emit_csv(records: RecordTable, path) -> None:
+    """Write records deterministically: 17 significant digits, ',' separator.
+
+    Rows are formatted one at a time, so no text copy of the whole table is
+    held; "%.17g" and "%d" give the same text as format(v, ".17g") and
+    str(int(v)).
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, records.table, delimiter=",", comments="",
+                   header=",".join(CSV_COLUMNS),
+                   fmt=["%.17g"] * _FIRST_FLAG
+                   + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG))
 
 
-def record_array(records, name: str) -> np.ndarray:
-    return np.asarray([getattr(rec, name) for rec in records], dtype=float)
+def record_array(records: RecordTable, name: str) -> np.ndarray:
+    return records.table[:, CSV_COLUMNS.index(name)].copy()
 
 
-def combined_weight_error(records) -> np.ndarray:
+def combined_weight_error(records: RecordTable) -> np.ndarray:
     """|W_tilde| over the whole recovered weight vector, per record."""
     v = record_array(records, "value_error")
     q = record_array(records, "reward_error")
@@ -400,7 +440,7 @@ class FinalEstimates:
 class RunResult:
     config: ScenarioConfig
     querying: bool
-    records: list
+    records: RecordTable
     oracle: LqrSolution
     targets: WeightTargets
     estimates: FinalEstimates
@@ -436,11 +476,10 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     theta_est = ThetaEstimator(dyn, cfg.theta_estimator)
     policy_est = PolicyEstimator(basis, pc)
     engines = [RewardEstimator(basis, dyn, ic, cfg.seed) for _ in modes]
-    records: list[list[MetricsRecord]] = [[] for _ in modes]
 
-    def final_results(first_rank, gamma_stats):
+    def final_results(tables, first_rank, gamma_stats):
         return [RunResult(
-            config=cfg, querying=query, records=lane_records, oracle=sol,
+            config=cfg, querying=query, records=RecordTable(table), oracle=sol,
             targets=targets,
             estimates=FinalEstimates(
                 theta_hat=theta_est.theta_hat.copy(),
@@ -456,14 +495,15 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
                          "irl": engine.gain_resets},
             stacks={"theta": theta_est.stack, "policy": policy_est.stack,
                     "irl": engine.stack})
-            for query, engine, lane_records, stats
-            in zip(modes, engines, records, gamma_stats)]
+            for query, engine, table, stats
+            in zip(modes, engines, tables, gamma_stats)]
 
     if cfg.duration == 0.0:
-        return final_results(None, [{"policy": None, "irl": None} for _ in modes])
+        return final_results([np.zeros((0, len(CSV_COLUMNS))) for _ in modes],
+                             None, [{"policy": None, "irl": None} for _ in modes])
 
-    steps = int(round(cfg.duration / cfg.dt))
     dt = cfg.dt
+    steps = _step_count(cfg.duration, dt)
     phi, g_in = rk4_transition(*dyn.true_system(), dt)
     phi_d, _ = rk4_transition(scn.reference_matrix,
                               np.zeros((dyn.state_dim, 0)), dt)
@@ -476,11 +516,18 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     last_collect = [-np.inf for _ in lanes]
     irl_lo, irl_hi = [np.inf for _ in lanes], [-np.inf for _ in lanes]
     gates, purged = [False for _ in lanes], [False for _ in lanes]
-    p = basis.value_dim
-    pl = p + basis.reward_dim
+
+    # raw values per step; the error columns are taken from them after the loop
+    rows = steps + 1
+    tables = [np.empty((rows, len(CSV_COLUMNS))) for _ in lanes]
+    e_rows = np.empty((rows, dyn.state_dim))
+    theta_rows = np.empty((rows,) + theta_est.weights.shape)
+    policy_rows = np.empty((rows,) + policy_est.weights.shape)
+    w_rows = [np.empty((rows, engine.dim)) for engine in engines]
+    recorded = 0
 
     try:
-        for k in range(steps + 1):
+        for k in range(rows):
             t = k * dt
             e = x - xd
             mu = -(k_lqr @ e)
@@ -515,44 +562,42 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
             if policy_ready:
                 pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])
                 pol_hi = max(pol_hi, policy_est.gamma_eig_range[1])
-            tracking_error = _norm(e)
-            theta_error = _norm(theta_star - theta_est.theta_hat)
-            policy_error = _norm(w_u_star - policy_est.weights)
+            e_rows[k] = e
+            theta_rows[k] = theta_est.weights
+            policy_rows[k] = policy_est.weights
             for i, engine, _ in lanes:
                 if engine.stack.is_full_rank(ic.rank_threshold):
                     irl_lo[i] = min(irl_lo[i], engine.gamma_eig_range[0])
                     irl_hi[i] = max(irl_hi[i], engine.gamma_eig_range[1])
-                w = engine.weights
-                records[i].append(MetricsRecord(
-                    t=t,
-                    tracking_error=tracking_error,
-                    theta_error=theta_error,
-                    policy_error=policy_error,
-                    value_error=_norm(targets.value - w[:p]),
-                    reward_error=_norm(targets.reward - w[p:pl]),
-                    control_error=_norm(targets.control - w[pl:]),
-                    lambda_theta_stack=theta_est.stack.rank_metric,
-                    lambda_policy_stack=policy_est.stack.rank_metric,
-                    lambda_irl_stack=engine.stack.rank_metric,
-                    lambda_gamma_policy=policy_est.gamma_eig_range[0],
-                    lambda_gamma_irl=engine.gamma_eig_range[0],
-                    purge=int(purged[i]),
-                    theta_gain_reset=int(theta_est.last_gain_reset),
-                    policy_gain_reset=int(policy_est.last_gain_reset),
-                    irl_gain_reset=int(engine.last_gain_reset)))
+                w_rows[i][k] = engine.weights
+                tables[i][k, _RAW_COLUMNS] = (
+                    theta_est.stack.rank_metric, policy_est.stack.rank_metric,
+                    engine.stack.rank_metric, policy_est.gamma_eig_range[0],
+                    engine.gamma_eig_range[0], purged[i],
+                    theta_est.last_gain_reset, policy_est.last_gain_reset,
+                    engine.last_gain_reset)
+            recorded = k + 1
 
             if k < steps:
                 x = phi @ x + g_in @ u
                 xd = phi_d @ xd
-                if not np.isfinite(x).all():
+                if not all_finite(x):
                     raise DivergenceError(
                         f"non-finite state after step at t={t:.6g}", t=t, state=x)
     except DivergenceError as err:
-        err.last_record_index = len(records[0]) - 1
+        err.last_record_index = recorded - 1
         raise
 
+    shared = [np.arange(rows) * dt, row_norms(e_rows),
+              row_norms(theta_star - theta_rows), row_norms(w_u_star - policy_rows)]
+    w_star = np.concatenate([targets.value, targets.reward, targets.control])
+    bounds = [basis.value_dim, basis.value_dim + basis.reward_dim]
+    for table, w in zip(tables, w_rows):
+        # t, tracking, theta, policy, then value, reward and control errors
+        table[:, :_RAW_COLUMNS.start] = np.column_stack(
+            shared + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
     pol = (float(pol_lo), float(pol_hi)) if np.isfinite(pol_lo) else None
-    return final_results(first_rank, [
+    return final_results(tables, first_rank, [
         {"policy": pol, "irl": (float(lo), float(hi)) if np.isfinite(lo) else None}
         for lo, hi in zip(irl_lo, irl_hi)])
 

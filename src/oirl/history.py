@@ -12,6 +12,8 @@ dwell-time guard owned by the caller.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -20,6 +22,17 @@ from .errors import DimensionError, DivergenceError
 Matrix = np.ndarray
 
 ADMISSION_MARGIN = 1e-6     # a full stack's least relative lambda_min gain
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() for a float array, exactly, at the cost of a dot.
+
+    The sum of squares is finite only if every entry is. It can also overflow
+    on finite entries beyond about 1e154, with numpy's overflow warning, and
+    only then does the elementwise test decide.
+    """
+    v = a.ravel(order="K")
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def eigvalsh(a: Matrix) -> np.ndarray:
@@ -32,7 +45,7 @@ def eigvalsh(a: Matrix) -> np.ndarray:
     DivergenceError. It lives here, not in `rls`, which imports this module.
     """
     w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
-    if not np.isfinite(w).all():
+    if not all_finite(w):
         raise DivergenceError("symmetric eigenvalues went non-finite")
     return w
 
@@ -60,9 +73,7 @@ class HistoryStack:
         self._tags = np.zeros(capacity, dtype=int)
         self._grams = np.zeros((capacity, row_dim, row_dim))
         self._count = 0
-        self._normal = np.zeros((row_dim, row_dim))
-        self._cross = np.zeros((row_dim, target_dim))
-        self._rank_metric = 0.0
+        self._refresh()
 
     # -- read side ----------------------------------------------------------
 
@@ -80,12 +91,14 @@ class HistoryStack:
         return self._rank_metric > threshold
 
     def normal_matrix(self) -> Matrix:
-        """sum over entries of block^T block, shape (row_dim, row_dim)."""
-        return self._normal.copy()
+        """sum over entries of block^T block, shape (row_dim, row_dim); the
+        cached array, read-only, which a change to the stack replaces."""
+        return self._normal
 
     def cross_matrix(self) -> Matrix:
-        """sum over entries of block^T target, shape (row_dim, target_dim)."""
-        return self._cross.copy()
+        """sum over entries of block^T target, shape (row_dim, target_dim),
+        read-only and cached like `normal_matrix`."""
+        return self._cross
 
     def regressor(self) -> Matrix:
         """All stored rows stacked, shape (count*block_rows, row_dim)."""
@@ -96,9 +109,8 @@ class HistoryStack:
         return self._targets[:self._count].reshape(-1, self.target_dim).copy()
 
     def oldest_tag(self) -> int | None:
-        if self._count == 0:
-            return None
-        return int(self._tags[:self._count].min())
+        """The least tag among stored entries (None when empty), cached."""
+        return self._oldest_tag
 
     # -- write side ----------------------------------------------------------
 
@@ -141,12 +153,16 @@ class HistoryStack:
             self._normal = np.zeros((self.row_dim, self.row_dim))
             self._cross = np.zeros((self.row_dim, self.target_dim))
             self._rank_metric = 0.0
-            return
-        self._normal = self._grams[:k].sum(axis=0)
-        flat_rows = self._rows[:k].reshape(-1, self.row_dim)
-        flat_targets = self._targets[:k].reshape(-1, self.target_dim)
-        self._cross = flat_rows.T @ flat_targets
-        self._rank_metric = float(eigvalsh(self._normal)[0])
+            self._oldest_tag = None
+        else:
+            self._normal = self._grams[:k].sum(axis=0)
+            flat_rows = self._rows[:k].reshape(-1, self.row_dim)
+            flat_targets = self._targets[:k].reshape(-1, self.target_dim)
+            self._cross = flat_rows.T @ flat_targets
+            self._rank_metric = float(eigvalsh(self._normal)[0])
+            self._oldest_tag = int(self._tags[:k].min())
+        self._normal.flags.writeable = False
+        self._cross.flags.writeable = False
 
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal

@@ -14,7 +14,10 @@ terms. The estimator computes each subinterval's terms once, when its right
 sample arrives, and keeps them alongside the buffered samples; an offer sums
 the cached terms in the same order `accumulate_window` does, so the banked
 pair is bit-identical to re-integrating the window. A running add/subtract
-sum would be O(1) per offer too, but it rounds differently and drifts.
+sum would be O(1) per offer too, but it rounds differently and drifts. Each
+buffered sample also keeps its A0 x and B0 u, so the nominal model
+f0 = A0 x + B0 u on the two subintervals it bounds sums cached products,
+the same floating-point operations as `LinearPlant.nominal`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import clip   # the ufunc np.clip ends in, undispatched
 
 from .dynamics import LinearPlant
 from .history import HistoryStack
@@ -32,11 +36,9 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def _interval_terms(nominal, features, t_a, x_a, u_a, t_b, x_b) -> tuple[Vector, Vector]:
-    """Trapezoid terms (int sigma, int f0) over [t_a, t_b] with u held at u_a."""
-    h = t_b - t_a
-    return (0.5 * h * (features(x_a, u_a) + features(x_b, u_a)),
-            0.5 * h * (nominal(x_a, u_a) + nominal(x_b, u_a)))
+def _trapezoid(h, sigma_a, sigma_b, f0_a, f0_b) -> tuple[Vector, Vector]:
+    """Trapezoid terms (int sigma, int f0) over a subinterval of length h."""
+    return 0.5 * h * (sigma_a + sigma_b), 0.5 * h * (f0_a + f0_b)
 
 
 def _window_pair(terms, x_start, x_end) -> tuple[Vector, Vector]:
@@ -61,8 +63,11 @@ def accumulate_window(nominal, features, times, states, controls) -> tuple[Vecto
     b = x(end) - x(start) - int f0 dt (n,).
     """
     times = np.asarray(times, dtype=float)
-    terms = [_interval_terms(nominal, features, times[i], states[i], controls[i],
-                             times[i + 1], states[i + 1])
+    terms = [_trapezoid(times[i + 1] - times[i],
+                        features(states[i], controls[i]),
+                        features(states[i + 1], controls[i]),
+                        nominal(states[i], controls[i]),
+                        nominal(states[i + 1], controls[i]))
              for i in range(times.shape[0] - 1)]
     return _window_pair(terms, states[0], states[-1])
 
@@ -128,13 +133,17 @@ class ThetaEstimator(ConcurrentLearner):
         Returns whether the stack changed. Zero-signal windows are never
         offered since they cannot raise the stack's rank metric.
         """
-        sample = (float(t), np.asarray(x, dtype=float).copy(),
-                  np.asarray(u, dtype=float).copy())
+        dyn = self.dyn
+        x = np.array(x, dtype=float)
+        u = np.array(u, dtype=float)
+        # (t, x, u, A0 x, B0 u); f0(x_b, u_a) = A0 x_b + B0 u_a as in nominal()
+        sample = (float(t), x, u, dyn.a0 @ x, dyn.b0 @ u)
         if self._buffer:
-            t_a, x_a, u_a = self._buffer[-1]
-            # _terms[i] covers [_buffer[i], _buffer[i + 1]]
-            self._terms.append(_interval_terms(self.dyn.nominal, self.dyn.features,
-                                               t_a, x_a, u_a, sample[0], sample[1]))
+            t_a, x_a, u_a, a0x_a, b0u_a = self._buffer[-1]
+            # _terms[i] covers [_buffer[i], _buffer[i + 1]], u held at u_a
+            self._terms.append(_trapezoid(
+                sample[0] - t_a, dyn.features(x_a, u_a), dyn.features(x, u_a),
+                a0x_a + b0u_a, sample[3] + b0u_a))
         self._buffer.append(sample)
         while self._buffer[0][0] < t - self.cfg.window - 1e-9:
             self._buffer.popleft()
@@ -142,7 +151,7 @@ class ThetaEstimator(ConcurrentLearner):
         spans = self._buffer[0][0] <= t - self.cfg.window + 1e-9
         if not spans or t - self._last_offer < self.cfg.offer_period - 1e-9:
             return False
-        y, b = _window_pair(self._terms, self._buffer[0][1], sample[1])
+        y, b = _window_pair(self._terms, self._buffer[0][1], x)
         self._last_offer = t
         if _norm(y) < 1e-12:
             return False
@@ -151,7 +160,7 @@ class ThetaEstimator(ConcurrentLearner):
     def update(self, dt: float) -> None:
         """One learner step, then the box projection and generation logic."""
         super().update(dt)
-        np.clip(self.weights, *self.cfg.box, out=self.weights)
+        clip(self.weights, *self.cfg.box, out=self.weights)
         if _norm(self.weights - self._anchor) > self.cfg.revision_threshold:
             self.generation += 1
             self._anchor = self.weights.copy()

@@ -42,6 +42,16 @@ def test_dt_not_dividing_the_theta_window_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_duration_not_a_whole_number_of_steps_exits_2(tmp_path, capsys):
+    data = json.loads(SHIPPED.read_text())
+    data["simulation"]["duration"] = 2.003  # 400.6 steps of 0.005 s
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(out)]) == 2
+    assert "divide the duration" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 MISTYPED = [
     # a key that is not in the section
     ("plant", "famliy", "linear_uncertain"),

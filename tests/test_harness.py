@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from oirl.errors import ConfigError, DivergenceError
-from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord, ablate,
-                          combined_weight_error, compare_to_oracle,
-                          config_from_dict, config_to_dict, dump_stacks,
-                          emit_csv, load_config, record_array, run_scenario,
-                          validate_config)
+from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
+                          RecordTable, ablate, combined_weight_error,
+                          compare_to_oracle, config_from_dict, config_to_dict,
+                          dump_stacks, emit_csv, load_config, record_array,
+                          run_scenario, validate_config)
 
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
                       1.8321595661992322])
@@ -108,6 +108,8 @@ def test_true_linear_system_assembles_the_plant():
     {"value_basis": "fourier"},
     {"plant_family": "pendulum"},
     {"dt": 0.004},                                        # 62.5 steps per window
+    {"duration": 2.003},                                  # 400.6 steps
+    {"duration": 2.0024},                                 # 400.48 steps
 ])
 def test_invalid_configs_are_rejected(overrides):
     cfg = dataclasses.replace(CFG, **overrides)
@@ -141,14 +143,28 @@ def test_weight_targets_follow_the_anchor():
 
 # -- metrics ------------------------------------------------------------------
 
-def _dummy_record(t, err=1.0):
-    return MetricsRecord(t=t, tracking_error=0.0, theta_error=0.0,
-                         policy_error=0.0, value_error=err, reward_error=err,
-                         control_error=err, lambda_theta_stack=0.0,
-                         lambda_policy_stack=0.0, lambda_irl_stack=0.0,
-                         lambda_gamma_policy=1.0, lambda_gamma_irl=1.0,
-                         purge=0, theta_gain_reset=0, policy_gain_reset=0,
-                         irl_gain_reset=0)
+def _dummy_records(t, err=1.0, purge=0):
+    """A one-row RecordTable built from a MetricsRecord."""
+    rec = MetricsRecord(t=t, tracking_error=0.0, theta_error=0.0,
+                        policy_error=0.0, value_error=err, reward_error=err,
+                        control_error=err, lambda_theta_stack=0.0,
+                        lambda_policy_stack=0.0, lambda_irl_stack=0.0,
+                        lambda_gamma_policy=1.0, lambda_gamma_irl=1.0,
+                        purge=purge, theta_gain_reset=0, policy_gain_reset=0,
+                        irl_gain_reset=0)
+    return RecordTable(np.array([dataclasses.astuple(rec)], dtype=float))
+
+
+def _getattr_csv(records) -> bytes:
+    """The per-record CSV writer the table-reading `emit_csv` replaced."""
+    flags = {"purge", "theta_gain_reset", "policy_gain_reset", "irl_gain_reset"}
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in records:
+        lines.append(",".join(
+            str(int(getattr(rec, name))) if name in flags
+            else format(float(getattr(rec, name)), ".17g")
+            for name in CSV_COLUMNS))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_columns_match_record_fields():
@@ -158,17 +174,39 @@ def test_csv_columns_match_record_fields():
 
 def test_emit_csv_formats_flags_as_integers(tmp_path):
     path = tmp_path / "m.csv"
-    emit_csv([_dummy_record(0.0)], path)
+    emit_csv(_dummy_records(0.0), path)
     header, row = path.read_text().strip().split("\n")
     assert header == ",".join(CSV_COLUMNS)
     assert row.endswith(",0,0,0,0")
+    emit_csv(_dummy_records(0.0, purge=1), path)
+    assert path.read_text().strip().split("\n")[1].endswith(",1,0,0,0")
 
 
 def test_combined_weight_error():
-    recs = [_dummy_record(0.0, err=2.0)]
+    recs = _dummy_records(0.0, err=2.0)
     np.testing.assert_allclose(combined_weight_error(recs),
                                [np.sqrt(12.0)])
     np.testing.assert_allclose(record_array(recs, "value_error"), [2.0])
+
+
+def test_records_read_as_metrics_records():
+    table = np.arange(3 * 16, dtype=float).reshape(3, 16)
+    table[:, 12:] = [[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 1]]
+    records = RecordTable(table)
+    assert len(records) == 3
+    last = records[-1]
+    assert isinstance(last, MetricsRecord)
+    assert last == records[2]
+    assert dataclasses.astuple(records[-3]) == (
+        *map(float, range(12)), 0, 1, 0, 1)
+    terminal = dataclasses.asdict(last)
+    assert list(terminal) == CSV_COLUMNS
+    assert terminal["t"] == 32.0 and type(terminal["t"]) is float
+    assert terminal["purge"] == 0 and type(terminal["irl_gain_reset"]) is int
+    assert [rec.t for rec in records] == [0.0, 16.0, 32.0]
+    assert [rec.purge for rec in records] == [0, 1, 0]
+    with pytest.raises(IndexError):
+        records[3]
 
 
 # -- runner -------------------------------------------------------------------
@@ -176,7 +214,8 @@ def test_combined_weight_error():
 def test_zero_duration_yields_an_empty_run(tmp_path):
     cfg = dataclasses.replace(CFG, duration=0.0)
     result = run_scenario(cfg)
-    assert result.records == []
+    assert len(result.records) == 0 and list(result.records) == []
+    assert result.records.table.shape == (0, len(CSV_COLUMNS))
     assert result.purge_times == []
     np.testing.assert_array_equal(result.estimates.theta_hat, np.zeros((3, 2)))
     np.testing.assert_array_equal(result.estimates.policy_weights,
@@ -310,12 +349,60 @@ def _stack_rows(stack):
             for t, tag, row, target in stack.dump_rows()]
 
 
-def test_ablate_lanes_equal_stand_alone_runs(tmp_path):
-    """Each lane of the lockstep ablation is exactly a run of its own. The
-    35 s window covers the purges at 2, 4 and 6 s and the no-query IRL gain
-    reset at t = 32.695 s."""
+@pytest.fixture(scope="module")
+def two_input_cut():
+    """(config, ablate outcome) of the 2-input scenario cut to 35 s. The
+    window covers the purges at 2, 4 and 6 s and the no-query IRL gain reset
+    at t = 32.695 s."""
     cfg = dataclasses.replace(load_config(TWO_INPUT), duration=35.0)
-    outcome = ablate(cfg)
+    return cfg, ablate(cfg)
+
+
+def test_emit_csv_equals_a_per_record_writer(two_input_cut, tmp_path):
+    """Read from the table's columns, the CSV has the bytes a writer of the
+    records one field at a time gives, purge and reset flags included."""
+    _, outcome = two_input_cut
+    for key in ("with_query", "without_query"):
+        records = outcome[key].records
+        assert records.table.shape == (7001, len(CSV_COLUMNS))
+        assert _csv_bytes(outcome[key], tmp_path / "m.csv") == _getattr_csv(records)
+    flags = outcome["without_query"].records.table[:, -4:]
+    assert flags[:, 0].sum() == 3 and flags[:, 3].sum() == 1
+
+
+def test_record_columns_hold_the_run_state(two_input_cut):
+    """Each column is the quantity it names: the terminal record against the
+    run's final estimates and stacks, the flags against the event counts."""
+    cfg, outcome = two_input_cut
+    targets = validate_config(cfg).targets
+    for key in ("with_query", "without_query"):
+        result = outcome[key]
+        est, last = result.estimates, result.records[-1]
+        assert last.t == pytest.approx(35.0)
+        assert last.theta_error == np.linalg.norm(est.theta_hat - cfg.theta_true)
+        assert last.policy_error == np.linalg.norm(est.policy_weights - targets.policy)
+        assert last.value_error == np.linalg.norm(est.value_weights - targets.value)
+        assert last.reward_error == np.linalg.norm(est.reward_weights - targets.reward)
+        assert last.control_error == np.linalg.norm(est.control_weights
+                                                    - targets.control)
+        for name in ("theta", "policy", "irl"):
+            assert (getattr(last, f"lambda_{name}_stack")
+                    == result.stacks[name].rank_metric)
+        # the reward learner is gated off at t = 0, so its gain is still gamma0
+        first = result.records[0]
+        assert first.lambda_gamma_irl == 1.0 != first.lambda_gamma_policy
+        flags = {name: record_array(result.records, name).sum()
+                 for name in CSV_COLUMNS[-4:]}
+        assert flags == {"purge": len(result.purge_times),
+                         "theta_gain_reset": result.gain_resets["theta"],
+                         "policy_gain_reset": result.gain_resets["policy"],
+                         "irl_gain_reset": result.gain_resets["irl"]}
+    assert outcome["without_query"].gain_resets["irl"] == 1
+
+
+def test_ablate_lanes_equal_stand_alone_runs(two_input_cut, tmp_path):
+    """Each lane of the lockstep ablation is exactly a run of its own."""
+    cfg, outcome = two_input_cut
     for key, querying in (("with_query", True), ("without_query", False)):
         lane, alone = outcome[key], run_scenario(cfg, querying=querying)
         assert lane.querying is alone.querying is querying

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oirl.errors import DimensionError, DivergenceError
-from oirl.history import HistoryStack, eigvalsh
+from oirl.history import HistoryStack, all_finite, eigvalsh
 
 
 def test_empty_stack_accepts_any_finite_row():
@@ -83,11 +83,30 @@ def test_insert_replays_deterministically():
 
 
 def test_tags_and_oldest_tag():
-    stack = HistoryStack(capacity=3, row_dim=2)
+    stack = HistoryStack(capacity=2, row_dim=2)
     assert stack.oldest_tag() is None
     stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0, tag=3)
-    stack.try_insert(np.array([0.0, 1.0]), 0.0, t=1.0, tag=1)
+    stack.try_insert(np.array([1.0, 1e-6]), 0.0, t=1.0, tag=1)
     assert stack.oldest_tag() == 1
+    # the orthogonal row evicts the nearly collinear one, and its tag with it
+    assert stack.try_insert(np.array([0.0, 1.0]), 0.0, t=2.0, tag=5)
+    assert sorted(tag for _, tag, _, _ in stack.dump_rows()) == [3, 5]
+    assert stack.oldest_tag() == 3
+    assert stack.purge(t_now=4.0, dwell=2.0, last_purge=0.0)
+    assert stack.oldest_tag() is None
+
+
+def test_cached_sums_are_read_only_and_replaced_on_change():
+    stack = HistoryStack(capacity=3, row_dim=2)
+    stack.try_insert(np.array([1.0, 2.0]), 3.0, t=0.0)
+    normal, cross = stack.normal_matrix(), stack.cross_matrix()
+    for cached in (normal, cross):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+    stack.try_insert(np.array([0.0, 1.0]), 1.0, t=1.0)
+    np.testing.assert_array_equal(normal, [[1.0, 2.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(cross, [[3.0], [6.0]])
+    np.testing.assert_array_equal(stack.normal_matrix(), [[1.0, 2.0], [2.0, 5.0]])
 
 
 def test_purge_clears_and_respects_dwell():
@@ -171,3 +190,21 @@ def test_eigvalsh_raises_divergence_on_non_finite_input():
         for a in (bad, stack):
             with pytest.raises(DivergenceError):
                 eigvalsh(a)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros(0),
+    np.zeros((0, 3)),
+    np.array([1.0, -2.0, 3.0]),
+    np.array([1e308, -1e308, 1e308]),             # squares overflow, all finite
+    np.full((2, 2), 1e200),
+    np.array([1e308, np.inf]),
+    np.array([0.0, -np.inf, 1.0]),
+    np.array([np.nan, 1.0]),
+    np.array([[1e308, 0.0], [0.0, np.nan]]),
+    (np.arange(12.0).reshape(3, 4) / 7.0).T,      # non-contiguous view
+    np.where(np.eye(4) > 0, np.inf, 1.0)[:, ::2],  # strided, holding inf
+])
+def test_all_finite_equals_numpy(a):
+    with np.errstate(over="ignore"):    # the squares of 1e200 overflow
+        assert all_finite(a) is bool(np.isfinite(a).all())
