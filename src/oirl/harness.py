@@ -196,34 +196,45 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
             f"reference generator inconsistent with plant: |A_d - (A + B F)| = "
             f"{mismatch:.3e}")
 
-    q = _matrix(cfg.q_true)
     try:
-        oracle = solve_are(a_true, b_true, q, r)
-        policy = ideal_policy_weights(oracle, basis)
+        oracle = solve_are(a_true, b_true, _matrix(cfg.q_true), r)
+        targets = weight_targets(cfg, oracle)
     except (ValueError, RiccatiConvergenceError) as exc:
         raise ConfigError(f"no ground truth for this scenario: {exc}") from exc
-    # The reward is identifiable only up to a positive scale; anchoring the
-    # first control penalty at r1 means every recovered weight is the true
-    # one times r1 / r_true[0, 0].
+    return ValidScenario(scenario, basis, oracle, targets)
+
+
+def weight_targets(cfg: ScenarioConfig, oracle: LqrSolution) -> WeightTargets:
+    """The oracle's weights in the estimators' anchored scale; ValueError
+    for a basis without closed-form weights.
+
+    The reward is identifiable only up to a positive scale; anchoring the
+    first control penalty at r1 means every recovered weight is the true one
+    times r1 / r_true[0, 0].
+    """
+    m, n = oracle.gain.shape
+    basis = FeatureBasis.from_names(n, m, value=cfg.value_basis,
+                                    reward=cfg.reward_basis,
+                                    policy=cfg.policy_basis)
+    q, r = _matrix(cfg.q_true), _matrix(cfg.r_true)
     scale = cfg.irl.r1 / float(r[0, 0])
     if basis.reward.name == "squares":
         if np.any(np.abs(q - np.diag(np.diag(q))) > 1e-12):
-            raise ConfigError("squares reward basis cannot represent "
-                              "off-diagonal q_true")
+            raise ValueError("squares reward basis cannot represent "
+                             "off-diagonal q_true")
         w_q = np.diag(q).copy()
     elif basis.reward.name == "quadratic":
         w_q = quadratic_value_weights(q)
     else:
-        raise ConfigError(
+        raise ValueError(
             f"no ground-truth reward weights for basis {basis.reward.name!r}")
     if basis.value.name != "quadratic":
-        raise ConfigError(
+        raise ValueError(
             f"no ground-truth value weights for basis {basis.value.name!r}")
-    targets = WeightTargets(value=scale * oracle.value_weights,
-                            reward=scale * w_q,
-                            control=scale * np.diag(r)[1:].copy(),
-                            policy=policy, scale=scale)
-    return ValidScenario(scenario, basis, oracle, targets)
+    return WeightTargets(value=scale * oracle.value_weights,
+                         reward=scale * w_q,
+                         control=scale * np.diag(r)[1:].copy(),
+                         policy=ideal_policy_weights(oracle, basis), scale=scale)
 
 
 # -- JSON round trip ---------------------------------------------------------
@@ -477,7 +488,10 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     policy_est = PolicyEstimator(basis, pc)
     engines = [RewardEstimator(basis, dyn, ic, cfg.seed) for _ in modes]
 
-    def final_results(tables, first_rank, gamma_stats):
+    def final_results(tables, gamma_stats):
+        # every lane shares the policy stack, so the first lane's column does
+        ready = tables[0][:, CSV_COLUMNS.index("lambda_policy_stack")] > pc.rank_threshold
+        first_rank = float(tables[0][ready.argmax(), 0]) if ready.any() else None
         return [RunResult(
             config=cfg, querying=query, records=RecordTable(table), oracle=sol,
             targets=targets,
@@ -500,7 +514,7 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
 
     if cfg.duration == 0.0:
         return final_results([np.zeros((0, len(CSV_COLUMNS))) for _ in modes],
-                             None, [{"policy": None, "irl": None} for _ in modes])
+                             [{"policy": None, "irl": None} for _ in modes])
 
     dt = cfg.dt
     steps = _step_count(cfg.duration, dt)
@@ -510,7 +524,6 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     x = np.asarray(cfg.x0, dtype=float)
     xd = np.asarray(cfg.xd0, dtype=float)
     last_policy_offer = -np.inf
-    first_rank = None
     pol_lo, pol_hi = np.inf, -np.inf
     lanes = list(zip(range(len(modes)), engines, modes))
     last_collect = [-np.inf for _ in lanes]
@@ -539,8 +552,6 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
                 last_policy_offer = t
 
             policy_ready = policy_est.stack.is_full_rank(pc.rank_threshold)
-            if first_rank is None and policy_ready:
-                first_rank = t
             generation = theta_est.generation
             for i, engine, query in lanes:
                 gates[i] = gate = generation >= 1 and (policy_ready or not query)
@@ -597,7 +608,7 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
         table[:, :_RAW_COLUMNS.start] = np.column_stack(
             shared + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
     pol = (float(pol_lo), float(pol_hi)) if np.isfinite(pol_lo) else None
-    return final_results(tables, first_rank, [
+    return final_results(tables, [
         {"policy": pol, "irl": (float(lo), float(hi)) if np.isfinite(lo) else None}
         for lo, hi in zip(irl_lo, irl_hi)])
 
@@ -608,19 +619,16 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
 
 def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution,
                       cfg: ScenarioConfig) -> dict:
-    """Terminal error norms against the oracle, with per-quantity pass flags.
-
-    `sol` is the run's `RunResult.oracle`. The targets come from
-    `validate_config(cfg)`, which solves for the same oracle.
-    """
-    scenario, _, _, targets = validate_config(cfg)
+    """Terminal error norms against the oracle `sol` (the run's
+    `RunResult.oracle`), with per-quantity pass flags."""
+    targets = weight_targets(cfg, sol)
     tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
     checks = [
         ("value_weights", estimates.value_weights, targets.value),
         ("reward_weights", estimates.reward_weights, targets.reward),
         ("control_weights", estimates.control_weights, targets.control),
         ("policy_weights", estimates.policy_weights, targets.policy),
-        ("theta", estimates.theta_hat, scenario.plant.theta_true),
+        ("theta", estimates.theta_hat, cfg.theta_true),
     ]
     report = {"ground_truth": True, "quantities": {}, "pass": True}
     for name, got, want in checks:

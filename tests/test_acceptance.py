@@ -171,8 +171,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
     s = pol.stack.normal_matrix()
     batch_w = np.linalg.solve(s, pol.stack.cross_matrix())
     pol_w_err = np.max(np.abs(pol.weights - batch_w))
-    pol_g_err = np.max(np.abs(pol.gamma
-                              - (pol.cfg.beta / pol.cfg.alpha) * np.linalg.inv(s)))
+    pol_h_err = np.max(np.abs(pol.information - (pol.cfg.alpha / pol.cfg.beta) * s))
 
     # reward estimator on a frozen stack of queried row blocks built from a
     # perturbed policy, so the batch solution is a genuine least-squares fit
@@ -190,11 +189,11 @@ def test_criterion_6_recursive_matches_batch(capsys):
     batch_irl = np.linalg.solve(s_irl, eng.stack.cross_matrix()[:, 0])
     irl_w_err = np.max(np.abs(eng.weights - batch_irl))
 
-    ok = pol_w_err < 1e-8 and irl_w_err < 1e-8 and pol_g_err < 1e-6
+    ok = pol_w_err < 1e-8 and irl_w_err < 1e-8 and pol_h_err < 1e-6
     line = _verdict(capsys, 6, ok,
                     f"policy weights {pol_w_err:.2g} < 1e-8, "
                     f"reward weights {irl_w_err:.2g} < 1e-8, "
-                    f"policy gain {pol_g_err:.2g} < 1e-6")
+                    f"policy information {pol_h_err:.2g} < 1e-6")
     assert ok, line
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oirl.cli import main
+from oirl.policy_estimator import PolicyEstimator
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
@@ -134,15 +135,50 @@ def test_oracle_exits_0(capsys):
     assert "K =" in capsys.readouterr().out
 
 
-def test_diverging_policy_update_exits_3(tmp_path, capsys):
+@pytest.fixture
+def overflowing_policy_samples(monkeypatch):
+    """Bank each policy sample with its row scaled by 1e-10 and its target by
+    1e300: finite rows and targets whose least-squares weights overflow."""
+    record = PolicyEstimator.record_sample
+
+    def rescaled(self, x, u, t):
+        return record(self, 1e-10 * np.asarray(x), 1e300 * np.asarray(u), t)
+
+    monkeypatch.setattr(PolicyEstimator, "record_sample", rescaled)
+
+
+def test_diverging_policy_update_exits_3(tmp_path, capsys,
+                                         overflowing_policy_samples):
+    """Forgetting shrinks H along the weakly excited rows until the policy
+    weight solve overflows; the run exits 3 and names its last record."""
     data = json.loads(SHIPPED.read_text())
-    data["policy_estimator"]["alpha"] = 1e300
+    data["policy_estimator"]["beta"] = 100.0
+    data["policy_estimator"]["gamma_ceiling"] = 1e300
     data["simulation"]["duration"] = 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         code = main(["run", "--config", _write(tmp_path, data),
                      "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "last valid record index" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "PolicyEstimator weight update went non-finite" in err
+    assert "last valid record index" in err
+
+
+def test_policy_gain_that_overflows_resets_instead_of_diverging(tmp_path):
+    """alpha = 1e300 overflows b S, so the policy information matrix resets
+    on every step, its weights stay at 0, and the run ends in a tolerance
+    failure, not a divergence."""
+    data = json.loads(SHIPPED.read_text())
+    data["policy_estimator"]["alpha"] = 1e300
+    data["simulation"]["duration"] = 2.0
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", _write(tmp_path, data), "--out", str(out)])
+    assert code == 1
+    metrics = np.genfromtxt(out / "metrics.csv", delimiter=",", names=True)
+    assert metrics["policy_gain_reset"].all()
+    report = json.loads((out / "report.json").read_text())
+    assert report["quantities"]["policy_weights"]["pass"] is False
 
 
 def test_diverging_plant_step_in_ablate_exits_3(tmp_path, capsys,

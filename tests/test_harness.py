@@ -304,6 +304,18 @@ def test_compare_to_oracle_flags_a_bad_quantity():
     assert report["quantities"]["reward_weights"]["pass"] is True
 
 
+def test_compare_to_oracle_scores_against_the_oracle_it_is_given():
+    """The policy and value targets come from `sol`, not from re-solving cfg."""
+    other = dataclasses.replace(ORACLE, gain=2.0 * ORACLE.gain,
+                                value_weights=ORACLE.value_weights + 0.5)
+    report = compare_to_oracle(_exact_estimates(), other, CFG)["quantities"]
+    assert report["policy_weights"]["error"] == pytest.approx(
+        np.linalg.norm(ORACLE.gain), rel=1e-15)
+    assert report["value_weights"]["error"] == pytest.approx(
+        0.5 * validate_config(CFG).targets.scale * np.sqrt(3.0), rel=1e-12)
+    assert report["theta"]["error"] == report["reward_weights"]["error"] == 0.0
+
+
 def test_compare_to_oracle_reports_dimension_mismatch():
     est = dataclasses.replace(_exact_estimates(), theta_hat=np.zeros((2, 2)))
     report = compare_to_oracle(est, ORACLE, CFG)
@@ -326,6 +338,18 @@ def test_reference_run_bookkeeping(query_run):
     assert result.first_policy_rank_time <= 5.0
     assert result.gamma_stats["policy"] is not None
     assert result.gamma_stats["irl"] is not None
+
+
+def test_first_policy_rank_time_is_read_from_the_records():
+    """It is the first t whose lambda_policy_stack clears the policy rank
+    threshold, and None when no record does."""
+    result = run_scenario(_short_cfg())
+    ready = (record_array(result.records, "lambda_policy_stack")
+             > CFG.policy_estimator.rank_threshold)
+    assert result.first_policy_rank_time == 0.6
+    assert record_array(result.records, "t")[ready.argmax()] == 0.6
+    never = dataclasses.replace(CFG.policy_estimator, rank_threshold=1e6)
+    assert run_scenario(_short_cfg(policy_estimator=never)).first_policy_rank_time is None
 
 
 def test_reference_run_tracks_the_oscillator(query_run):
@@ -353,7 +377,7 @@ def _stack_rows(stack):
 def two_input_cut():
     """(config, ablate outcome) of the 2-input scenario cut to 35 s. The
     window covers the purges at 2, 4 and 6 s and the no-query IRL gain reset
-    at t = 32.695 s."""
+    at t = 32.655 s."""
     cfg = dataclasses.replace(load_config(TWO_INPUT), duration=35.0)
     return cfg, ablate(cfg)
 
@@ -421,7 +445,7 @@ def test_ablate_lanes_equal_stand_alone_runs(two_input_cut, tmp_path):
     with_query, without_query = outcome["with_query"], outcome["without_query"]
     assert without_query.gain_resets["irl"] == 1
     reset_times = [rec.t for rec in without_query.records if rec.irl_gain_reset]
-    assert reset_times == [pytest.approx(32.695)]
+    assert reset_times == [pytest.approx(32.655)]
     for name in ("theta", "policy"):
         assert with_query.stacks[name] is without_query.stacks[name]
     assert with_query.stacks["irl"] is not without_query.stacks["irl"]

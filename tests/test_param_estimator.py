@@ -98,9 +98,13 @@ def test_estimate_converges_on_frozen_stack():
 
 
 def test_empty_stack_grows_gain_geometrically():
+    """H shrinks by a = exp(-beta dt), so Gamma = H^-1 grows by 1 / a."""
     est = ThetaEstimator(_plant(), ThetaEstimatorConfig(beta=2.0, gamma0=1.0))
-    est.update(0.005)
-    np.testing.assert_allclose(est.gamma, 1.01 * np.eye(3), atol=1e-15)
+    for k in range(1, 4):
+        est.update(0.005)
+        np.testing.assert_allclose(est.information, np.exp(-0.01 * k) * np.eye(3),
+                                   rtol=1e-15, atol=0)
+    assert est.gamma_eig_range[0] == pytest.approx(np.exp(0.03), rel=1e-15)
 
 
 def test_estimate_respects_projection_box():
@@ -118,12 +122,19 @@ def test_estimate_respects_projection_box():
 
 
 def test_non_finite_update_raises():
-    est = ThetaEstimator(_plant(), ThetaEstimatorConfig())
-    est.stack.try_insert(np.array([1.0, 0.0, 0.0]), np.full(2, 1e308), t=0.0)
-    est.gamma = 1e308 * np.eye(3)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Rows whose least-squares theta overflows (1e310 in its first row):
+    the box clip bounds every finite step, so the weight solve itself
+    overflows once forgetting has shrunk H."""
+    est = ThetaEstimator(_plant(), ThetaEstimatorConfig(beta=100.0,
+                                                         gamma_ceiling=1e300))
+    est.stack.try_insert(np.array([1e-10, 0.0, 0.0]), np.full(2, 1e300), t=0.0)
+    est.stack.try_insert(np.array([0.0, 1.0, 0.0]), np.zeros(2), t=0.0)
+    est.stack.try_insert(np.array([0.0, 0.0, 1.0]), np.zeros(2), t=0.0)
+    with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
-            est.update(0.005)
+            for _ in range(200):
+                est.update(0.005)
+    assert np.abs(est.theta_hat).max() <= 2.0
 
 
 def test_zero_windows_are_not_banked():
