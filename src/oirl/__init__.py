@@ -18,7 +18,7 @@ from .history import HistoryStack
 from .irl_engine import IrlConfig, RewardEstimator, build_row_block
 from .oracle import LqrSolution, ideal_policy_weights, solve_are
 from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
-                              accumulate_window)
+                              window_pairs)
 from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "HistoryStack",
     "IrlConfig", "RewardEstimator", "build_row_block",
     "LqrSolution", "ideal_policy_weights", "solve_are",
-    "ThetaEstimator", "ThetaEstimatorConfig", "ThetaSnapshot", "accumulate_window",
+    "ThetaEstimator", "ThetaEstimatorConfig", "ThetaSnapshot", "window_pairs",
     "PolicyEstimator", "PolicyEstimatorConfig", "PolicySnapshot",
 ]

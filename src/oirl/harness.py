@@ -1,20 +1,24 @@
-"""Scenario configuration, the closed-loop simulation loop, and metrics output.
+"""Scenario configuration, the closed-loop simulation, and metrics output.
 
-The loop drives the plant with the demonstrator's true optimal policy (LQR
-feedback around the reference feedforward), steps it and the reference with
-the precomputed exact zero-order-hold RK4 step of `rk4_transition`, feeds
-the three estimators on a shared clock, and records per-step diagnostics
-against the oracle. Nothing the reward estimator does feeds back into the
-loop, so it steps several lanes, each a reward estimator with its records,
-over one shared demonstration: `run_scenario` is one lane, `ablate` two.
-
-Each step writes raw values into preallocated arrays: the tracking error e,
-theta_hat, W_u and each lane's W as rows, the stack and gain eigenvalues and
-the flags as they are. The error norms are taken after the loop, one pass
-per column (`rls.row_norms`, bit for bit the per-step norm), and each lane's
-records become one `RecordTable`, a (steps + 1, 16) array in CSV column
-order. Everything is deterministic given (config, seed): reruns produce
-byte-identical CSV output.
+The demonstrator acts under its true optimal policy (LQR feedback around the
+reference feedforward) and nothing an estimator does feeds back into the
+plant, so a run is a pipeline of stages in the loop's dependency order:
+(1) the demonstration, x, xd, e, mu and u of every step, by the exact
+zero-order-hold RK4 step of `rk4_transition`; (2) the theta, then the policy
+estimator, each offering its stack everything due on its clock in order
+(the theta windows from `window_pairs`), then stepping its learner in closed
+form (`ConcurrentLearner.advance`) over each span between the stack's
+changes; (3) one lane per querying flag, a reward estimator with its own
+gate, clock and records, reading each step's estimates from (2):
+`run_scenario` is one lane, `ablate` two. A span ends at a stack change (an
+accepted offer, a purge), at the gate's opening, at a gain reset (W kept,
+the step flagged) and at a box clip of theta_hat (Z = H W recomputed); a
+rejected offer ends none. Each lane's records are a `RecordTable`, a
+(steps + 1, 16) array in CSV column order written a span at a time, with
+the error norms taken after all stages (`rls.row_norms`). A DivergenceError
+is the one a per-step loop would raise first: the earliest step, and within
+it the offers, the updates, then the plant step, each in the order theta,
+policy, lanes. Reruns with the same (config, seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ import numpy as np
 from .dynamics import LinearPlant, TrackingScenario, rk4_transition
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import FeatureBasis
-from .history import all_finite
 from .irl_engine import IrlConfig, RewardEstimator
 from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
-from .param_estimator import ThetaEstimator, ThetaEstimatorConfig
-from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
-from .rls import row_norms
+from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
+                              window_pairs)
+from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
+from .rls import _norm, row_norms
 
 Matrix = np.ndarray
 
@@ -469,148 +473,208 @@ def run_scenario(cfg: ScenarioConfig, querying: bool | None = None) -> RunResult
 
 
 def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
-    """One run per querying flag in `modes`, over one shared demonstration.
+    """One run per querying flag in `modes`, over one shared demonstration:
+    lane i is exactly a stand-alone run with querying=modes[i]."""
+    valid = validate_config(cfg)
+    theta_est = ThetaEstimator(valid.scenario.plant, cfg.theta_estimator)
+    policy_est = PolicyEstimator(valid.basis, cfg.policy_estimator)
+    engines = [RewardEstimator(valid.basis, valid.scenario.plant, cfg.irl, cfg.seed)
+               for _ in modes]
+    rows = _step_count(cfg.duration, cfg.dt) + 1 if cfg.duration else 0
+    tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
+    stats = _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) \
+        if rows else [{"policy": None, "irl": None} for _ in modes]
+    # every lane shares the policy stack, so the first lane's column does
+    ready = (tables[0][:, CSV_COLUMNS.index("lambda_policy_stack")]
+             > cfg.policy_estimator.rank_threshold)
+    first_rank = float(tables[0][ready.argmax(), 0]) if ready.any() else None
+    return [RunResult(
+        config=cfg, querying=query, records=RecordTable(table), oracle=valid.oracle,
+        targets=valid.targets,
+        estimates=FinalEstimates(
+            theta_hat=theta_est.theta_hat.copy(),
+            policy_weights=policy_est.weights.copy(),
+            value_weights=engine.value_weights,
+            reward_weights=engine.reward_weights,
+            control_weights=engine.control_weights_rest),
+        purge_times=list(engine.purge_times),
+        first_policy_rank_time=first_rank,
+        gamma_stats=lane_stats,
+        gain_resets={"theta": theta_est.gain_resets,
+                     "policy": policy_est.gain_resets,
+                     "irl": engine.gain_resets},
+        stacks={"theta": theta_est.stack, "policy": policy_est.stack,
+                "irl": engine.stack})
+        for query, engine, table, lane_stats in zip(modes, engines, tables, stats)]
 
-    The true LQR policy drives the plant, so the state, the control and the
-    theta and policy estimators (stacks included) never depend on the reward
-    learner: they step once and every lane shares them. Each lane keeps its
-    own RewardEstimator, gate, collection clock and records, so lane i is
-    exactly a stand-alone run with querying=modes[i].
-    """
-    scn, basis, sol, targets = validate_config(cfg)
-    dyn = scn.plant
-    k_lqr = sol.gain
-    w_u_star = targets.policy
-    theta_star = dyn.theta_true
 
-    pc, ic = cfg.policy_estimator, cfg.irl
-    theta_est = ThetaEstimator(dyn, cfg.theta_estimator)
-    policy_est = PolicyEstimator(basis, pc)
-    engines = [RewardEstimator(basis, dyn, ic, cfg.seed) for _ in modes]
+def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list:
+    """Fill each lane's table stage by stage; returns each lane's gamma_stats."""
+    scn, basis, sol, targets = valid
+    pc, ic, dt, rows = cfg.policy_estimator, cfg.irl, cfg.dt, len(tables[0])
+    times = np.arange(rows) * dt
+    clock = times.tolist()
+    xs, es, mus, us, n = _demonstration(scn, sol.gain, cfg, rows - 1)
+    errors = []     # (step, phase, order, error): phases offer, update, plant
+    if n < rows:
+        errors.append((n - 1, 2, 0, DivergenceError(
+            f"non-finite state after step at t={clock[n - 1]:.6g}",
+            t=clock[n - 1], state=xs[n])))
+    cols = [dict(zip(CSV_COLUMNS, table.T)) for table in tables]
+    theta0, policy0 = theta_est.weights, policy_est.weights
+    theta_rows = np.zeros((rows,) + theta0.shape)
+    policy_rows = np.zeros((rows,) + policy0.shape)
 
-    def final_results(tables, gamma_stats):
-        # every lane shares the policy stack, so the first lane's column does
-        ready = tables[0][:, CSV_COLUMNS.index("lambda_policy_stack")] > pc.rank_threshold
-        first_rank = float(tables[0][ready.argmax(), 0]) if ready.any() else None
-        return [RunResult(
-            config=cfg, querying=query, records=RecordTable(table), oracle=sol,
-            targets=targets,
-            estimates=FinalEstimates(
-                theta_hat=theta_est.theta_hat.copy(),
-                policy_weights=policy_est.weights.copy(),
-                value_weights=engine.value_weights,
-                reward_weights=engine.reward_weights,
-                control_weights=engine.control_weights_rest),
-            purge_times=list(engine.purge_times),
-            first_policy_rank_time=first_rank,
-            gamma_stats=stats,
-            gain_resets={"theta": theta_est.gain_resets,
-                         "policy": policy_est.gain_resets,
-                         "irl": engine.gain_resets},
-            stacks={"theta": theta_est.stack, "policy": policy_est.stack,
-                    "irl": engine.stack})
-            for query, engine, table, stats
-            in zip(modes, engines, tables, gamma_stats)]
+    length = _step_count(cfg.theta_estimator.window, dt)
+    ends = _clock(clock, cfg.theta_estimator.offer_period, range(length, n))
+    windows = dict(zip(ends, zip(*window_pairs(scn.plant, times, xs, us, ends,
+                                               length)))) if ends else {}
 
-    if cfg.duration == 0.0:
-        return final_results([np.zeros((0, len(CSV_COLUMNS))) for _ in modes],
-                             [{"policy": None, "irl": None} for _ in modes])
+    def bank_window(k):         # tagged by step until the generations are known
+        y, b = windows[k]
+        return not _norm(y) < 1e-12 and theta_est.stack.try_insert(y, b, clock[k],
+                                                                    tag=k)
 
-    dt = cfg.dt
-    steps = _step_count(cfg.duration, dt)
-    phi, g_in = rk4_transition(*dyn.true_system(), dt)
-    phi_d, _ = rk4_transition(scn.reference_matrix,
-                              np.zeros((dyn.state_dim, 0)), dt)
-    x = np.asarray(cfg.x0, dtype=float)
-    xd = np.asarray(cfg.xd0, dtype=float)
-    last_policy_offer = -np.inf
-    pol_lo, pol_hi = np.inf, -np.inf
-    lanes = list(zip(range(len(modes)), engines, modes))
-    last_collect = [-np.inf for _ in lanes]
-    irl_lo, irl_hi = [np.inf for _ in lanes], [-np.inf for _ in lanes]
-    gates, purged = [False for _ in lanes], [False for _ in lanes]
+    generations = np.zeros(rows, dtype=int)
+    col = cols[0]
+    n = _stage(theta_est, dt, bank_window, ends, 0, n, errors, 0, theta_rows, None,
+               col["theta_gain_reset"], col["lambda_theta_stack"], generations)
+    gens = np.concatenate([[0], generations[:-1]])  # as each step's offers read it
+    theta_est.stack.retag(gens)
+    policy_hi = np.empty(rows)
+    n = _stage(policy_est, dt,
+               lambda k: policy_est.record_sample(es[k], mus[k], clock[k]),
+               _clock(clock, pc.offer_period, range(n)), 0, n, errors, 1, policy_rows,
+               (col["lambda_gamma_policy"], policy_hi), col["policy_gain_reset"],
+               col["lambda_policy_stack"])
+    for table in tables[1:]:
+        table[:] = tables[0]
 
-    # raw values per step; the error columns are taken from them after the loop
-    rows = steps + 1
-    tables = [np.empty((rows, len(CSV_COLUMNS))) for _ in lanes]
-    e_rows = np.empty((rows, dyn.state_dim))
-    theta_rows = np.empty((rows,) + theta_est.weights.shape)
-    policy_rows = np.empty((rows,) + policy_est.weights.shape)
-    w_rows = [np.empty((rows, engine.dim)) for engine in engines]
-    recorded = 0
+    ready = col["lambda_policy_stack"] > pc.rank_threshold
+    # a gate opens once: neither the generation nor the policy rank falls
+    gates = [(gens[:n] >= 1) & (ready[:n] | (not query)) for query in modes]
+    gens = gens.tolist()
+    w_rows, stats = [np.zeros((rows, engine.dim)) for engine in engines], []
+    for order, (engine, query, lane, w, gate) in enumerate(
+            zip(engines, modes, cols, w_rows, gates), start=2):
+        due = set(_clock(clock, ic.query_period, np.flatnonzero(gate).tolist()))
 
-    try:
-        for k in range(rows):
-            t = k * dt
-            e = x - xd
-            mu = -(k_lqr @ e)
-            u = scn.desired_control(xd) + mu
+        def collect(k, engine=engine, query=query, due=due, purged=lane["purge"]):
+            changed = purged[k] = engine.schedule_purge(clock[k], gens[k])
+            if k in due:
+                theta = ThetaSnapshot(theta_rows[k - 1] if k else theta0, gens[k])
+                if query:
+                    policy = PolicySnapshot(policy_rows[k - 1] if k else policy0)
+                    changed |= engine.generate_query(policy, theta, clock[k])
+                else:
+                    changed |= engine.collect_trajectory_sample(
+                        es[k], mus[k], theta, clock[k])
+            return changed
 
-            theta_est.observe(t, x, u)
-            if t - last_policy_offer >= pc.offer_period - 1e-9:
-                policy_est.record_sample(e, mu, t)
-                last_policy_offer = t
+        lo, hi = lane["lambda_gamma_irl"], np.empty(rows)
+        lo[:] = hi[:] = ic.gamma0
+        _stage(engine, dt, collect, range(n), int(gate.argmax()) if gate.any() else n,
+               n, errors, order, w, (lo, hi), lane["irl_gain_reset"],
+               lane["lambda_irl_stack"])
+        stats.append({
+            "policy": _gamma_range(ready, lane["lambda_gamma_policy"], policy_hi),
+            "irl": _gamma_range(lane["lambda_irl_stack"] > ic.rank_threshold, lo, hi)})
+    if errors:
+        step, phase, _, err = min(errors, key=lambda e: e[:3])
+        err.last_record_index = step if phase == 2 else step - 1
+        raise err
 
-            policy_ready = policy_est.stack.is_full_rank(pc.rank_threshold)
-            generation = theta_est.generation
-            for i, engine, query in lanes:
-                gates[i] = gate = generation >= 1 and (policy_ready or not query)
-                purged[i] = engine.schedule_purge(t, generation)
-                if gate and t - last_collect[i] >= ic.query_period - 1e-9:
-                    snap = theta_est.snapshot()
-                    if query:
-                        engine.generate_query(policy_est.snapshot(), snap, t)
-                    else:
-                        engine.collect_trajectory_sample(e, mu, snap, t)
-                    last_collect[i] = t
-
-            theta_est.update(dt)
-            policy_est.update(dt)
-            for i, engine, _ in lanes:
-                if gates[i]:
-                    engine.update(dt)
-
-            if policy_ready:
-                pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])
-                pol_hi = max(pol_hi, policy_est.gamma_eig_range[1])
-            e_rows[k] = e
-            theta_rows[k] = theta_est.weights
-            policy_rows[k] = policy_est.weights
-            for i, engine, _ in lanes:
-                if engine.stack.is_full_rank(ic.rank_threshold):
-                    irl_lo[i] = min(irl_lo[i], engine.gamma_eig_range[0])
-                    irl_hi[i] = max(irl_hi[i], engine.gamma_eig_range[1])
-                w_rows[i][k] = engine.weights
-                tables[i][k, _RAW_COLUMNS] = (
-                    theta_est.stack.rank_metric, policy_est.stack.rank_metric,
-                    engine.stack.rank_metric, policy_est.gamma_eig_range[0],
-                    engine.gamma_eig_range[0], purged[i],
-                    theta_est.last_gain_reset, policy_est.last_gain_reset,
-                    engine.last_gain_reset)
-            recorded = k + 1
-
-            if k < steps:
-                x = phi @ x + g_in @ u
-                xd = phi_d @ xd
-                if not all_finite(x):
-                    raise DivergenceError(
-                        f"non-finite state after step at t={t:.6g}", t=t, state=x)
-    except DivergenceError as err:
-        err.last_record_index = recorded - 1
-        raise
-
-    shared = [np.arange(rows) * dt, row_norms(e_rows),
-              row_norms(theta_star - theta_rows), row_norms(w_u_star - policy_rows)]
+    shared = np.column_stack([times, row_norms(es),
+                              row_norms(scn.plant.theta_true - theta_rows),
+                              row_norms(targets.policy - policy_rows)])
     w_star = np.concatenate([targets.value, targets.reward, targets.control])
     bounds = [basis.value_dim, basis.value_dim + basis.reward_dim]
     for table, w in zip(tables, w_rows):
         # t, tracking, theta, policy, then value, reward and control errors
         table[:, :_RAW_COLUMNS.start] = np.column_stack(
-            shared + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
-    pol = (float(pol_lo), float(pol_hi)) if np.isfinite(pol_lo) else None
-    return final_results(tables, [
-        {"policy": pol, "irl": (float(lo), float(hi)) if np.isfinite(lo) else None}
-        for lo, hi in zip(irl_lo, irl_hi)])
+            [shared] + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
+    return stats
+
+
+def _demonstration(scn: TrackingScenario, gain: Matrix, cfg: ScenarioConfig,
+                   steps: int):
+    """The plant and reference under the true LQR policy, feedback around
+    the reference feedforward, stepped by the exact zero-order-hold RK4 step:
+    (x, e, mu, u) per step, and the count n of steps with a finite state."""
+    dyn = scn.plant
+    phi, g_in = rk4_transition(*dyn.true_system(), cfg.dt)
+    phi_d, _ = rk4_transition(scn.reference_matrix,
+                              np.zeros((dyn.state_dim, 0)), cfg.dt)
+    xs, es = np.empty((2, steps + 1, dyn.state_dim))
+    mus, us = np.empty((2, steps + 1, dyn.input_dim))
+    x = np.asarray(cfg.x0, dtype=float)
+    xd = np.asarray(cfg.xd0, dtype=float)
+    # an overflow ends the run with a DivergenceError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            e = x - xd
+            mu = -(gain @ e)
+            u = scn.desired_control(xd) + mu
+            xs[k], es[k], mus[k], us[k] = x, e, mu, u
+            if k < steps:
+                x = phi @ x + g_in @ u
+                xd = phi_d @ xd
+    finite = np.isfinite(xs).all(axis=1)
+    return xs, es, mus, us, steps + 1 if finite.all() else int(finite.argmin())
+
+
+def _clock(clock: list, period: float, steps) -> list:
+    """The steps among `steps` at which a clock of `period` fires: the first,
+    then each at least period - 1e-9 after the last firing."""
+    fired, last = [], -math.inf
+    for k in steps:
+        if clock[k] - last >= period - 1e-9:
+            fired.append(k)
+            last = clock[k]
+    return fired
+
+
+def _stage(learner, dt, offer, steps, start, n, errors, order, weights, gamma,
+           reset, rank, generations=None) -> int:
+    """One estimator over the first n steps: offer(k), True if the stack
+    changed, at each of `steps`, then the learner from `start` in spans
+    between the changes, writing each step's columns (`gamma` and
+    `generations` if given). Appends errors keyed (step, phase, order);
+    returns how many steps the later stages run."""
+    stack = learner.stack
+    changes = [(0, stack.normal_matrix(), stack.cross_matrix(), 0.0)]
+    k = stop = n
+    try:
+        for k in steps:
+            if offer(k):
+                changes.append((k, stack.normal_matrix(), stack.cross_matrix(),
+                                stack.rank_metric))
+    except DivergenceError as err:
+        errors.append((k, 0, order, err))
+        stop = k
+    for (at, *_, value), (end, *_) in zip(changes, changes[1:] + [(len(rank),)]):
+        rank[at:end] = value
+    k = start
+    try:
+        for (_, normal, cross, _), (end, *_) in zip(changes, changes[1:] + [(stop,)]):
+            while k < min(end, stop):
+                for w, g in learner.advance(dt, min(end, stop) - k, normal, cross):
+                    span = slice(k, k + len(w))
+                    weights[span] = w
+                    if gamma is not None:
+                        gamma[0][span], gamma[1][span] = g.T
+                    if generations is not None:
+                        generations[span] = learner.revise(w)
+                    k += len(w)
+                reset[k - 1] = learner.last_gain_reset
+    except DivergenceError as err:
+        errors.append((k, 1, order, err))
+    return min([n] + [step + 1 for step, *_ in errors])
+
+
+def _gamma_range(ready, lo, hi):
+    """(least lambda_min, greatest lambda_max) of Gamma over ready steps."""
+    return (float(lo[ready].min()), float(hi[ready].max())) if ready.any() else None
 
 
 # ---------------------------------------------------------------------------

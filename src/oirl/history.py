@@ -12,8 +12,6 @@ dwell-time guard owned by the caller.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
@@ -25,14 +23,8 @@ ADMISSION_MARGIN = 1e-6     # a full stack's least relative lambda_min gain
 
 
 def all_finite(a: np.ndarray) -> bool:
-    """np.isfinite(a).all() for a float array, exactly, at the cost of a dot.
-
-    The sum of squares is finite only if every entry is. It can also overflow
-    on finite entries beyond about 1e154, with numpy's overflow warning, and
-    only then does the elementwise test decide.
-    """
-    v = a.ravel(order="K")
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+    """Whether every entry of a is finite."""
+    return bool(np.isfinite(a).all())
 
 
 def eigvalsh(a: Matrix) -> np.ndarray:
@@ -199,6 +191,13 @@ class HistoryStack:
         self._count = 0
         self._refresh()
         return True
+
+    def retag(self, tags) -> None:
+        """Replace each stored tag i by tags[i], for an owner that banks
+        entries before their tags are known and tags each by its index."""
+        k = self._count
+        self._tags[:k] = np.asarray(tags)[self._tags[:k]]
+        self._oldest_tag = int(self._tags[:k].min()) if k else None
 
     # -- debugging -----------------------------------------------------------
 

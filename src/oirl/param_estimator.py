@@ -9,67 +9,61 @@ so each window yields a linear regressor/target pair without differentiating
 state measurements. Pairs are banked in a history stack and theta_hat follows
 the `rls.ConcurrentLearner` law with forgetting, projected onto a known box.
 
-The window integral is a left-to-right sum of per-subinterval trapezoid
-terms. The estimator computes each subinterval's terms once, when its right
-sample arrives, and keeps them alongside the buffered samples; an offer sums
-the cached terms in the same order `accumulate_window` does, so the banked
-pair is bit-identical to re-integrating the window. A running add/subtract
-sum would be O(1) per offer too, but it rounds differently and drifts. Each
-buffered sample also keeps its A0 x and B0 u, so the nominal model
-f0 = A0 x + B0 u on the two subintervals it bounds sums cached products,
-the same floating-point operations as `LinearPlant.nominal`.
+Each window integral is the trapezoid rule over the window's samples, the
+control held over each subinterval (zero-order hold). `window_pairs` takes
+the terms of every subinterval at once and sums each window's terms left to
+right with `np.add.accumulate`, so a pair is bit for bit the sum of a plain
+loop over the samples; `np.sum` (pairwise) or a running add/subtract sum
+would round differently.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.umath import clip   # the ufunc np.clip ends in, undispatched
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import LinearPlant
 from .history import HistoryStack
-from .rls import ConcurrentLearner, _norm
+from .rls import ConcurrentLearner, row_norms
 
 Matrix = np.ndarray
 Vector = np.ndarray
 
-
-def _trapezoid(h, sigma_a, sigma_b, f0_a, f0_b) -> tuple[Vector, Vector]:
-    """Trapezoid terms (int sigma, int f0) over a subinterval of length h."""
-    return 0.5 * h * (sigma_a + sigma_b), 0.5 * h * (f0_a + f0_b)
+WINDOWS_PER_PASS = 64
 
 
-def _window_pair(terms, x_start, x_end) -> tuple[Vector, Vector]:
-    """(Y, b) from a window's interval terms, summed left to right."""
-    if not terms:
+def window_pairs(dyn: LinearPlant, times, states, controls, ends,
+                 length: int) -> tuple[Matrix, Matrix]:
+    """(Y, b) of each window of `length` subintervals that ends at a sample
+    index in `ends`, stacked: Y = int sigma dt (p,) and
+    b = x(end) - x(start) - int f0 dt (n,), with f0 = A0 x + B0 u evaluated
+    as `LinearPlant.nominal` does. WINDOWS_PER_PASS windows at a time are
+    summed, from the terms of their own samples."""
+    if length < 1:
         raise ValueError("integration window needs at least 2 samples")
-    pairs = iter(terms)
-    y, f_int = next(pairs)
-    for sig, nom in pairs:
-        y = y + sig
-        f_int = f_int + nom
-    b = np.asarray(x_end, dtype=float) - np.asarray(x_start, dtype=float) - f_int
-    return y, b
-
-
-def accumulate_window(nominal, features, times, states, controls) -> tuple[Vector, Vector]:
-    """Trapezoidal window integrals for one regressor/target pair.
-
-    times/states/controls are aligned samples spanning the window; the
-    control is treated as held over each subinterval (zero-order hold).
-    Returns (Y, b) with Y = int sigma dt (p,) and
-    b = x(end) - x(start) - int f0 dt (n,).
-    """
-    times = np.asarray(times, dtype=float)
-    terms = [_trapezoid(times[i + 1] - times[i],
-                        features(states[i], controls[i]),
-                        features(states[i + 1], controls[i]),
-                        nominal(states[i], controls[i]),
-                        nominal(states[i + 1], controls[i]))
-             for i in range(times.shape[0] - 1)]
-    return _window_pair(terms, states[0], states[-1])
+    if len(ends) > WINDOWS_PER_PASS:
+        return tuple(map(np.concatenate, zip(*(
+            window_pairs(dyn, times, states, controls, ends[i:i + WINDOWS_PER_PASS],
+                         length) for i in range(0, len(ends), WINDOWS_PER_PASS)))))
+    ends = np.asarray(ends, dtype=int)
+    lo = int(ends.min()) - length
+    t, x, u = (np.asarray(a, dtype=float)[lo:ends.max() + 1]
+               for a in (times, states, controls))
+    half = (0.5 * (t[1:] - t[:-1]))[:, None]
+    # A0 x and B0 u as one matrix-vector product per sample, as `nominal`
+    a0x = np.matmul(dyn.a0, x[:, :, None])[:, :, 0]
+    b0u = np.matmul(dyn.b0, u[:-1, :, None])[:, :, 0]
+    # (int sigma, int f0) per subinterval, with u held at its left sample
+    sigma = np.concatenate([x[:-1] + x[1:], u[:-1] + u[:-1]], axis=1)
+    terms = np.concatenate([half * sigma, half * ((a0x[:-1] + b0u) + (a0x[1:] + b0u))],
+                           axis=1)
+    windows = sliding_window_view(terms, length, axis=0)[ends - length - lo]
+    sums = np.add.accumulate(windows, axis=-1)[:, :, -1]
+    p = dyn.param_dim
+    return sums[:, :p], (x[ends - lo] - x[ends - length - lo]) - sums[:, p:]
 
 
 @dataclass(frozen=True)
@@ -115,9 +109,6 @@ class ThetaEstimator(ConcurrentLearner):
             center)
         self.generation = 0
         self._anchor = self.weights.copy()
-        self._buffer: deque = deque()
-        self._terms: deque = deque()
-        self._last_offer = -np.inf
 
     @property
     def theta_hat(self) -> Matrix:
@@ -127,40 +118,33 @@ class ThetaEstimator(ConcurrentLearner):
     def snapshot(self) -> ThetaSnapshot:
         return ThetaSnapshot(self.weights.copy(), self.generation)
 
-    def observe(self, t: float, x: Vector, u: Vector) -> bool:
-        """Buffer one sample; offer a window pair to the stack when due.
-
-        Returns whether the stack changed. Zero-signal windows are never
-        offered since they cannot raise the stack's rank metric.
-        """
-        dyn = self.dyn
-        x = np.array(x, dtype=float)
-        u = np.array(u, dtype=float)
-        # (t, x, u, A0 x, B0 u); f0(x_b, u_a) = A0 x_b + B0 u_a as in nominal()
-        sample = (float(t), x, u, dyn.a0 @ x, dyn.b0 @ u)
-        if self._buffer:
-            t_a, x_a, u_a, a0x_a, b0u_a = self._buffer[-1]
-            # _terms[i] covers [_buffer[i], _buffer[i + 1]], u held at u_a
-            self._terms.append(_trapezoid(
-                sample[0] - t_a, dyn.features(x_a, u_a), dyn.features(x, u_a),
-                a0x_a + b0u_a, sample[3] + b0u_a))
-        self._buffer.append(sample)
-        while self._buffer[0][0] < t - self.cfg.window - 1e-9:
-            self._buffer.popleft()
-            self._terms.popleft()
-        spans = self._buffer[0][0] <= t - self.cfg.window + 1e-9
-        if not spans or t - self._last_offer < self.cfg.offer_period - 1e-9:
-            return False
-        y, b = _window_pair(self._terms, self._buffer[0][1], x)
-        self._last_offer = t
-        if _norm(y) < 1e-12:
-            return False
-        return self.stack.try_insert(y, b, t, tag=self.generation)
-
     def update(self, dt: float) -> None:
-        """One learner step, then the box projection and generation logic."""
-        super().update(dt)
-        clip(self.weights, *self.cfg.box, out=self.weights)
-        if _norm(self.weights - self._anchor) > self.cfg.revision_threshold:
-            self.generation += 1
-            self._anchor = self.weights.copy()
+        """One learner step, then the generation logic."""
+        for w, _ in self.advance(dt, 1):
+            self.revise(w)
+
+    def _amend(self, w: Matrix) -> int:
+        """Clip the first row that leaves the box; the span ends there."""
+        lo, hi = self.cfg.box
+        out = ((w < lo) | (w > hi)).any(axis=(1, 2))
+        if not out.any():
+            return len(w)
+        i = int(out.argmax())
+        clip(w[i], lo, hi, out=w[i])
+        return i + 1
+
+    def revise(self, w: np.ndarray) -> np.ndarray:
+        """The generation after each of the consecutive estimates w: one
+        more at each that has drifted over `revision_threshold` from the
+        one at the previous revision."""
+        gens, i = np.empty(len(w), dtype=int), 0
+        while i < len(w):
+            moved = row_norms(w[i:] - self._anchor) > self.cfg.revision_threshold
+            j = i + int(moved.argmax()) if moved.any() else len(w)
+            gens[i:j] = self.generation
+            if j < len(w):
+                self.generation += 1
+                self._anchor = w[j].copy()
+                gens[j] = self.generation
+            i = j + 1
+        return gens

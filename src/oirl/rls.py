@@ -5,10 +5,10 @@ weights W and gain Gamma follow the concurrent-learning laws on the stack's
 normal matrix S and cross matrix C, W_dot = alpha Gamma (C - S W) and
 Gamma_dot = beta Gamma - alpha Gamma S Gamma. In information form,
 H = Gamma^-1, they are least squares with exponential forgetting, and
-H_dot = -beta H + alpha S is linear. So with S and C held over a step of dt
-the learner takes the exact flow, H+ = a H + b S and
-W+ = solve(H+, a H W + b C) with a = exp(-beta dt), b = (1 - a) alpha / beta.
-It keeps (W, H), and resets H to I / gamma0, keeping W, when H goes
+H_dot = -beta H + alpha S is linear. So with S and C held the flow is exact
+over any number of steps j of dt, H_j = a^j H_0 + (1 - a^j) (alpha / beta) S
+and the same for Z = H W, with a = exp(-beta dt); W_j = solve(H_j, Z_j).
+The learner keeps (W, H), and resets H to I / gamma0, keeping W, when H goes
 non-finite or an eigenvalue leaves (1 / gamma_ceiling, 1 / gamma_floor):
 forgetting shrinks H along every direction the stack does not excite. The
 policy (u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0)
@@ -32,9 +32,11 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import DivergenceError
-from .history import HistoryStack, all_finite, eigvalsh
+from .history import HistoryStack, eigvalsh
 
 Matrix = np.ndarray
+
+CHUNK = 256     # span steps computed in one batch
 
 
 def _norm(a: np.ndarray) -> float:
@@ -71,31 +73,63 @@ class ConcurrentLearner:
 
     def update(self, dt: float) -> None:
         """One exact step of the laws, with the stack's S and C held."""
+        for _ in self.advance(dt, 1):
+            pass
+
+    def advance(self, dt: float, steps: int, normal=None, cross=None):
+        """Up to `steps` exact steps with S and C held (the stack's unless
+        given), yielding (W, gamma) per chunk of at most CHUNK steps: the
+        weights after each step, and Gamma's (lambda_min, lambda_max).
+
+        Every row is the closed form from the state the call began in, so
+        the chunking changes no bit. The call ends early after a step that
+        resets H or whose weights `_amend` changes. A non-finite weight row
+        raises DivergenceError, the rows before it yielded and kept.
+        """
         cfg = self.cfg
+        s = self.stack.normal_matrix() if normal is None else normal
+        c = self.stack.cross_matrix() if cross is None else cross
         a = math.exp(-cfg.beta * dt)
-        b = (1.0 - a) * cfg.alpha / cfg.beta
-        h = self.information
-        h_next = a * h + b * self.stack.normal_matrix()
-        if all_finite(h_next):
-            eigs = eigvalsh(h_next)
-            lam_lo, lam_hi = float(eigs[0]), float(eigs[-1])
-            reset = not (lam_lo * cfg.gamma_ceiling > 1.0
-                         and lam_hi * cfg.gamma_floor < 1.0)
-        else:
-            reset = True
-        self.last_gain_reset = reset
-        if reset:
-            self.gain_resets += 1
-            self.information = np.eye(self.stack.row_dim) / cfg.gamma0
-            self.gamma_eig_range = (cfg.gamma0, cfg.gamma0)
-            return
-        w = self.weights
-        rhs = a * (h @ w) + b * self.stack.cross_matrix().reshape(w.shape)
-        solve = _umath_linalg.solve1 if w.ndim == 1 else _umath_linalg.solve
-        w = solve(h_next, rhs, signature="dd->d")
-        if not all_finite(w):
-            raise DivergenceError(
-                f"{type(self).__name__} weight update went non-finite")
-        self.weights = w
-        self.information = h_next
-        self.gamma_eig_range = (1.0 / lam_hi, 1.0 / lam_lo)
+        h0, w0 = self.information, self.weights
+        z0, c = h0 @ w0, c.reshape(w0.shape)
+        solve = _umath_linalg.solve1 if w0.ndim == 1 else _umath_linalg.solve
+        for start in range(0, steps, CHUNK):
+            aj = a ** np.arange(start + 1, min(start + CHUNK, steps) + 1)
+            bj = (1.0 - aj) * cfg.alpha / cfg.beta
+            h = np.multiply.outer(aj, h0) + np.multiply.outer(bj, s)
+            finite = np.isfinite(h).all(axis=(1, 2))
+            rows = len(aj) if finite.all() else int(finite.argmin())
+            eigs = eigvalsh(h[:rows])
+            inside = ((eigs[:, 0] * cfg.gamma_ceiling > 1.0)
+                      & (eigs[:, -1] * cfg.gamma_floor < 1.0))
+            rows = rows if inside.all() else int(inside.argmin())
+            z = np.multiply.outer(aj[:rows], z0) + np.multiply.outer(bj[:rows], c)
+            w = solve(h[:rows], z, signature="dd->d")
+            finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
+            good = rows if finite.all() else int(finite.argmin())
+            take = self._amend(w[:good])
+            gamma = 1.0 / eigs[:take, [-1, 0]]
+            self.last_gain_reset = reset = take == rows < len(aj)
+            if take:
+                self.weights, self.information = w[take - 1], h[take - 1]
+                self.gamma_eig_range = tuple(gamma[-1].tolist())
+            if reset:       # row `take` resets H and keeps W
+                self.gain_resets += 1
+                self.information = np.eye(self.stack.row_dim) / cfg.gamma0
+                self.gamma_eig_range = (cfg.gamma0, cfg.gamma0)
+                w = np.concatenate([w[:take], self.weights[None]])
+                gamma = np.concatenate([gamma, [self.gamma_eig_range]])
+                take += 1
+            if take:
+                yield w[:take], gamma
+            if reset or take < good:
+                return      # the caller starts a new span after the last row
+            if good < rows:
+                raise DivergenceError(
+                    f"{type(self).__name__} weight update went non-finite")
+
+    def _amend(self, w: Matrix) -> int:
+        """How many of the consecutive weight rows w to keep: an owner that
+        projects its weights amends, in place, the first row that needs it,
+        and keeps the rows up to it."""
+        return len(w)

@@ -1,13 +1,15 @@
-"""Shared fixtures. A full-length reference run takes seconds (its 20,001
-steps are interpreter-bound), and `ablate` steps both of its lanes in one
-pass of about the same length, so each is computed once per session and
-reused by the harness and acceptance tests."""
+"""Shared fixtures. A full-length reference run still takes about a second:
+its learners step a span at a time, but the stacks' 6,000 offers (each up
+to 50 trial eigendecompositions) and the 20,001-step demonstration loop are
+interpreter-bound, and `ablate` adds a lane's offers on top. So each is
+computed once per session and reused by the harness and acceptance tests."""
 
 import time
 from pathlib import Path
 
 import pytest
 
+import per_step
 from oirl import harness
 from oirl.dynamics import rk4_transition
 from oirl.harness import ablate, load_config, run_scenario
@@ -34,11 +36,23 @@ def ablation(tracking_cfg):
     return ablate(tracking_cfg)
 
 
+def _scaled_plant_step(monkeypatch, scale):
+    def scaled(a, b, dt):
+        phi, g = rk4_transition(a, b, dt)
+        return scale * phi, g
+
+    monkeypatch.setattr(harness, "rk4_transition", scaled)
+    monkeypatch.setattr(per_step, "rk4_transition", scaled)
+
+
 @pytest.fixture
 def overflowing_plant_step(monkeypatch):
     """Scale the plant's transition matrix so that its first step overflows."""
-    def overflowing(a, b, dt):
-        phi, g = rk4_transition(a, b, dt)
-        return 1e300 * phi, g
+    _scaled_plant_step(monkeypatch, 1e300)
 
-    monkeypatch.setattr(harness, "rk4_transition", overflowing)
+
+@pytest.fixture
+def slowly_overflowing_plant_step(monkeypatch):
+    """Scale the plant's transition matrix by 1e100, so that the state
+    overflows a few steps in, not on the first."""
+    _scaled_plant_step(monkeypatch, 1e100)

@@ -166,8 +166,8 @@ def test_criterion_6_recursive_matches_batch(capsys):
         x = rng.uniform(-1.0, 1.0, 2)
         u = -(k_true @ x) + 0.01 * rng.normal(size=1)
         pol.record_sample(x, u, t=0.05 * i)
-    for _ in range(40000):
-        pol.update(dt)
+    for _ in pol.advance(dt, 40000):    # 40,000 exact steps, in spans
+        pass
     s = pol.stack.normal_matrix()
     batch_w = np.linalg.solve(s, pol.stack.cross_matrix())
     pol_w_err = np.max(np.abs(pol.weights - batch_w))
@@ -183,8 +183,8 @@ def test_criterion_6_recursive_matches_batch(capsys):
     snap = ThetaSnapshot(theta.copy(), 1)
     for i in range(40):
         eng.generate_query(policy, snap, t=0.05 * i)
-    for _ in range(80000):
-        eng.update(dt)
+    for _ in eng.advance(dt, 80000):
+        pass
     s_irl = eng.stack.normal_matrix()
     batch_irl = np.linalg.solve(s_irl, eng.stack.cross_matrix()[:, 0])
     irl_w_err = np.max(np.abs(eng.weights - batch_irl))

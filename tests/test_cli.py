@@ -7,7 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import per_step
 from oirl.cli import main
+from oirl.errors import DivergenceError
+from oirl.harness import config_from_dict, run_scenario
+from oirl.irl_engine import RewardEstimator
 from oirl.policy_estimator import PolicyEstimator
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
@@ -147,21 +151,65 @@ def overflowing_policy_samples(monkeypatch):
     monkeypatch.setattr(PolicyEstimator, "record_sample", rescaled)
 
 
-def test_diverging_policy_update_exits_3(tmp_path, capsys,
-                                         overflowing_policy_samples):
-    """Forgetting shrinks H along the weakly excited rows until the policy
-    weight solve overflows; the run exits 3 and names its last record."""
+def _diverging_policy_config() -> dict:
     data = json.loads(SHIPPED.read_text())
     data["policy_estimator"]["beta"] = 100.0
     data["policy_estimator"]["gamma_ceiling"] = 1e300
     data["simulation"]["duration"] = 2.0
+    return data
+
+
+def test_diverging_policy_update_exits_3(tmp_path, capsys,
+                                         overflowing_policy_samples):
+    """Forgetting shrinks H along the weakly excited rows until the policy
+    weight solve overflows; the run exits 3 and names its last record."""
     with np.errstate(over="ignore"):
-        code = main(["run", "--config", _write(tmp_path, data),
+        code = main(["run", "--config", _write(tmp_path, _diverging_policy_config()),
                      "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
     assert "PolicyEstimator weight update went non-finite" in err
     assert "last valid record index" in err
+
+
+def test_diverging_policy_update_is_the_per_step_loops_error(
+        overflowing_policy_samples):
+    """The staged run raises the divergence above at the step, with the
+    message and last record, that the per-step loop does."""
+    cfg = config_from_dict(_diverging_policy_config())
+    errors = []
+    for run in (run_scenario, lambda c: per_step.run_lanes(c, (True,))):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            run(cfg)
+        errors.append(info.value)
+    got, want = errors
+    assert str(got) == str(want) == "PolicyEstimator weight update went non-finite"
+    assert got.t is want.t is None
+    assert got.last_record_index == want.last_record_index > 0
+
+
+def test_an_offer_error_precedes_an_update_error_of_the_same_step(
+        monkeypatch, overflowing_policy_samples):
+    """Within a step the offers come before the updates: a lane's purge check
+    that fails on the step whose policy update diverges wins, in the staged
+    run as in the per-step loop."""
+    cfg = config_from_dict(_diverging_policy_config())
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        run_scenario(cfg)
+    step = info.value.last_record_index + 1
+    purge = RewardEstimator.schedule_purge
+
+    def failing(self, t, generation):
+        if t >= step * cfg.dt:
+            raise DivergenceError(f"purge check at t={t:.6g}")
+        return purge(self, t, generation)
+
+    monkeypatch.setattr(RewardEstimator, "schedule_purge", failing)
+    for run in (run_scenario, lambda c: per_step.run_lanes(c, (True,))):
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+            run(cfg)
+        assert str(info.value) == f"purge check at t={step * cfg.dt:.6g}"
+        assert info.value.last_record_index == step - 1
 
 
 def test_policy_gain_that_overflows_resets_instead_of_diverging(tmp_path):

@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import per_step
 from oirl.errors import ConfigError, DivergenceError
+from oirl.irl_engine import RewardEstimator
 from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
                           RecordTable, ablate, combined_weight_error,
                           compare_to_oracle, config_from_dict, config_to_dict,
@@ -265,6 +268,59 @@ def test_non_finite_state_ends_both_ablate_lanes(overflowing_plant_step):
     _assert_diverges_after_the_first_step(ablate)
 
 
+def _raised(run, cfg) -> DivergenceError:
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            run(cfg)
+    return info.value
+
+
+def _assert_same_error(got, want):
+    assert type(got) is type(want) and str(got) == str(want)
+    assert got.t == want.t and got.last_record_index == want.last_record_index
+
+
+def test_plant_overflow_after_a_later_step_is_the_per_step_loops_error(
+        slowly_overflowing_plant_step):
+    """The state overflows after step 4: the run and both ablate lanes end
+    with the error the per-step loop raises, at that step's t and record."""
+    cfg = _short_cfg()
+    want = _raised(lambda c: per_step.run_lanes(c, (True,)), cfg)
+    assert want.t == 4 * cfg.dt and want.last_record_index == 4
+    assert not np.isfinite(want.state).all()
+    for run in (run_scenario, ablate):
+        got = _raised(run, cfg)
+        _assert_same_error(got, want)
+        np.testing.assert_array_equal(got.state, want.state)
+
+
+@pytest.mark.parametrize("query_t, no_query_t", [(1.5, 1.0), (1.0, 1.5)])
+def test_ablate_raises_the_earlier_lanes_error(monkeypatch, query_t, no_query_t):
+    """Each lane's offers diverge from a time on; ablate raises the lane
+    whose offer comes first, as the per-step loop does."""
+    def diverging(name, since):
+        offer = getattr(RewardEstimator, name)
+
+        def offer_or_raise(self, *args):
+            if args[-1] >= since:
+                raise DivergenceError(f"{name} at t={args[-1]:.6g}")
+            return offer(self, *args)
+        return offer_or_raise
+
+    monkeypatch.setattr(RewardEstimator, "generate_query",
+                        diverging("generate_query", query_t))
+    monkeypatch.setattr(RewardEstimator, "collect_trajectory_sample",
+                        diverging("collect_trajectory_sample", no_query_t))
+    cfg = _short_cfg()
+    got = _raised(ablate, cfg)
+    want = _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg)
+    _assert_same_error(got, want)
+    lane = "generate_query" if query_t <= no_query_t else "collect_trajectory_sample"
+    name, t = str(got).split(" at t=")
+    assert name == lane and min(query_t, no_query_t) <= float(t) < 1.1
+    assert got.last_record_index == round(float(t) / cfg.dt) - 1
+
+
 def test_dump_stacks_writes_one_file_per_stack(tmp_path):
     result = run_scenario(_short_cfg())
     dump_stacks(result, tmp_path)
@@ -449,6 +505,87 @@ def test_ablate_lanes_equal_stand_alone_runs(two_input_cut, tmp_path):
     for name in ("theta", "policy"):
         assert with_query.stacks[name] is without_query.stacks[name]
     assert with_query.stacks["irl"] is not without_query.stacks["irl"]
+
+
+def test_ablate_raises_the_querying_lanes_error_on_a_tie(monkeypatch):
+    """Both lanes' purge checks fail on the same step: the querying lane,
+    first in lane order, raises, as in the per-step loop."""
+    init, lanes = RewardEstimator.__init__, itertools.count()
+
+    def numbered(self, *args):
+        init(self, *args)
+        self.lane = next(lanes) % 2         # ablate builds the query lane first
+
+    def failing(self, t, generation):
+        raise DivergenceError(f"lane {self.lane} at t={t:.6g}")
+
+    monkeypatch.setattr(RewardEstimator, "__init__", numbered)
+    monkeypatch.setattr(RewardEstimator, "schedule_purge", failing)
+    cfg = _short_cfg()
+    got = _raised(ablate, cfg)
+    _assert_same_error(got, _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg))
+    assert str(got) == "lane 0 at t=0" and got.last_record_index == -1
+
+
+# the columns the pipeline must reproduce bit for bit, and the bound, relative
+# to each column's largest entry, on how far the others may move from the
+# per-step loop's; the measured move on the two-input cut is 4.9e-13
+EXACT_COLUMNS = ["t", "tracking_error", "lambda_theta_stack",
+                 "lambda_policy_stack", *CSV_COLUMNS[-4:]]
+ESTIMATE_MOVE = 1e-12
+
+
+@pytest.fixture(scope="module")
+def two_input_per_step(two_input_cut):
+    """The per-step loop's lanes on the same cut."""
+    cfg, _ = two_input_cut
+    return per_step.run_lanes(cfg, (True, False))
+
+
+def _assert_matches_per_step(lanes, per_step_lanes):
+    """The demonstration, the theta and policy stacks and every flag agree
+    bit for bit, the estimates to rounding."""
+    for got, want in zip(lanes, per_step_lanes):
+        for name in CSV_COLUMNS:
+            a, b = record_array(got.records, name), record_array(want.records, name)
+            if name in EXACT_COLUMNS:
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            else:
+                assert np.abs(a - b).max() <= ESTIMATE_MOVE * np.abs(b).max(), name
+        assert got.purge_times == want.purge_times
+        assert got.gain_resets == want.gain_resets
+        assert got.first_policy_rank_time == want.first_policy_rank_time
+        for name in ("theta", "policy"):
+            assert _stack_rows(got.stacks[name]) == _stack_rows(want.stacks[name])
+        for name, stats in got.gamma_stats.items():
+            assert (stats is None) == (want.gamma_stats[name] is None)
+            if stats is not None:
+                np.testing.assert_allclose(stats, want.gamma_stats[name], rtol=1e-12)
+
+
+def test_pipeline_equals_the_per_step_loop(two_input_cut, two_input_per_step):
+    """The staged pipeline against the per-step loop it replaced, on a cut
+    with three purges and a no-query IRL gain reset."""
+    _, outcome = two_input_cut
+    _assert_matches_per_step((outcome["with_query"], outcome["without_query"]),
+                             two_input_per_step)
+    assert sum(want.gain_resets["irl"] for want in two_input_per_step) == 1
+
+
+def test_pipeline_equals_the_per_step_loop_through_clips_and_resets():
+    """A tight theta box clips theta_hat on hundreds of steps and low gain
+    ceilings reset the theta gain 38 times and the policy gain once in 6 s:
+    every clip and reset ends a span where the per-step loop has it."""
+    theta = dataclasses.replace(CFG.theta_estimator, box=(-0.6, 0.6),
+                                gamma_ceiling=2.0, beta=5.0)
+    policy = dataclasses.replace(CFG.policy_estimator, gamma_ceiling=3.0)
+    cfg = dataclasses.replace(CFG, duration=6.0, theta_estimator=theta,
+                              policy_estimator=policy)
+    outcome = ablate(cfg)
+    lanes = (outcome["with_query"], outcome["without_query"])
+    _assert_matches_per_step(lanes, per_step.run_lanes(cfg, (True, False)))
+    assert lanes[0].gain_resets == {"theta": 38, "policy": 1, "irl": 0}
+    assert np.abs(lanes[0].estimates.theta_hat).max() == 0.6
 
 
 def test_shipped_query_lane_equals_the_reference_run(query_run, ablation,

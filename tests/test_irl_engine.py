@@ -186,8 +186,8 @@ def test_anchored_truth_is_a_fixed_point():
 
 def test_weights_converge_to_anchored_truth_on_frozen_stack():
     eng = _engine_with_optimal_queries()
-    for _ in range(60000):
-        eng.update(0.005)
+    for _ in eng.advance(0.005, 60000):  # 60,000 exact steps, in spans
+        pass
     w_true = _anchored_truth()
     assert np.max(np.abs(eng.weights - w_true)) < 1e-8
     np.testing.assert_allclose(eng.value_weights, W_V_EXACT, atol=1e-8)
@@ -198,9 +198,10 @@ def test_weights_converge_to_anchored_truth_on_frozen_stack():
 def test_doubling_the_anchor_doubles_the_weights():
     eng1 = _engine_with_optimal_queries(r1=10.0)
     eng2 = _engine_with_optimal_queries(r1=20.0)
-    for _ in range(5000):
-        eng1.update(0.005)
-        eng2.update(0.005)
+    for _ in eng1.advance(0.005, 5000):
+        pass
+    for _ in eng2.advance(0.005, 5000):
+        pass
     # rows are anchor-free and offsets are linear in r1, so the trajectories
     # match to the bit, not merely to rounding
     np.testing.assert_array_equal(eng2.weights, 2.0 * eng1.weights)

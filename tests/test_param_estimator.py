@@ -7,7 +7,9 @@ from oirl.dynamics import LinearPlant, eval_dynamics, rk4_transition
 from oirl.errors import DivergenceError
 from oirl.oracle import solve_are
 from oirl.param_estimator import (ThetaEstimator, ThetaEstimatorConfig,
-                                  accumulate_window)
+                                  window_pairs)
+
+from per_step import ThetaWindows
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -18,32 +20,33 @@ def _plant():
     return LinearPlant(A0, B0, THETA)
 
 
+def _scalar_pair(times, states):
+    """The window pair over all samples of xdot = theta x + 0 u, no nominal."""
+    dyn = LinearPlant(np.zeros((1, 1)), np.zeros((1, 1)), [[-0.5], [0.0]])
+    (y,), (b,) = window_pairs(dyn, times, np.reshape(states, (-1, 1)),
+                              np.zeros((len(times), 1)), [len(times) - 1],
+                              len(times) - 1)
+    return y, b
+
+
 def test_window_regression_on_scalar_exponential():
     """xdot = theta * x with zero nominal: b / integral(x) recovers theta."""
     theta = -0.5
     dt = 0.005
     times = [k * dt for k in range(51)]
-    states = [np.array([np.exp(theta * t)]) for t in times]
-    controls = [np.zeros(0) for _ in times]
-    y, b = accumulate_window(lambda x, u: np.zeros(1),
-                             lambda x, u: x.copy(), times, states, controls)
+    y, b = _scalar_pair(times, [np.exp(theta * t) for t in times])
     assert abs(b[0] / y[0] - theta) < 1e-4
 
 
 def test_window_regression_at_equilibrium_is_degenerate():
-    times = [0.0, 0.005, 0.01]
-    states = [np.zeros(1)] * 3
-    controls = [np.zeros(0)] * 3
-    y, b = accumulate_window(lambda x, u: np.zeros(1),
-                             lambda x, u: x.copy(), times, states, controls)
+    y, b = _scalar_pair([0.0, 0.005, 0.01], np.zeros(3))
     assert np.linalg.norm(y) == 0.0
     assert np.linalg.norm(b) == 0.0
 
 
 def test_window_regression_needs_two_samples():
     with pytest.raises(ValueError):
-        accumulate_window(lambda x, u: np.zeros(1), lambda x, u: x.copy(),
-                          [0.0], [np.zeros(1)], [np.zeros(0)])
+        _scalar_pair([0.0], np.zeros(1))
 
 
 def _closed_loop_rollout(duration, dt=0.005):
@@ -75,8 +78,9 @@ def test_stacked_windows_are_consistent_with_the_true_parameters():
     """Every stored (Y, b) pair must satisfy b ~= theta_true^T Y closely."""
     dyn, rollout = _closed_loop_rollout(6.0)
     est = ThetaEstimator(dyn, ThetaEstimatorConfig())
+    windows = ThetaWindows(est)
     for t, x, u in rollout:
-        est.observe(t, x, u)
+        windows.observe(t, x, u)
     assert len(est.stack) > 20
     residual = est.stack.targets() - est.stack.regressor() @ THETA
     assert np.max(np.abs(residual)) < 1e-6
@@ -85,10 +89,11 @@ def test_stacked_windows_are_consistent_with_the_true_parameters():
 def test_estimate_converges_on_frozen_stack():
     dyn, rollout = _closed_loop_rollout(6.0)
     est = ThetaEstimator(dyn, ThetaEstimatorConfig())
+    windows = ThetaWindows(est)
     for t, x, u in rollout:
-        est.observe(t, x, u)
-    for _ in range(40000):
-        est.update(0.005)
+        windows.observe(t, x, u)
+    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+        pass
     s = est.stack.normal_matrix()
     c = est.stack.cross_matrix()
     batch = np.linalg.solve(s, c)
@@ -140,7 +145,8 @@ def test_non_finite_update_raises():
 def test_zero_windows_are_not_banked():
     dyn = _plant()
     est = ThetaEstimator(dyn, ThetaEstimatorConfig())
-    accepted = [est.observe(k * 0.005, np.zeros(2), np.zeros(1))
+    windows = ThetaWindows(est)
+    accepted = [windows.observe(k * 0.005, np.zeros(2), np.zeros(1))
                 for k in range(200)]
     assert not any(accepted)
     assert len(est.stack) == 0
@@ -150,8 +156,9 @@ def test_generation_counts_significant_revisions():
     dyn, rollout = _closed_loop_rollout(3.0)
     est = ThetaEstimator(dyn, ThetaEstimatorConfig())
     generations = []
+    windows = ThetaWindows(est)
     for t, x, u in rollout:
-        est.observe(t, x, u)
+        windows.observe(t, x, u)
         est.update(0.005)
         generations.append(est.generation)
     assert generations[-1] >= 1
@@ -177,22 +184,22 @@ def _loop_window(nominal, features, times, states, controls):
 
 
 def test_observe_banks_exactly_the_reference_window_integral():
-    """Cached interval terms reproduce accumulate_window bit for bit, with
-    irregular sample spacing, two inputs, and a buffer that keeps evicting."""
+    """The pairs `window_pairs` sums for each offer are the plain loop's bit
+    for bit, with irregular sample spacing, two inputs, and a buffer that
+    keeps evicting."""
     rng = np.random.default_rng(5)
     a0 = np.array([[0.0, 1.0], [-1.0, -0.3]])
     b0 = np.array([[0.0, 0.5], [1.0, 0.0]])
     theta = rng.uniform(-0.5, 0.5, size=(4, 2))
     dyn = LinearPlant(a0, b0, theta)
     est = ThetaEstimator(dyn, ThetaEstimatorConfig(window=0.25, offer_period=0.05))
+    windows = ThetaWindows(est)
     offered = []
 
     def spy(y, b, t, tag=0):
-        window = [[s[k] for s in est._buffer] for k in range(3)]
-        equal = True
-        for integrate in (accumulate_window, _loop_window):
-            ref_y, ref_b = integrate(dyn.nominal, dyn.features, *window)
-            equal = equal and np.array_equal(y, ref_y) and np.array_equal(b, ref_b)
+        window = [[s[k] for s in windows.buffer] for k in range(3)]
+        ref_y, ref_b = _loop_window(dyn.nominal, dyn.features, *window)
+        equal = np.array_equal(y, ref_y) and np.array_equal(b, ref_b)
         offered.append((equal, len(window[0])))
         return False
 
@@ -203,7 +210,7 @@ def test_observe_banks_exactly_the_reference_window_integral():
     times = [0.05 * k + dt for k in range(60) for dt in offsets]
     x = np.array([1.0, -0.5])
     for t in times:
-        est.observe(t, x, np.array([np.sin(3.0 * t), np.cos(1.7 * t)]))
+        windows.observe(t, x, np.array([np.sin(3.0 * t), np.cos(1.7 * t)]))
         x = x + rng.normal(scale=0.05, size=2)
     assert len(offered) > 20
     assert all(equal for equal, _ in offered)

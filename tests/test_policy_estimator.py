@@ -52,16 +52,16 @@ def test_batch_solution_is_a_fixed_point():
 
 def test_weights_converge_to_the_batch_solution():
     est = _filled_estimator()
-    for _ in range(40000):
-        est.update(0.005)
+    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+        pass
     assert np.max(np.abs(est.weights - K_TRUE.T)) < 1e-8
 
 
 def test_gain_converges_to_forgetting_scaled_inverse_normal():
     """H = Gamma^-1 flows to (alpha / beta) S, so Gamma to (beta / alpha) S^-1."""
     est = _filled_estimator()
-    for _ in range(40000):
-        est.update(0.005)
+    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+        pass
     s = est.stack.normal_matrix()
     assert np.max(np.abs(est.information - (est.cfg.alpha / est.cfg.beta) * s)) < 1e-12
     target = (est.cfg.beta / est.cfg.alpha) * np.linalg.inv(s)

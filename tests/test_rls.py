@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 from oirl.errors import DivergenceError
 from oirl.history import HistoryStack
-from oirl.rls import ConcurrentLearner, _norm, row_norms
+from oirl.rls import CHUNK, ConcurrentLearner, _norm, row_norms
 
 DT = 0.005
 
@@ -232,3 +232,109 @@ def test_reset_survives_non_finite_step():
             assert learner.last_gain_reset and learner.gain_resets == k
     np.testing.assert_array_equal(learner.information, np.eye(2))
     np.testing.assert_array_equal(learner.weights, np.zeros((2, 1)))
+
+
+def _advance(learner, steps, **kwargs):
+    """The rows of one `advance` call, its chunks joined."""
+    chunks = list(learner.advance(DT, steps, **kwargs))
+    return (np.concatenate([w for w, _ in chunks]),
+            np.concatenate([g for _, g in chunks]))
+
+
+def test_advance_equals_repeated_updates():
+    """An L-step span is L one-step updates to 1e-13 relative, row by row,
+    across chunk boundaries, on a frozen stack."""
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(8, 4))
+
+    def learner():
+        return _learner(rows, rng_targets, weights=np.full((4, 2), 0.3), alpha=5.0)
+
+    rng_targets = rng.normal(size=(8, 2))
+    def miss(got, want):        # relative to the largest entry
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    span, stepped = learner(), learner()
+    steps = 2 * CHUNK + 37
+    w, gamma = _advance(span, steps)
+    assert w.shape == (steps, 4, 2) and gamma.shape == (steps, 2)
+    for j in range(steps):
+        stepped.update(DT)
+        assert miss(w[j], stepped.weights) < 1e-13
+        assert miss(gamma[j], np.array(stepped.gamma_eig_range)) < 1e-13
+    assert miss(span.information, stepped.information) < 1e-13
+    np.testing.assert_array_equal(span.weights, w[-1])
+    assert span.gain_resets == stepped.gain_resets == 0
+
+
+def test_advance_holds_the_certificate_on_every_row():
+    """With rows consistent with W* (C = S W*), E = H (W* - W) obeys
+    E_j = a^j E_0 on every row of a span, H_j being the closed form of the
+    nominal flow. A learner whose a or b is off by 1e-6 fails it."""
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(6, 3))
+    w_star = rng.normal(size=(3, 2))
+
+    def worst_miss(**overrides):
+        learner = _learner(rows, rows @ w_star, weights=rng.normal(size=(3, 2)),
+                           **overrides)
+        learner.information = np.diag([2.0, 0.5, 1.0])
+        cfg = _cfg()
+        a, _ = _flow(cfg)
+        h0, s = learner.information, learner.stack.normal_matrix()
+        e0 = h0 @ (w_star - learner.weights)
+        w, _ = _advance(learner, 600)
+        aj = a ** np.arange(1, 601)[:, None, None]
+        h = aj * h0 + (1.0 - aj) * (cfg.alpha / cfg.beta) * s
+        e = h @ (w_star - w)
+        assert learner.gain_resets == 0
+        return np.abs(e - aj * e0).max() / np.abs(e0).max()
+
+    assert worst_miss() < 1e-13
+    assert worst_miss(beta=2.0 * (1 + 1e-6)) > 1e-9
+    assert worst_miss(alpha=1.0 * (1 + 1e-6)) > 1e-9
+
+
+def test_bound_violation_inside_a_span_resets_at_that_row():
+    """Forgetting takes lambda_min(H) below 1 / gamma_ceiling at row 300 of
+    a span, past a chunk boundary: the span ends there with H reset to
+    I / gamma0, W kept from row 299, and the row flagged, exactly where
+    single steps reset."""
+    a, _ = _flow(_cfg())
+    first = 300                 # the first row whose lambda_min is too low
+
+    def learner():
+        # the stack excites only the second direction, so W moves along it
+        out = _learner([[0.0, 1.0]], [1.0], weights=np.array([[0.5], [-2.0]]),
+                       gamma0=2.0)
+        out.information = np.diag([1e-7 * a ** -(first + 0.5), 1.0])
+        return out
+
+    span, stepped = learner(), learner()
+    w, gamma = _advance(span, 1000)
+    assert len(w) == first + 1
+    assert span.last_gain_reset and span.gain_resets == 1
+    np.testing.assert_array_equal(w[first], w[first - 1])
+    np.testing.assert_array_equal(span.weights, w[first - 1])
+    assert w[first - 1, 1, 0] != w[0, 1, 0]           # W did move
+    np.testing.assert_array_equal(span.information, 0.5 * np.eye(2))
+    assert tuple(gamma[first]) == span.gamma_eig_range == (2.0, 2.0)
+    assert (gamma[:first, 1] < 1e7).all()
+    for j in range(first + 1):
+        stepped.update(DT)
+        assert stepped.last_gain_reset is (j == first)
+    np.testing.assert_allclose(stepped.weights, span.weights, rtol=1e-13)
+
+
+def test_finite_gain_beyond_its_squared_norm_steps_without_a_warning():
+    """H = 1e200 I is finite though its squares overflow: a step and a span
+    take it under the suite's error::RuntimeWarning filter, with no errstate
+    around them."""
+    learner = _learner(gamma_floor=1e-250)
+    learner.information = 1e200 * np.eye(2)
+    a, _ = _flow(learner.cfg)
+    learner.update(DT)
+    assert not learner.last_gain_reset
+    np.testing.assert_array_equal(learner.information, a * 1e200 * np.eye(2))
+    _advance(learner, 10)
+    assert learner.gain_resets == 0
