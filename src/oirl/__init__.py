@@ -9,30 +9,27 @@ to keep the reward estimator's history stack rich.
 
 from .dynamics import LinearPlant, TrackingScenario, eval_dynamics
 from .errors import (ConfigError, DimensionError, DivergenceError,
-                     RiccatiConvergenceError, UnstabilizableError,
-                     UnsupportedBasisError)
-from .features import BasisFamily, FeatureBasis, get_family
+                     RiccatiConvergenceError, UnstabilizableError)
+from .features import FeatureBasis
 from .harness import (MetricsRecord, RunResult, ScenarioConfig, ablate,
                       compare_to_oracle, emit_csv, load_config, run_scenario)
 from .history import HistoryStack
 from .irl_engine import IrlConfig, RewardEstimator, build_row_block
 from .oracle import LqrSolution, ideal_policy_weights, solve_are
-from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
-                              window_pairs)
-from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
+from .param_estimator import ThetaEstimator, ThetaEstimatorConfig, window_pairs
+from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LinearPlant", "TrackingScenario", "eval_dynamics",
     "ConfigError", "DimensionError", "DivergenceError",
-    "RiccatiConvergenceError", "UnstabilizableError", "UnsupportedBasisError",
-    "BasisFamily", "FeatureBasis", "get_family",
+    "RiccatiConvergenceError", "UnstabilizableError", "FeatureBasis",
     "MetricsRecord", "RunResult", "ScenarioConfig", "ablate",
     "compare_to_oracle", "emit_csv", "load_config", "run_scenario",
     "HistoryStack",
     "IrlConfig", "RewardEstimator", "build_row_block",
     "LqrSolution", "ideal_policy_weights", "solve_are",
-    "ThetaEstimator", "ThetaEstimatorConfig", "ThetaSnapshot", "window_pairs",
-    "PolicyEstimator", "PolicyEstimatorConfig", "PolicySnapshot",
+    "ThetaEstimator", "ThetaEstimatorConfig", "window_pairs",
+    "PolicyEstimator", "PolicyEstimatorConfig",
 ]

@@ -30,7 +30,3 @@ class UnstabilizableError(ValueError):
 
 class RiccatiConvergenceError(RuntimeError):
     """Riccati refinement stalled above the residual tolerance."""
-
-
-class UnsupportedBasisError(ValueError):
-    """A closed-form result was requested for a basis without one."""

@@ -1,14 +1,17 @@
-"""Polynomial feature bases for value, reward, and policy parameterizations.
+"""The feature maps of the value, reward, and policy parameterizations.
 
-Each basis family packages an evaluator with its analytic gradient so the
-estimators never fall back to finite differences at runtime. Scenario configs
-select the families by name.
+The value features are the quadratic monomials of the state and the policy
+features are the state itself: the models with an exact LQR ground truth,
+V(x) = x^T P x and u = -K x. The state reward is the one basis choice left,
+`"squares"` (a diagonal Q) or `"quadratic"` (a full Q over the value's
+monomials). The value gradient is analytic, so the estimators never fall back
+to finite differences at runtime. Control penalties always use componentwise
+input squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -17,35 +20,7 @@ from .errors import DimensionError
 Vector = np.ndarray
 Matrix = np.ndarray
 
-
-# ---------------------------------------------------------------------------
-# basis families
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """A named feature map z -> phi(z) with its gradient d phi / d z."""
-
-    name: str
-    dim: Callable[[int], int]                 # feature count for input size n
-    evaluate: Callable[[Vector], Vector]      # (n,) -> (dim(n),)
-    gradient: Callable[[Vector], Matrix]      # (n,) -> (dim(n), n)
-
-
-def _linear_eval(z: Vector) -> Vector:
-    return z.copy()
-
-
-def _linear_grad(z: Vector) -> Matrix:
-    return np.eye(z.shape[0])
-
-
-def _squares_eval(z: Vector) -> Vector:
-    return z * z
-
-
-def _squares_grad(z: Vector) -> Matrix:
-    return np.diag(2.0 * z)
+REWARDS = ("squares", "quadratic")
 
 
 def _quadratic_eval(z: Vector) -> Vector:
@@ -72,58 +47,34 @@ def _quadratic_grad(z: Vector) -> Matrix:
     return rows
 
 
-_FAMILIES = {
-    "linear": BasisFamily("linear", lambda n: n, _linear_eval, _linear_grad),
-    "squares": BasisFamily("squares", lambda n: n, _squares_eval, _squares_grad),
-    "quadratic": BasisFamily("quadratic", lambda n: n * (n + 1) // 2,
-                             _quadratic_eval, _quadratic_grad),
-}
-
-
-def get_family(name: str) -> BasisFamily:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise KeyError(f"unknown basis family {name!r}; "
-                       f"known: {sorted(_FAMILIES)}") from None
-
-
-# ---------------------------------------------------------------------------
-# basis bundle used by the estimators
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class FeatureBasis:
-    """Value/reward/policy bases for an n-state, m-input problem.
+    """Value/reward/policy features for an n-state, m-input problem.
 
-    value_dim (P) parameterizes the value function, reward_dim (L) the state
-    reward, policy_dim (K) the feedback policy. Control penalties always use
-    componentwise input squares, so they are not a selectable family.
+    value_dim (P) is n (n + 1) / 2, reward_dim (L) is n for `"squares"` and
+    P for `"quadratic"`, and policy_dim (K) is n.
     """
 
     state_dim: int
     input_dim: int
-    value: BasisFamily
-    reward: BasisFamily
-    policy: BasisFamily
+    reward: str = "squares"
 
-    @staticmethod
-    def from_names(state_dim: int, input_dim: int, value: str = "quadratic",
-                   reward: str = "squares", policy: str = "linear") -> "FeatureBasis":
-        return FeatureBasis(state_dim, input_dim, get_family(value),
-                            get_family(reward), get_family(policy))
+    def __post_init__(self):
+        if self.reward not in REWARDS:
+            raise ValueError(f"unknown reward basis {self.reward!r}; "
+                             f"known: {list(REWARDS)}")
 
     @property
     def value_dim(self) -> int:
-        return self.value.dim(self.state_dim)
+        return self.state_dim * (self.state_dim + 1) // 2
 
     @property
     def reward_dim(self) -> int:
-        return self.reward.dim(self.state_dim)
+        return self.value_dim if self.reward == "quadratic" else self.state_dim
 
     @property
     def policy_dim(self) -> int:
-        return self.policy.dim(self.state_dim)
+        return self.state_dim
 
     def _check_state(self, x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)
@@ -135,13 +86,14 @@ class FeatureBasis:
 
     def value_gradient(self, x: Vector) -> Matrix:
         """d sigma_V / dx, shape (value_dim, state_dim)."""
-        return self.value.gradient(self._check_state(x))
+        return _quadratic_grad(self._check_state(x))
 
     def reward_features(self, x: Vector) -> Vector:
-        return self.reward.evaluate(self._check_state(x))
+        x = self._check_state(x)
+        return _quadratic_eval(x) if self.reward == "quadratic" else x * x
 
     def policy_features(self, x: Vector) -> Vector:
-        return self.policy.evaluate(self._check_state(x))
+        return self._check_state(x)
 
     def control_squares(self, u: Vector) -> Vector:
         u = np.asarray(u, dtype=float)

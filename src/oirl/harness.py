@@ -35,13 +35,12 @@ import numpy as np
 
 from .dynamics import LinearPlant, TrackingScenario, rk4_transition
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
-from .features import FeatureBasis
+from .features import REWARDS, FeatureBasis
 from .irl_engine import IrlConfig, RewardEstimator
 from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
-from .param_estimator import (ThetaEstimator, ThetaEstimatorConfig, ThetaSnapshot,
-                              window_pairs)
-from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
+from .param_estimator import ThetaEstimator, ThetaEstimatorConfig, window_pairs
+from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 from .rls import _norm, row_norms
 
 Matrix = np.ndarray
@@ -163,17 +162,22 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     tb = cfg.theta_estimator.box
     if np.shape(tb) != (2,) or not tb[0] < tb[1]:
         raise ConfigError("theta box must be (lo, hi) with lo < hi")
+    # the value and policy features are fixed; only they have an LQR truth
+    for key, value, known in (("value", cfg.value_basis, ("quadratic",)),
+                              ("reward", cfg.reward_basis, REWARDS),
+                              ("policy", cfg.policy_basis, ("linear",))):
+        if value not in known:
+            raise ConfigError(f"features.{key} must be one of {list(known)}, "
+                              f"got {value!r}")
 
     try:
         plant = LinearPlant(cfg.nominal_a, cfg.nominal_b, cfg.theta_true)
         scenario = TrackingScenario(plant, _matrix(cfg.reference_matrix),
                                     _matrix(cfg.feedforward))
-        basis = FeatureBasis.from_names(
-            plant.state_dim, plant.input_dim, value=cfg.value_basis,
-            reward=cfg.reward_basis, policy=cfg.policy_basis)
-    except (KeyError, TypeError, ValueError) as exc:  # DimensionError is a ValueError
+    except (TypeError, ValueError) as exc:  # DimensionError is a ValueError
         raise ConfigError(f"cannot build the scenario: {exc}") from exc
     n, m = plant.state_dim, plant.input_dim
+    basis = FeatureBasis(n, m, cfg.reward_basis)
     if np.shape(cfg.x0) != (n,) or np.shape(cfg.xd0) != (n,):
         raise ConfigError("initial states have wrong shapes")
     r = _matrix(cfg.r_true)
@@ -210,35 +214,24 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
 
 def weight_targets(cfg: ScenarioConfig, oracle: LqrSolution) -> WeightTargets:
     """The oracle's weights in the estimators' anchored scale; ValueError
-    for a basis without closed-form weights.
+    for an off-diagonal q_true with the squares reward.
 
     The reward is identifiable only up to a positive scale; anchoring the
     first control penalty at r1 means every recovered weight is the true one
     times r1 / r_true[0, 0].
     """
-    m, n = oracle.gain.shape
-    basis = FeatureBasis.from_names(n, m, value=cfg.value_basis,
-                                    reward=cfg.reward_basis,
-                                    policy=cfg.policy_basis)
     q, r = _matrix(cfg.q_true), _matrix(cfg.r_true)
     scale = cfg.irl.r1 / float(r[0, 0])
-    if basis.reward.name == "squares":
-        if np.any(np.abs(q - np.diag(np.diag(q))) > 1e-12):
-            raise ValueError("squares reward basis cannot represent "
-                             "off-diagonal q_true")
-        w_q = np.diag(q).copy()
-    elif basis.reward.name == "quadratic":
+    if cfg.reward_basis == "quadratic":
         w_q = quadratic_value_weights(q)
+    elif np.any(np.abs(q - np.diag(np.diag(q))) > 1e-12):
+        raise ValueError("squares reward basis cannot represent off-diagonal q_true")
     else:
-        raise ValueError(
-            f"no ground-truth reward weights for basis {basis.reward.name!r}")
-    if basis.value.name != "quadratic":
-        raise ValueError(
-            f"no ground-truth value weights for basis {basis.value.name!r}")
+        w_q = np.diag(q).copy()
     return WeightTargets(value=scale * oracle.value_weights,
                          reward=scale * w_q,
                          control=scale * np.diag(r)[1:].copy(),
-                         policy=ideal_policy_weights(oracle, basis), scale=scale)
+                         policy=ideal_policy_weights(oracle), scale=scale)
 
 
 # -- JSON round trip ---------------------------------------------------------
@@ -562,13 +555,13 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list
         def collect(k, engine=engine, query=query, due=due, purged=lane["purge"]):
             changed = purged[k] = engine.schedule_purge(clock[k], gens[k])
             if k in due:
-                theta = ThetaSnapshot(theta_rows[k - 1] if k else theta0, gens[k])
+                theta = theta_rows[k - 1] if k else theta0
                 if query:
-                    policy = PolicySnapshot(policy_rows[k - 1] if k else policy0)
-                    changed |= engine.generate_query(policy, theta, clock[k])
+                    changed |= engine.generate_query(
+                        policy_rows[k - 1] if k else policy0, theta, gens[k], clock[k])
                 else:
                     changed |= engine.collect_trajectory_sample(
-                        es[k], mus[k], theta, clock[k])
+                        es[k], mus[k], theta, gens[k], clock[k])
             return changed
 
         lo, hi = lane["lambda_gamma_irl"], np.empty(rows)

@@ -77,11 +77,6 @@ class HistoryStack:
         """Cached lambda_min of the stacked normal matrix (0 when empty)."""
         return self._rank_metric
 
-    def is_full_rank(self, threshold: float) -> bool:
-        if threshold <= 0.0:
-            raise ValueError("rank threshold must be positive")
-        return self._rank_metric > threshold
-
     def normal_matrix(self) -> Matrix:
         """sum over entries of block^T block, shape (row_dim, row_dim); the
         cached array, read-only, which a change to the stack replaces."""

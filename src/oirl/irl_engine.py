@@ -2,7 +2,9 @@
 residuals over queried state-action pairs.
 
 For a reward r(x, u) = W_Q^T sigma_Q(x) + u^T R u with R diagonal and a value
-function V(x) = W_V^T sigma_V(x), optimal behavior makes two residuals vanish:
+function V(x) = W_V^T sigma_V(x), where sigma_V are the quadratic monomials of
+the state and sigma_Q its squares or the same monomials (`FeatureBasis`),
+optimal behavior makes two residuals vanish:
 
   Bellman:       W_V^T grad(sigma_V)(x) xdot + W_Q^T sigma_Q(x) + W_R^T (u*u) = 0
   stationarity:  grad(sigma_V)(x)^T W_V paired against each input channel,
@@ -11,7 +13,7 @@ function V(x) = W_V^T sigma_V(x), optimal behavior makes two residuals vanish:
 Each sampled pair (x_i, u_i) therefore contributes 1 + m linear rows in the
 unknown weights. The reward is only identifiable up to scale, so the first
 control penalty r_1 is fixed by convention and moves to the row offsets.
-Rows are built from the current drift-parameter estimate, banked in a history
+Rows are built from a drift-parameter estimate theta_hat, banked in a history
 stack tagged with that estimate's generation, and purged when fresher
 estimates make old rows stale. The stack holds -offsets as targets, so that
 rows @ W ~= target as `rls.ConcurrentLearner` expects.
@@ -26,8 +28,6 @@ import numpy as np
 from .dynamics import LinearPlant, eval_dynamics
 from .features import FeatureBasis
 from .history import HistoryStack
-from .param_estimator import ThetaSnapshot
-from .policy_estimator import PolicySnapshot
 from .rls import ConcurrentLearner, _norm
 
 Matrix = np.ndarray
@@ -127,26 +127,27 @@ class RewardEstimator(ConcurrentLearner):
     def draw_query_state(self) -> Vector:
         return self.rng.uniform(self.query_box[:, 0], self.query_box[:, 1])
 
-    def _offer(self, x: Vector, u_hat: Vector, theta: ThetaSnapshot,
-               t: float) -> bool:
+    def _offer(self, x: Vector, u_hat: Vector, theta_hat: Matrix,
+               generation: int, t: float) -> bool:
         rows, offsets = build_row_block(self.basis, self.dyn, x, u_hat,
-                                        theta.theta_hat, self.cfg.r1)
+                                        theta_hat, self.cfg.r1)
         if _norm(rows) < 1e-12:
             return False        # degenerate sample, cannot raise lambda_min
-        return self.stack.try_insert(rows, -offsets, t, tag=theta.generation)
+        return self.stack.try_insert(rows, -offsets, t, tag=generation)
 
-    def generate_query(self, policy: PolicySnapshot, theta: ThetaSnapshot,
-                       t: float) -> bool:
-        """Draw x_i from the query box, evaluate the estimated policy, bank rows."""
+    def generate_query(self, policy_weights: Matrix, theta_hat: Matrix,
+                       generation: int, t: float) -> bool:
+        """Draw x_i from the query box, evaluate the estimated policy, and
+        bank its rows, built from theta_hat and tagged with its generation."""
         x_i = self.draw_query_state()
-        u_hat = -(policy.weights.T @ self.basis.policy_features(x_i))
-        return self._offer(x_i, u_hat, theta, t)
+        u_hat = -(policy_weights.T @ self.basis.policy_features(x_i))
+        return self._offer(x_i, u_hat, theta_hat, generation, t)
 
-    def collect_trajectory_sample(self, x: Vector, u: Vector,
-                                  theta: ThetaSnapshot, t: float) -> bool:
+    def collect_trajectory_sample(self, x: Vector, u: Vector, theta_hat: Matrix,
+                                  generation: int, t: float) -> bool:
         """No-querying variant: bank rows built from an observed (x, u) pair."""
         return self._offer(np.asarray(x, dtype=float),
-                           np.asarray(u, dtype=float), theta, t)
+                           np.asarray(u, dtype=float), theta_hat, generation, t)
 
     # -- purging ---------------------------------------------------------------
 

@@ -6,8 +6,12 @@ Solves the continuous-time algebraic Riccati equation
 
 by the Hamiltonian invariant-subspace method, then polishes P with Kleinman
 iterations (each step solves a Lyapunov equation exactly via a Kronecker
-system) until the residual is at machine level. Estimator modules never call
-into this file; it exists for demonstrators, diagnostics, and tests.
+system) until the residual is at machine level. The LQR value x^T P x and
+policy u = -K x are linear in the fixed value features (the quadratic
+monomials) and policy features (the state) of `features.FeatureBasis`, so
+the weights the estimators should reach are read off P and K. Estimator
+modules never call into this file; it exists for demonstrators,
+diagnostics, and tests.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, RiccatiConvergenceError,
-                     UnstabilizableError, UnsupportedBasisError)
-from .features import FeatureBasis
+from .errors import DimensionError, RiccatiConvergenceError, UnstabilizableError
 
 Matrix = np.ndarray
 
@@ -162,15 +164,6 @@ def solve_are(a: Matrix, b: Matrix, q: Matrix, r: Matrix) -> LqrSolution:
                        value_weights=quadratic_value_weights(p))
 
 
-def ideal_policy_weights(sol: LqrSolution, basis: FeatureBasis) -> Matrix:
-    """Weights W_u with u = -W_u^T sigma_pi(x) reproducing the LQR feedback.
-
-    Only the linear policy family admits an exact answer; anything else
-    raises UnsupportedBasisError.
-    """
-    if basis.policy.name != "linear":
-        raise UnsupportedBasisError(
-            f"no closed-form policy weights for basis {basis.policy.name!r}")
-    if basis.state_dim != sol.gain.shape[1] or basis.input_dim != sol.gain.shape[0]:
-        raise DimensionError("basis dimensions do not match the gain")
+def ideal_policy_weights(sol: LqrSolution) -> Matrix:
+    """Weights W_u with u = -W_u^T x reproducing the LQR feedback."""
     return sol.gain.T.copy()

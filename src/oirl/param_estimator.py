@@ -67,13 +67,6 @@ def window_pairs(dyn: LinearPlant, times, states, controls, ends,
 
 
 @dataclass(frozen=True)
-class ThetaSnapshot:
-    """Immutable (theta_hat, generation) handoff for the other estimators."""
-    theta_hat: Matrix
-    generation: int
-
-
-@dataclass(frozen=True)
 class ThetaEstimatorConfig:
     """The `theta_estimator` config group."""
     alpha: float = 1.0
@@ -114,14 +107,6 @@ class ThetaEstimator(ConcurrentLearner):
     def theta_hat(self) -> Matrix:
         """The current estimate; the learner's weights, read-only by name."""
         return self.weights
-
-    def snapshot(self) -> ThetaSnapshot:
-        return ThetaSnapshot(self.weights.copy(), self.generation)
-
-    def update(self, dt: float) -> None:
-        """One learner step, then the generation logic."""
-        for w, _ in self.advance(dt, 1):
-            self.revise(w)
 
     def _amend(self, w: Matrix) -> int:
         """Clip the first row that leaves the box; the span ends there."""

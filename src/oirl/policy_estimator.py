@@ -17,14 +17,7 @@ from .features import FeatureBasis
 from .history import HistoryStack
 from .rls import ConcurrentLearner, _norm
 
-Matrix = np.ndarray
 Vector = np.ndarray
-
-
-@dataclass(frozen=True)
-class PolicySnapshot:
-    """Immutable copy of the policy weights."""
-    weights: Matrix
 
 
 @dataclass(frozen=True)
@@ -49,9 +42,6 @@ class PolicyEstimator(ConcurrentLearner):
         super().__init__(
             cfg, HistoryStack(cfg.stack_size, row_dim=k, block_rows=1, target_dim=m),
             np.zeros((k, m)))
-
-    def snapshot(self) -> PolicySnapshot:
-        return PolicySnapshot(self.weights.copy())
 
     def record_sample(self, x: Vector, u: Vector, t: float) -> bool:
         """Offer one (sigma_pi(x), -u) pair to the stack.

@@ -71,11 +71,6 @@ class ConcurrentLearner:
         self.last_gain_reset = False
         self.gamma_eig_range = (cfg.gamma0, cfg.gamma0)
 
-    def update(self, dt: float) -> None:
-        """One exact step of the laws, with the stack's S and C held."""
-        for _ in self.advance(dt, 1):
-            pass
-
     def advance(self, dt: float, steps: int, normal=None, cross=None):
         """Up to `steps` exact steps with S and C held (the stack's unless
         given), yielding (W, gamma) per chunk of at most CHUNK steps: the

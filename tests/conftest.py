@@ -13,8 +13,17 @@ import per_step
 from oirl import harness
 from oirl.dynamics import rk4_transition
 from oirl.harness import ablate, load_config, run_scenario
+from oirl.param_estimator import ThetaEstimator
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
+
+
+def step(learner, dt):
+    """One exact step of a learner's laws with its stack held, and for a
+    theta estimator the generation of the new estimate."""
+    for w, _ in learner.advance(dt, 1):
+        if isinstance(learner, ThetaEstimator):
+            learner.revise(w)
 
 
 @pytest.fixture(scope="session")

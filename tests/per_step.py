@@ -4,8 +4,8 @@ reference for it, the way `_getattr_csv` is kept for `emit_csv`.
 `run_lanes(cfg, modes)` steps the plant, the reference, the three estimators
 and every lane one step at a time, in the loop's order: the theta window
 offer, the policy sample, each lane's purge and query, then the theta,
-policy and lane updates (each its learner's one-step `update`), the records,
-and the plant step. It returns what `harness._run_lanes` returns, or raises
+policy and lane updates (each its learner's one-step `advance`, and
+`revise` for theta), the records, and the plant step. It returns what `harness._run_lanes` returns, or raises
 the first DivergenceError with its `t` and `last_record_index`.
 `ThetaWindows.observe` is the theta estimator's per-sample window offer.
 """
@@ -95,24 +95,28 @@ def run_lanes(cfg, modes):
                 policy_est.record_sample(e, mu, t)
                 last_policy_offer = t
 
-            policy_ready = policy_est.stack.is_full_rank(pc.rank_threshold)
+            policy_ready = policy_est.stack.rank_metric > pc.rank_threshold
             generation = theta_est.generation
             for i, engine, query in lanes:
                 gates[i] = gate = generation >= 1 and (policy_ready or not query)
                 purged[i] = engine.schedule_purge(t, generation)
                 if gate and t - last_collect[i] >= ic.query_period - 1e-9:
-                    snap = theta_est.snapshot()
                     if query:
-                        engine.generate_query(policy_est.snapshot(), snap, t)
+                        engine.generate_query(policy_est.weights, theta_est.weights,
+                                              generation, t)
                     else:
-                        engine.collect_trajectory_sample(e, mu, snap, t)
+                        engine.collect_trajectory_sample(e, mu, theta_est.weights,
+                                                         generation, t)
                     last_collect[i] = t
 
-            theta_est.update(dt)
-            policy_est.update(dt)
+            for w, _ in theta_est.advance(dt, 1):
+                theta_est.revise(w)
+            for _ in policy_est.advance(dt, 1):
+                pass
             for i, engine, _ in lanes:
                 if gates[i]:
-                    engine.update(dt)
+                    for _ in engine.advance(dt, 1):
+                        pass
 
             if policy_ready:
                 pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])
@@ -121,7 +125,7 @@ def run_lanes(cfg, modes):
             theta_rows[k] = theta_est.weights
             policy_rows[k] = policy_est.weights
             for i, engine, _ in lanes:
-                if engine.stack.is_full_rank(ic.rank_threshold):
+                if engine.stack.rank_metric > ic.rank_threshold:
                     irl_lo[i] = min(irl_lo[i], engine.gamma_eig_range[0])
                     irl_hi[i] = max(irl_hi[i], engine.gamma_eig_range[1])
                 w_rows[i][k] = engine.weights

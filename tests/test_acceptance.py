@@ -20,12 +20,11 @@ import hashlib
 import numpy as np
 
 from oirl.dynamics import LinearPlant
-from oirl.features import FeatureBasis, get_family
+from oirl.features import FeatureBasis
 from oirl.harness import emit_csv, record_array
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import riccati_residual, solve_are
-from oirl.param_estimator import ThetaSnapshot
-from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig, PolicySnapshot
+from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 from oirl.errors import RiccatiConvergenceError, UnstabilizableError
 
 from bellman import inverse_bellman_error
@@ -130,7 +129,7 @@ def test_criterion_5_oracle_property_suite(capsys):
         # exact data: anchored true weights must zero every row block
         theta = np.vstack([a.T, b.T])
         dyn = LinearPlant(np.zeros((n, n)), np.zeros((n, m)), theta)
-        basis = FeatureBasis.from_names(n, m, "quadratic", "squares", "linear")
+        basis = FeatureBasis(n, m)
         r1 = float(r[0, 0])
         w_true = np.concatenate([sol.value_weights, np.diag(q),
                                  np.diag(r)[1:]])
@@ -159,7 +158,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
     dt = 0.005
 
     # policy estimator on a frozen stack of noisy pairs
-    basis = FeatureBasis.from_names(2, 1, "quadratic", "squares", "linear")
+    basis = FeatureBasis(2, 1)
     pol = PolicyEstimator(basis, PolicyEstimatorConfig())
     k_true = np.array([[0.0916079783099616, 0.2302163765760962]])
     for i in range(40):
@@ -179,10 +178,9 @@ def test_criterion_6_recursive_matches_batch(capsys):
     dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
                       theta)
     eng = RewardEstimator(basis, dyn, IrlConfig(), 31)
-    policy = PolicySnapshot(k_true.T + 0.02 * rng.normal(size=(2, 1)))
-    snap = ThetaSnapshot(theta.copy(), 1)
+    policy = k_true.T + 0.02 * rng.normal(size=(2, 1))
     for i in range(40):
-        eng.generate_query(policy, snap, t=0.05 * i)
+        eng.generate_query(policy, theta, 1, t=0.05 * i)
     for _ in eng.advance(dt, 80000):
         pass
     s_irl = eng.stack.normal_matrix()
@@ -198,22 +196,23 @@ def test_criterion_6_recursive_matches_batch(capsys):
 
 
 def test_criterion_7_numerical_hygiene(query_run, ablation, capsys, tmp_path):
-    # feature gradients against central differences
+    # the value gradient against central differences of the quadratic
+    # monomials, which a quadratic reward evaluates
     worst_grad = 0.0
     rng = np.random.default_rng(77)
-    for name in ("linear", "squares", "quadratic"):
-        fam = get_family(name)
-        for n in (1, 2, 3, 4):
-            for _ in range(5):
-                z = rng.uniform(-2.0, 2.0, n)
-                fd = np.zeros((fam.dim(n), n))
-                for j in range(n):
-                    zp, zm = z.copy(), z.copy()
-                    zp[j] += 1e-6
-                    zm[j] -= 1e-6
-                    fd[:, j] = (fam.evaluate(zp) - fam.evaluate(zm)) / 2e-6
-                worst_grad = max(worst_grad,
-                                 np.max(np.abs(fam.gradient(z) - fd)))
+    for n in (1, 2, 3, 4):
+        basis = FeatureBasis(n, 1, reward="quadratic")
+        for _ in range(5):
+            z = rng.uniform(-2.0, 2.0, n)
+            fd = np.zeros((basis.value_dim, n))
+            for j in range(n):
+                zp, zm = z.copy(), z.copy()
+                zp[j] += 1e-6
+                zm[j] -= 1e-6
+                fd[:, j] = (basis.reward_features(zp)
+                            - basis.reward_features(zm)) / 2e-6
+            worst_grad = max(worst_grad,
+                             np.max(np.abs(basis.value_gradient(z) - fd)))
 
     # two independent same-seed runs serialize to identical bytes
     run_a, _ = query_run

@@ -14,7 +14,9 @@ from oirl.harness import config_from_dict, run_scenario
 from oirl.irl_engine import RewardEstimator
 from oirl.policy_estimator import PolicyEstimator
 
-SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ROOT / "configs" / "tracking.json"
+TWO_INPUT = ROOT / "perfbench" / "configs" / "two_input.json"
 
 
 def _write(tmp_path, data) -> str:
@@ -98,16 +100,17 @@ UNBUILDABLE = {
     "policy_rank_threshold": {("policy_estimator", "rank_threshold"): 0.0},
     "irl_rank_threshold": {("irl", "rank_threshold"): 0.0},
     "squares_value": {("features", "value"): "squares"},
+    "linear_value": {("features", "value"): "linear"},
+    "linear_reward": {("features", "reward"): "linear"},
+    "fourier_reward": {("features", "reward"): "fourier"},
     "theta_floor_above_ceiling": {("theta_estimator", "gamma_floor"): 10.0,
                                   ("theta_estimator", "gamma_ceiling"): 5.0},
     "policy_gamma0_above_ceiling": {("policy_estimator", "gamma0"): 1e8},
     "negative_revision_threshold": {
         ("theta_estimator", "revision_threshold"): -1.0},
 }
-# `run` rejected a squares value basis before `oracle` did
 UNBUILDABLE_CASES = [(command, case) for case in UNBUILDABLE
-                     for command in ("run", "oracle")
-                     if (command, case) != ("run", "squares_value")]
+                     for command in ("run", "oracle")]
 
 
 @pytest.mark.parametrize("command, case", UNBUILDABLE_CASES,
@@ -120,7 +123,22 @@ def test_unbuildable_config_exits_2(tmp_path, capsys, command, case):
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # a rejected feature basis names its key
+    for section, key in UNBUILDABLE[case]:
+        assert section != "features" or f"features.{key}" in err
+
+
+def test_quadratic_reward_is_recovered_with_two_inputs(tmp_path):
+    """A full-Q reward over the quadratic monomials runs and passes on the
+    two-input scenario. One input leaves it unidentifiable: the shipped
+    scenario has more unknowns than equations and misses its tolerances."""
+    data = json.loads(TWO_INPUT.read_text())
+    data["features"]["reward"] = "quadratic"
+    data["simulation"]["duration"] = 30.0
+    assert main(["run", "--config", _write(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_short_run_missing_its_tolerances_exits_1(tmp_path):

@@ -126,16 +126,6 @@ def test_purge_rejects_nonpositive_dwell():
         stack.purge(t_now=1.0, dwell=0.0, last_purge=0.0)
 
 
-def test_is_full_rank_threshold_validation():
-    stack = HistoryStack(capacity=2, row_dim=2)
-    with pytest.raises(ValueError):
-        stack.is_full_rank(0.0)
-    stack.try_insert(np.array([2.0, 0.0]), 0.0, t=0.0)
-    stack.try_insert(np.array([0.0, 2.0]), 0.0, t=0.1)
-    assert stack.is_full_rank(3.9)
-    assert not stack.is_full_rank(4.1)
-
-
 def test_non_finite_rows_are_rejected():
     stack = HistoryStack(capacity=2, row_dim=2)
     with pytest.raises(ValueError):

@@ -7,10 +7,9 @@ from oirl.dynamics import LinearPlant, eval_dynamics
 from oirl.features import FeatureBasis
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
-from oirl.param_estimator import ThetaSnapshot
-from oirl.policy_estimator import PolicySnapshot
 
 from bellman import inverse_bellman_error
+from conftest import step
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -26,7 +25,7 @@ def _plant():
 
 
 def _basis(m=1):
-    return FeatureBasis.from_names(2, m, "quadratic", "squares", "linear")
+    return FeatureBasis(2, m)
 
 
 def _anchored_truth():
@@ -135,8 +134,7 @@ def test_anchor_must_be_positive():
 
 def test_degenerate_origin_sample_is_rejected():
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(), 0)
-    snap = ThetaSnapshot(THETA.copy(), 1)
-    assert not eng.collect_trajectory_sample(np.zeros(2), np.zeros(1), snap, 0.0)
+    assert not eng.collect_trajectory_sample(np.zeros(2), np.zeros(1), THETA, 1, 0.0)
     assert len(eng.stack) == 0
 
 
@@ -162,10 +160,8 @@ def test_query_sequence_is_seed_deterministic():
 
 def _engine_with_optimal_queries(r1=10.0, n_queries=40):
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(r1=r1), 5)
-    policy = PolicySnapshot(K_EXACT.T.copy())
-    theta = ThetaSnapshot(THETA.copy(), 1)
     for i in range(n_queries):
-        eng.generate_query(policy, theta, t=0.05 * i)
+        eng.generate_query(K_EXACT.T, THETA, 1, t=0.05 * i)
     return eng
 
 
@@ -180,7 +176,7 @@ def test_anchored_truth_is_a_fixed_point():
     eng = _engine_with_optimal_queries()
     eng.weights = _anchored_truth()
     before = eng.weights.copy()
-    eng.update(0.005)
+    step(eng, 0.005)
     assert np.max(np.abs(eng.weights - before)) < 1e-10
 
 
@@ -209,11 +205,10 @@ def test_doubling_the_anchor_doubles_the_weights():
 
 def test_purge_requires_staleness_and_dwell():
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(dwell=2.0), 0)
-    theta0 = ThetaSnapshot(THETA.copy(), 0)
     rng = np.random.default_rng(4)
     for i in range(10):
         e = rng.uniform(-1, 1, 2)
-        eng.collect_trajectory_sample(e, -(K_EXACT @ e), theta0, t=0.05 * i)
+        eng.collect_trajectory_sample(e, -(K_EXACT @ e), THETA, 0, t=0.05 * i)
     # same generation: never purge, regardless of elapsed time
     assert not eng.schedule_purge(5.0, theta_generation=0)
     # newer generation but dwell not yet satisfied (last_purge = 0)

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from oirl.errors import (RiccatiConvergenceError, UnstabilizableError,
-                         UnsupportedBasisError)
-from oirl.features import FeatureBasis
+from oirl.errors import RiccatiConvergenceError, UnstabilizableError
 from oirl.oracle import (ideal_policy_weights, quadratic_value_weights,
                          riccati_residual, solve_are)
 
@@ -115,15 +113,7 @@ def test_argument_validation():
 
 def test_ideal_policy_weights_transpose_the_gain():
     sol = solve_are(A_SCN, B_SCN, Q_SCN, R_SCN)
-    basis = FeatureBasis.from_names(2, 1, "quadratic", "squares", "linear")
-    np.testing.assert_allclose(ideal_policy_weights(sol, basis), sol.gain.T)
-
-
-def test_ideal_policy_weights_need_linear_features():
-    sol = solve_are(A_SCN, B_SCN, Q_SCN, R_SCN)
-    basis = FeatureBasis.from_names(2, 1, "quadratic", "squares", "quadratic")
-    with pytest.raises(UnsupportedBasisError):
-        ideal_policy_weights(sol, basis)
+    np.testing.assert_allclose(ideal_policy_weights(sol), sol.gain.T)
 
 
 @pytest.mark.parametrize("a, b, q, r", [

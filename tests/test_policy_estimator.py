@@ -7,15 +7,16 @@ from oirl.dynamics import LinearPlant
 from oirl.errors import DivergenceError
 from oirl.features import FeatureBasis
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
-from oirl.param_estimator import ThetaSnapshot
 from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
+
+from conftest import step
 
 K_TRUE = np.array([[0.0916079783099616, 0.2302163765760962]])
 THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
 
 
 def _basis():
-    return FeatureBasis.from_names(2, 1, "quadratic", "squares", "linear")
+    return FeatureBasis(2, 1)
 
 
 def _filled_estimator(n_samples=30, seed=2):
@@ -46,7 +47,7 @@ def test_batch_solution_is_a_fixed_point():
     est = _filled_estimator()
     est.weights = K_TRUE.T.copy()
     before = est.weights.copy()
-    est.update(0.005)
+    step(est, 0.005)
     assert np.max(np.abs(est.weights - before)) < 1e-14
 
 
@@ -71,13 +72,13 @@ def test_gain_converges_to_forgetting_scaled_inverse_normal():
 
 def test_empty_stack_gain_grows_until_reset():
     est = PolicyEstimator(_basis(), PolicyEstimatorConfig(beta=2.0, gamma0=1.0))
-    est.update(0.005)
+    step(est, 0.005)
     # H shrinks by a = exp(-beta dt), so Gamma = H^-1 grows by 1 / a per step
     np.testing.assert_allclose(est.information, np.exp(-0.01) * np.eye(2),
                                rtol=1e-15, atol=0)
     resets = 0
     for _ in range(2000):  # exp(0.01 k) passes 1e7 near k = 1612
-        est.update(0.005)
+        step(est, 0.005)
         resets += est.last_gain_reset
     assert resets >= 1
     assert est.gain_resets == resets
@@ -95,20 +96,13 @@ def test_query_is_linear_in_the_state():
     twin = RewardEstimator(_basis(), dyn, IrlConfig(), 3)
     for i in range(5):
         x = twin.draw_query_state()
-        assert eng.generate_query(est.snapshot(), ThetaSnapshot(THETA, 1), 0.05 * i)
+        assert eng.generate_query(est.weights, THETA, 1, 0.05 * i)
         rows, offsets = build_row_block(_basis(), dyn, x, -(K_TRUE @ x), THETA,
                                         eng.cfg.r1)
         np.testing.assert_allclose(eng.stack.regressor()[-2:], rows,
                                    rtol=1e-14, atol=0)
         np.testing.assert_allclose(eng.stack.targets()[-2:, 0], -offsets,
                                    rtol=1e-14, atol=0)
-
-
-def test_snapshot_is_a_copy():
-    est = _filled_estimator()
-    snap = est.snapshot()
-    snap.weights[0, 0] = 77.0
-    assert est.weights[0, 0] != 77.0
 
 
 def test_non_finite_update_raises():
@@ -121,5 +115,5 @@ def test_non_finite_update_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
             for _ in range(200):
-                est.update(0.005)
+                step(est, 0.005)
     assert np.isfinite(est.weights).all()

@@ -12,6 +12,8 @@ from oirl.errors import DivergenceError
 from oirl.history import HistoryStack
 from oirl.rls import CHUNK, ConcurrentLearner, _norm, row_norms
 
+from conftest import step
+
 DT = 0.005
 
 
@@ -79,7 +81,7 @@ def test_learner_weights_that_overflow_raise_divergence():
         with pytest.raises(DivergenceError, match="non-finite"):
             for _ in range(200):
                 last = learner.weights
-                learner.update(DT)
+                step(learner, DT)
     assert learner.weights is last and np.isfinite(last).all()
     assert last[0, 0] > 1e307
     assert learner.gain_resets == 0
@@ -91,7 +93,7 @@ def test_finite_gain_beyond_its_squared_norm_is_not_reset():
     learner.information = 1e200 * np.eye(2)
     a, _ = _flow(learner.cfg)
     with np.errstate(over="ignore"):
-        learner.update(DT)
+        step(learner, DT)
     assert not learner.last_gain_reset
     np.testing.assert_array_equal(learner.information, a * 1e200 * np.eye(2))
     assert learner.gamma_eig_range == (1.0 / (a * 1e200),) * 2
@@ -102,7 +104,7 @@ def test_pure_forgetting_grows_geometrically():
     learner = _learner(weights=np.array([[0.5], [-2.0]]))
     a, _ = _flow(learner.cfg)
     for k in range(1, 4):
-        learner.update(DT)
+        step(learner, DT)
         assert not learner.last_gain_reset
         np.testing.assert_allclose(learner.information, a ** k * np.eye(2),
                                    rtol=1e-15, atol=0)
@@ -122,7 +124,7 @@ def test_excitation_contracts_the_gain():
     a, _ = _flow(cfg)
     h0 = learner.information.copy()
     for k in range(1, 2001):
-        learner.update(DT)
+        step(learner, DT)
         if k in (1, 10, 100, 2000):
             closed = a ** k * h0 + (1.0 - a ** k) * (cfg.alpha / cfg.beta) * s
             np.testing.assert_allclose(learner.information, closed,
@@ -144,7 +146,7 @@ def test_information_step_stays_symmetric_bit_for_bit():
     assert (stack.normal_matrix() == stack.normal_matrix().T).all()
     learner = ConcurrentLearner(_cfg(alpha=3.0), stack, np.zeros(5))
     for _ in range(500):
-        learner.update(DT)
+        step(learner, DT)
         assert (learner.information == learner.information.T).all()
     assert learner.weights.shape == (5,)
 
@@ -167,7 +169,7 @@ def test_certificate_holds_on_every_step_without_a_reset():
         worst, checked = 0.0, 0
         for _ in range(4000):
             h, w = learner.information, learner.weights
-            learner.update(DT)
+            step(learner, DT)
             if learner.last_gain_reset:
                 continue
             h_next, w_next = learner.information, learner.weights
@@ -193,7 +195,7 @@ def test_ceiling_violation_resets_to_initial_gain():
     for scale, reset in ((1.0001 / a, False), (0.9999 / a, True)):
         learner = _learner(weights=np.array([[0.5], [-2.0]]), gamma0=2.0)
         learner.information = np.diag([scale * 1e-7, 1.0])
-        learner.update(DT)
+        step(learner, DT)
         assert learner.last_gain_reset is reset
         assert learner.gain_resets == int(reset)
         np.testing.assert_array_equal(learner.weights, [[0.5], [-2.0]])
@@ -212,7 +214,7 @@ def test_floor_violation_resets_to_initial_gain():
         rows = math.sqrt(excitation) * np.eye(2)
         learner = _learner(rows, [1.0, 2.0], weights=np.array([[0.5], [-2.0]]))
         learner.information = np.zeros((2, 2))   # so that H+ = b S exactly
-        learner.update(DT)
+        step(learner, DT)
         assert learner.last_gain_reset is reset
         if reset:
             np.testing.assert_array_equal(learner.information, np.eye(2))
@@ -228,7 +230,7 @@ def test_reset_survives_non_finite_step():
     learner = _learner([[1e6, 0.0], [0.0, 1e6]], [1.0, 1.0], alpha=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, 4):
-            learner.update(DT)
+            step(learner, DT)
             assert learner.last_gain_reset and learner.gain_resets == k
     np.testing.assert_array_equal(learner.information, np.eye(2))
     np.testing.assert_array_equal(learner.weights, np.zeros((2, 1)))
@@ -242,7 +244,7 @@ def _advance(learner, steps, **kwargs):
 
 
 def test_advance_equals_repeated_updates():
-    """An L-step span is L one-step updates to 1e-13 relative, row by row,
+    """An L-step span is L one-step spans to 1e-13 relative, row by row,
     across chunk boundaries, on a frozen stack."""
     rng = np.random.default_rng(21)
     rows = rng.normal(size=(8, 4))
@@ -259,7 +261,7 @@ def test_advance_equals_repeated_updates():
     w, gamma = _advance(span, steps)
     assert w.shape == (steps, 4, 2) and gamma.shape == (steps, 2)
     for j in range(steps):
-        stepped.update(DT)
+        step(stepped, DT)
         assert miss(w[j], stepped.weights) < 1e-13
         assert miss(gamma[j], np.array(stepped.gamma_eig_range)) < 1e-13
     assert miss(span.information, stepped.information) < 1e-13
@@ -321,7 +323,7 @@ def test_bound_violation_inside_a_span_resets_at_that_row():
     assert tuple(gamma[first]) == span.gamma_eig_range == (2.0, 2.0)
     assert (gamma[:first, 1] < 1e7).all()
     for j in range(first + 1):
-        stepped.update(DT)
+        step(stepped, DT)
         assert stepped.last_gain_reset is (j == first)
     np.testing.assert_allclose(stepped.weights, span.weights, rtol=1e-13)
 
@@ -333,7 +335,7 @@ def test_finite_gain_beyond_its_squared_norm_steps_without_a_warning():
     learner = _learner(gamma_floor=1e-250)
     learner.information = 1e200 * np.eye(2)
     a, _ = _flow(learner.cfg)
-    learner.update(DT)
+    step(learner, DT)
     assert not learner.last_gain_reset
     np.testing.assert_array_equal(learner.information, a * 1e200 * np.eye(2))
     _advance(learner, 10)
