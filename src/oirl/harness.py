@@ -27,7 +27,7 @@ import dataclasses
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,18 +45,20 @@ from .rls import _norm, row_norms
 
 Matrix = np.ndarray
 
-DEFAULT_TOLERANCES = {
-    "value_weights": 0.05,
-    "reward_weights": 0.05,
-    "control_weights": 0.05,
-    "policy_weights": 0.01,
-    "theta": 0.01,
-}
-
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The `tolerances` config group: terminal error bounds per quantity."""
+    value_weights: float = 0.05
+    reward_weights: float = 0.05
+    control_weights: float = 0.05
+    policy_weights: float = 0.01
+    theta: float = 0.01
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -71,10 +73,7 @@ class ScenarioConfig:
     xd0: tuple
     q_true: tuple
     r_true: tuple
-    plant_family: str = "linear_uncertain"
-    value_basis: str = "quadratic"
     reward_basis: str = "squares"
-    policy_basis: str = "linear"
     policy_estimator: PolicyEstimatorConfig = PolicyEstimatorConfig()
     theta_estimator: ThetaEstimatorConfig = ThetaEstimatorConfig()
     irl: IrlConfig = IrlConfig()
@@ -83,7 +82,7 @@ class ScenarioConfig:
     seed: int = 7
     querying: bool = True
     dump_stacks: bool = False
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: Tolerances = Tolerances()
 
 
 # -- building a scenario from its config -------------------------------------
@@ -124,10 +123,10 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     and weight targets can all be built, so every config that loads can also
     run and be scored.
     """
-    if cfg.plant_family != "linear_uncertain":
-        raise ConfigError(f"unknown plant family {cfg.plant_family!r}")
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"simulation.seed must be non-negative, got {cfg.seed}")
     if cfg.duration < 0:
         raise ConfigError("duration must be non-negative")
     if cfg.duration > 0 and cfg.duration < cfg.irl.dwell:
@@ -142,10 +141,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
         if not group.gamma_floor < group.gamma0 < group.gamma_ceiling:
             raise ConfigError(f"{group_name} needs gamma_floor < gamma0 "
                               f"< gamma_ceiling")
-    for group_name, group in (("policy_estimator", cfg.policy_estimator),
-                              ("irl", cfg.irl)):
-        if group.rank_threshold <= 0:
-            raise ConfigError(f"{group_name}.rank_threshold must be positive")
+    if cfg.policy_estimator.rank_threshold <= 0:
+        raise ConfigError("policy_estimator.rank_threshold must be positive")
     if cfg.irl.r1 <= 0:
         raise ConfigError("r1 must be positive")
     if cfg.irl.dwell <= 0:
@@ -162,13 +159,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     tb = cfg.theta_estimator.box
     if np.shape(tb) != (2,) or not tb[0] < tb[1]:
         raise ConfigError("theta box must be (lo, hi) with lo < hi")
-    # the value and policy features are fixed; only they have an LQR truth
-    for key, value, known in (("value", cfg.value_basis, ("quadratic",)),
-                              ("reward", cfg.reward_basis, REWARDS),
-                              ("policy", cfg.policy_basis, ("linear",))):
-        if value not in known:
-            raise ConfigError(f"features.{key} must be one of {list(known)}, "
-                              f"got {value!r}")
+    if cfg.reward_basis not in REWARDS:
+        raise ConfigError(f"features.reward must be one of {list(REWARDS)}, "
+                          f"got {cfg.reward_basis!r}")
 
     try:
         plant = LinearPlant(cfg.nominal_a, cfg.nominal_b, cfg.theta_true)
@@ -234,13 +227,15 @@ def weight_targets(cfg: ScenarioConfig, oracle: LqrSolution) -> WeightTargets:
                          policy=ideal_policy_weights(oracle), scale=scale)
 
 
-# -- JSON round trip ---------------------------------------------------------
+# -- reading JSON --------------------------------------------------------------
 
 # (section, key) -> (ScenarioConfig field, kind). A dotted field names an
-# attribute of an estimator group or a key of the tolerances. Defaults come
-# from the dataclasses above; a field without one is a required key.
+# attribute of a config group. Defaults come from the dataclasses above; a
+# field without one is a required key. A key without a field is checked and
+# stored nowhere: its kind lists the one value implemented, or is "positive"
+# for irl.rank_threshold, which gates nothing. Configs may still spell them out.
 CONFIG_TABLE = {
-    ("plant", "family"): ("plant_family", "str"),
+    ("plant", "family"): (None, ("linear_uncertain",)),
     ("plant", "nominal_a"): ("nominal_a", "matrix"),
     ("plant", "nominal_b"): ("nominal_b", "matrix"),
     ("plant", "theta_true"): ("theta_true", "matrix"),
@@ -250,33 +245,30 @@ CONFIG_TABLE = {
     ("reference", "xd0"): ("xd0", "matrix"),
     ("reward", "q"): ("q_true", "matrix"),
     ("reward", "r"): ("r_true", "matrix"),
-    ("features", "value"): ("value_basis", "str"),
+    ("features", "value"): (None, ("quadratic",)),
     ("features", "reward"): ("reward_basis", "str"),
-    ("features", "policy"): ("policy_basis", "str"),
-    **{(group, f.name): (f"{group}.{f.name}",
-                         "matrix" if f.type == "tuple" else f.type)
-       for group, cls in (("policy_estimator", PolicyEstimatorConfig),
-                          ("theta_estimator", ThetaEstimatorConfig),
-                          ("irl", IrlConfig))
-       for f in dataclasses.fields(cls)},
+    ("features", "policy"): (None, ("linear",)),
+    ("irl", "rank_threshold"): (None, "positive"),
     ("simulation", "dt"): ("dt", "float"),
     ("simulation", "duration"): ("duration", "float"),
     ("simulation", "seed"): ("seed", "int"),
     ("flags", "querying"): ("querying", "bool"),
     ("flags", "dump_stacks"): ("dump_stacks", "bool"),
-    **{("tolerances", name): (f"tolerances.{name}", "float")
-       for name in DEFAULT_TOLERANCES},
+    **{(f.name, g.name): (f"{f.name}.{g.name}",
+                          "matrix" if g.type == "tuple" else g.type)
+       for f in dataclasses.fields(ScenarioConfig)
+       if dataclasses.is_dataclass(f.default)
+       for g in dataclasses.fields(f.default)},
 }
 _SECTIONS = {section for section, _ in CONFIG_TABLE}
 _REQUIRED = {f.name for f in dataclasses.fields(ScenarioConfig)
-             if f.default is dataclasses.MISSING
-             and f.default_factory is dataclasses.MISSING}
+             if f.default is dataclasses.MISSING}
 
 _KINDS = {"float": ((int, float), "a finite number"), "int": (int, "an integer"),
           "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def _read(kind: str, value, where: str):
+def _read(kind: str | tuple, value, where: str):
     """A JSON value checked against its kind; a matrix becomes nested tuples."""
     if kind == "matrix":
         if not isinstance(value, (list, tuple)):
@@ -285,6 +277,14 @@ def _read(kind: str, value, where: str):
         if len({np.shape(row) for row in rows}) > 1:
             raise ConfigError(f"{where} must be a rectangular matrix")
         return rows
+    if kind == "positive":
+        if _read("float", value, where) <= 0:
+            raise ConfigError(f"{where} must be positive")
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{where} must be one of {list(kind)}, got {value!r}")
+        return value
     types, expected = _KINDS[kind]
     # bool subclasses int, but true and false are never numbers
     if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
@@ -308,35 +308,22 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     values, groups, missing = {}, {}, []
     for (section, key), (name, kind) in CONFIG_TABLE.items():
         body = data.get(section, {})
-        head, _, leaf = name.partition(".")
         if key in body:
             value = _read(kind, body[key], f"{section}.{key}")
-            if leaf:
-                groups.setdefault(head, {})[leaf] = value
-            else:
-                values[head] = value
-        elif head in _REQUIRED:
+            if name:
+                head, _, leaf = name.partition(".")
+                if leaf:
+                    groups.setdefault(head, {})[leaf] = value
+                else:
+                    values[head] = value
+        elif name in _REQUIRED:
             missing.append(f"{section}.{key}")
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     cfg = ScenarioConfig(**values)
     return dataclasses.replace(cfg, **{
-        head: ({**getattr(cfg, head), **given} if head == "tolerances"
-               else dataclasses.replace(getattr(cfg, head), **given))
+        head: dataclasses.replace(getattr(cfg, head), **given)
         for head, given in groups.items()})
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    data = {}
-    for (section, key), (name, kind) in CONFIG_TABLE.items():
-        head, _, leaf = name.partition(".")
-        value = getattr(cfg, head)
-        if leaf:
-            value = value[leaf] if isinstance(value, dict) else getattr(value, leaf)
-        if kind == "matrix":
-            value = np.asarray(value, dtype=float).tolist()
-        data.setdefault(section, {})[key] = value
-    return data
 
 
 def load_config(path) -> ScenarioConfig:
@@ -454,7 +441,6 @@ class RunResult:
     estimates: FinalEstimates
     purge_times: list
     first_policy_rank_time: float | None
-    gamma_stats: dict
     gain_resets: dict
     stacks: dict
 
@@ -475,8 +461,8 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
                for _ in modes]
     rows = _step_count(cfg.duration, cfg.dt) + 1 if cfg.duration else 0
     tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
-    stats = _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) \
-        if rows else [{"policy": None, "irl": None} for _ in modes]
+    if rows:
+        _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables)
     # every lane shares the policy stack, so the first lane's column does
     ready = (tables[0][:, CSV_COLUMNS.index("lambda_policy_stack")]
              > cfg.policy_estimator.rank_threshold)
@@ -492,17 +478,16 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
             control_weights=engine.control_weights_rest),
         purge_times=list(engine.purge_times),
         first_policy_rank_time=first_rank,
-        gamma_stats=lane_stats,
         gain_resets={"theta": theta_est.gain_resets,
                      "policy": policy_est.gain_resets,
                      "irl": engine.gain_resets},
         stacks={"theta": theta_est.stack, "policy": policy_est.stack,
                 "irl": engine.stack})
-        for query, engine, table, lane_stats in zip(modes, engines, tables, stats)]
+        for query, engine, table in zip(modes, engines, tables)]
 
 
-def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list:
-    """Fill each lane's table stage by stage; returns each lane's gamma_stats."""
+def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None:
+    """Fill each lane's table stage by stage."""
     scn, basis, sol, targets = valid
     pc, ic, dt, rows = cfg.policy_estimator, cfg.irl, cfg.dt, len(tables[0])
     times = np.arange(rows) * dt
@@ -528,17 +513,17 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list
         return not _norm(y) < 1e-12 and theta_est.stack.try_insert(y, b, clock[k],
                                                                     tag=k)
 
-    generations = np.zeros(rows, dtype=int)
     col = cols[0]
-    n = _stage(theta_est, dt, bank_window, ends, 0, n, errors, 0, theta_rows, None,
-               col["theta_gain_reset"], col["lambda_theta_stack"], generations)
+    n = _stage(theta_est, dt, bank_window, ends, 0, n, errors, 0, theta_rows,
+               np.empty(rows), col["theta_gain_reset"], col["lambda_theta_stack"])
+    # revise takes its rows in order, so one call equals one per span
+    generations = theta_est.revise(theta_rows[:n])
     gens = np.concatenate([[0], generations[:-1]])  # as each step's offers read it
     theta_est.stack.retag(gens)
-    policy_hi = np.empty(rows)
     n = _stage(policy_est, dt,
                lambda k: policy_est.record_sample(es[k], mus[k], clock[k]),
                _clock(clock, pc.offer_period, range(n)), 0, n, errors, 1, policy_rows,
-               (col["lambda_gamma_policy"], policy_hi), col["policy_gain_reset"],
+               col["lambda_gamma_policy"], col["policy_gain_reset"],
                col["lambda_policy_stack"])
     for table in tables[1:]:
         table[:] = tables[0]
@@ -547,7 +532,7 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list
     # a gate opens once: neither the generation nor the policy rank falls
     gates = [(gens[:n] >= 1) & (ready[:n] | (not query)) for query in modes]
     gens = gens.tolist()
-    w_rows, stats = [np.zeros((rows, engine.dim)) for engine in engines], []
+    w_rows = [np.zeros((rows, engine.dim)) for engine in engines]
     for order, (engine, query, lane, w, gate) in enumerate(
             zip(engines, modes, cols, w_rows, gates), start=2):
         due = set(_clock(clock, ic.query_period, np.flatnonzero(gate).tolist()))
@@ -564,14 +549,10 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list
                         es[k], mus[k], theta, gens[k], clock[k])
             return changed
 
-        lo, hi = lane["lambda_gamma_irl"], np.empty(rows)
-        lo[:] = hi[:] = ic.gamma0
+        lane["lambda_gamma_irl"][:] = ic.gamma0     # until the gate opens
         _stage(engine, dt, collect, range(n), int(gate.argmax()) if gate.any() else n,
-               n, errors, order, w, (lo, hi), lane["irl_gain_reset"],
+               n, errors, order, w, lane["lambda_gamma_irl"], lane["irl_gain_reset"],
                lane["lambda_irl_stack"])
-        stats.append({
-            "policy": _gamma_range(ready, lane["lambda_gamma_policy"], policy_hi),
-            "irl": _gamma_range(lane["lambda_irl_stack"] > ic.rank_threshold, lo, hi)})
     if errors:
         step, phase, _, err = min(errors, key=lambda e: e[:3])
         err.last_record_index = step if phase == 2 else step - 1
@@ -586,7 +567,6 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> list
         # t, tracking, theta, policy, then value, reward and control errors
         table[:, :_RAW_COLUMNS.start] = np.column_stack(
             [shared] + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
-    return stats
 
 
 def _demonstration(scn: TrackingScenario, gain: Matrix, cfg: ScenarioConfig,
@@ -628,12 +608,12 @@ def _clock(clock: list, period: float, steps) -> list:
 
 
 def _stage(learner, dt, offer, steps, start, n, errors, order, weights, gamma,
-           reset, rank, generations=None) -> int:
+           reset, rank) -> int:
     """One estimator over the first n steps: offer(k), True if the stack
     changed, at each of `steps`, then the learner from `start` in spans
-    between the changes, writing each step's columns (`gamma` and
-    `generations` if given). Appends errors keyed (step, phase, order);
-    returns how many steps the later stages run."""
+    between the changes, writing each step's columns (`gamma` is Gamma's
+    lambda_min). Appends errors keyed (step, phase, order); returns how many
+    steps the later stages run."""
     stack = learner.stack
     changes = [(0, stack.normal_matrix(), stack.cross_matrix(), 0.0)]
     k = stop = n
@@ -654,20 +634,12 @@ def _stage(learner, dt, offer, steps, start, n, errors, order, weights, gamma,
                 for w, g in learner.advance(dt, min(end, stop) - k, normal, cross):
                     span = slice(k, k + len(w))
                     weights[span] = w
-                    if gamma is not None:
-                        gamma[0][span], gamma[1][span] = g.T
-                    if generations is not None:
-                        generations[span] = learner.revise(w)
+                    gamma[span] = g[:, 0]
                     k += len(w)
                 reset[k - 1] = learner.last_gain_reset
     except DivergenceError as err:
         errors.append((k, 1, order, err))
     return min([n] + [step + 1 for step, *_ in errors])
-
-
-def _gamma_range(ready, lo, hi):
-    """(least lambda_min, greatest lambda_max) of Gamma over ready steps."""
-    return (float(lo[ready].min()), float(hi[ready].max())) if ready.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +651,6 @@ def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution,
     """Terminal error norms against the oracle `sol` (the run's
     `RunResult.oracle`), with per-quantity pass flags."""
     targets = weight_targets(cfg, sol)
-    tol = {**DEFAULT_TOLERANCES, **cfg.tolerances}
     checks = [
         ("value_weights", estimates.value_weights, targets.value),
         ("reward_weights", estimates.reward_weights, targets.reward),
@@ -689,16 +660,16 @@ def compare_to_oracle(estimates: FinalEstimates, sol: LqrSolution,
     ]
     report = {"ground_truth": True, "quantities": {}, "pass": True}
     for name, got, want in checks:
+        tol = getattr(cfg.tolerances, name)
         got = np.asarray(got, dtype=float)
         want = np.asarray(want, dtype=float)
         if got.shape != want.shape:
-            entry = {"error": None, "tolerance": tol[name], "pass": False,
+            entry = {"error": None, "tolerance": tol, "pass": False,
                      "note": f"dimension mismatch: got {got.shape}, "
                              f"expected {want.shape}"}
         else:
             err = float(np.linalg.norm(got - want))
-            entry = {"error": err, "tolerance": tol[name],
-                     "pass": bool(err < tol[name])}
+            entry = {"error": err, "tolerance": tol, "pass": bool(err < tol)}
         report["quantities"][name] = entry
         report["pass"] = bool(report["pass"] and entry["pass"])
     return report
@@ -719,9 +690,12 @@ def ablate(cfg: ScenarioConfig) -> dict:
     The no-querying run is expected to plateau far from the truth: its
     terminal weight error should be at least `ABLATION_MIN_RATIO` times the
     querying run's, while changing less than `ABLATION_PLATEAU_LIMIT`
-    (relative) over the final half of the run.
+    (relative) over the final half of the run. A run without a step has
+    nothing to contrast: ConfigError.
     """
     with_query, without_query = _run_lanes(cfg, (True, False))
+    if not len(with_query.records):
+        raise ConfigError("ablate needs at least one step; simulation.duration is 0")
     err_q = combined_weight_error(with_query.records)
     err_n = combined_weight_error(without_query.records)
     terminal_q = float(err_q[-1])

@@ -6,8 +6,8 @@ parameter-estimate generation produced it. Owners bank rows so that
 rows @ W ~= target for their weights W, which is why the policy
 (u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0) bank
 -offsets. The informativity metric is lambda_min of the stacked normal
-matrix; admission maximizes it, purging clears everything subject to a
-dwell-time guard owned by the caller.
+matrix; admission maximizes it. `clear` empties the stack; when to purge
+(staleness, dwell time) is the owner's rule.
 """
 
 from __future__ import annotations
@@ -177,15 +177,10 @@ class HistoryStack:
         self._refresh()
         return True
 
-    def purge(self, t_now: float, dwell: float, last_purge: float) -> bool:
-        """Clear all rows if at least `dwell` has elapsed since `last_purge`."""
-        if dwell <= 0.0:
-            raise ValueError("dwell must be positive")
-        if t_now - last_purge < dwell:
-            return False
+    def clear(self) -> None:
+        """Remove every entry."""
         self._count = 0
         self._refresh()
-        return True
 
     def retag(self, tags) -> None:
         """Replace each stored tag i by tags[i], for an owner that banks

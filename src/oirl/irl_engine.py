@@ -76,7 +76,6 @@ class IrlConfig:
     dwell: float = 2.0
     query_box: tuple = ((-1.0, 1.0), (-1.0, 1.0))
     query_period: float = 0.05
-    rank_threshold: float = 0.1
     gamma0: float = 1.0
     gamma_floor: float = 1e-9
     gamma_ceiling: float = 1e7
@@ -94,6 +93,8 @@ class RewardEstimator(ConcurrentLearner):
                  query_seed: int):
         if cfg.r1 <= 0.0:
             raise ValueError("the scale anchor r1 must be positive")
+        if cfg.dwell <= 0.0:
+            raise ValueError("the purge dwell must be positive")
         self.basis = basis
         self.dyn = dyn
         n, m = dyn.state_dim, basis.input_dim
@@ -152,12 +153,13 @@ class RewardEstimator(ConcurrentLearner):
     # -- purging ---------------------------------------------------------------
 
     def schedule_purge(self, t: float, theta_generation: int) -> bool:
-        """Purge the stack when dwell time has passed AND stale rows exist."""
+        """Purge the stack when stale rows exist AND at least the dwell time
+        has passed since the last purge."""
         oldest = self.stack.oldest_tag()
-        if oldest is None or theta_generation <= oldest:
+        if (oldest is None or theta_generation <= oldest
+                or t - self.last_purge < self.cfg.dwell):
             return False
-        if not self.stack.purge(t, self.cfg.dwell, self.last_purge):
-            return False
+        self.stack.clear()
         self.last_purge = t
         self.purge_times.append(t)
         return True

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import LinearPlant
 from .history import HistoryStack
-from .rls import ConcurrentLearner, row_norms
+from .rls import CHUNK, ConcurrentLearner, row_norms
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -121,15 +121,18 @@ class ThetaEstimator(ConcurrentLearner):
     def revise(self, w: np.ndarray) -> np.ndarray:
         """The generation after each of the consecutive estimates w: one
         more at each that has drifted over `revision_threshold` from the
-        one at the previous revision."""
+        one at the previous revision. Each pass tests at most CHUNK rows, so
+        a long w costs no more than the same rows in CHUNK-row calls."""
         gens, i = np.empty(len(w), dtype=int), 0
         while i < len(w):
-            moved = row_norms(w[i:] - self._anchor) > self.cfg.revision_threshold
-            j = i + int(moved.argmax()) if moved.any() else len(w)
+            moved = (row_norms(w[i:i + CHUNK] - self._anchor)
+                     > self.cfg.revision_threshold)
+            j = i + (int(moved.argmax()) if moved.any() else len(moved))
             gens[i:j] = self.generation
-            if j < len(w):
+            if j < i + len(moved):      # row j is a revision
                 self.generation += 1
                 self._anchor = w[j].copy()
                 gens[j] = self.generation
-            i = j + 1
+                j += 1
+            i = j
         return gens

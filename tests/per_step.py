@@ -69,10 +69,8 @@ def run_lanes(cfg, modes):
     x = np.asarray(cfg.x0, dtype=float)
     xd = np.asarray(cfg.xd0, dtype=float)
     last_policy_offer = -np.inf
-    pol_lo, pol_hi = np.inf, -np.inf
     lanes = list(zip(range(len(modes)), engines, modes))
     last_collect = [-np.inf for _ in lanes]
-    irl_lo, irl_hi = [np.inf for _ in lanes], [-np.inf for _ in lanes]
     gates, purged = [False for _ in lanes], [False for _ in lanes]
 
     rows = steps + 1
@@ -118,16 +116,10 @@ def run_lanes(cfg, modes):
                     for _ in engine.advance(dt, 1):
                         pass
 
-            if policy_ready:
-                pol_lo = min(pol_lo, policy_est.gamma_eig_range[0])
-                pol_hi = max(pol_hi, policy_est.gamma_eig_range[1])
             e_rows[k] = e
             theta_rows[k] = theta_est.weights
             policy_rows[k] = policy_est.weights
             for i, engine, _ in lanes:
-                if engine.stack.rank_metric > ic.rank_threshold:
-                    irl_lo[i] = min(irl_lo[i], engine.gamma_eig_range[0])
-                    irl_hi[i] = max(irl_hi[i], engine.gamma_eig_range[1])
                 w_rows[i][k] = engine.weights
                 tables[i][k, _RAW_COLUMNS] = (
                     theta_est.stack.rank_metric, policy_est.stack.rank_metric,
@@ -155,7 +147,6 @@ def run_lanes(cfg, modes):
     for table, w in zip(tables, w_rows):
         table[:, :_RAW_COLUMNS.start] = np.column_stack(
             shared + [row_norms(d) for d in np.split(w_star - w, bounds, axis=1)])
-    pol = (float(pol_lo), float(pol_hi)) if np.isfinite(pol_lo) else None
     ready = tables[0][:, CSV_COLUMNS.index("lambda_policy_stack")] > pc.rank_threshold
     first_rank = float(tables[0][ready.argmax(), 0]) if ready.any() else None
     return [RunResult(
@@ -169,11 +160,9 @@ def run_lanes(cfg, modes):
             control_weights=engine.control_weights_rest),
         purge_times=list(engine.purge_times),
         first_policy_rank_time=first_rank,
-        gamma_stats={"policy": pol,
-                     "irl": (float(lo), float(hi)) if np.isfinite(lo) else None},
         gain_resets={"theta": theta_est.gain_resets,
                      "policy": policy_est.gain_resets,
                      "irl": engine.gain_resets},
         stacks={"theta": theta_est.stack, "policy": policy_est.stack,
                 "irl": engine.stack})
-        for query, engine, table, lo, hi in zip(modes, engines, tables, irl_lo, irl_hi)]
+        for query, engine, table in zip(modes, engines, tables)]

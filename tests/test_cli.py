@@ -90,8 +90,8 @@ def test_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
 # Configs that read cleanly but yield no scenario to run and score: no
 # stabilizing reference, no closed-form policy or value weights, no
 # stabilizing Riccati solution, a rank test that can never pass, a gain that
-# starts outside its own reset limits, or a revision test that fires on every
-# step.
+# starts outside its own reset limits, a revision test that fires on every
+# step, or a seed that starts no random stream.
 UNBUILDABLE = {
     "unstable_reference": {("reference", "matrix"): [[0.0, 1.0], [-2.0, 1.0]],
                            ("reference", "feedforward"): [[-1.5, 1.5]]},
@@ -108,6 +108,8 @@ UNBUILDABLE = {
     "policy_gamma0_above_ceiling": {("policy_estimator", "gamma0"): 1e8},
     "negative_revision_threshold": {
         ("theta_estimator", "revision_threshold"): -1.0},
+    "pendulum_plant": {("plant", "family"): "pendulum"},
+    "negative_seed": {("simulation", "seed"): -1},
 }
 UNBUILDABLE_CASES = [(command, case) for case in UNBUILDABLE
                      for command in ("run", "oracle")]
@@ -128,6 +130,23 @@ def test_unbuildable_config_exits_2(tmp_path, capsys, command, case):
     # a rejected feature basis names its key
     for section, key in UNBUILDABLE[case]:
         assert section != "features" or f"features.{key}" in err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SHIPPED), "--seed", "-3",
+                 "--out", str(out)]) == 2
+    assert "simulation.seed must be non-negative" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_ablate_of_zero_duration_exits_2(tmp_path, capsys):
+    """Duration 0 is a valid run, but ablate has no step to compare."""
+    data = json.loads(SHIPPED.read_text())
+    data["simulation"]["duration"] = 0.0
+    assert main(["ablate", "--config", _write(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "duration" in capsys.readouterr().err
 
 
 def test_quadratic_reward_is_recovered_with_two_inputs(tmp_path):

@@ -12,11 +12,11 @@ import pytest
 import per_step
 from oirl.errors import ConfigError, DivergenceError
 from oirl.irl_engine import RewardEstimator
-from oirl.harness import (CSV_COLUMNS, FinalEstimates, MetricsRecord,
-                          RecordTable, ablate, combined_weight_error,
-                          compare_to_oracle, config_from_dict, config_to_dict,
-                          dump_stacks, emit_csv, load_config, record_array,
-                          run_scenario, validate_config)
+from oirl.harness import (CONFIG_TABLE, CSV_COLUMNS, FinalEstimates,
+                          MetricsRecord, RecordTable, ScenarioConfig, Tolerances,
+                          ablate, combined_weight_error, compare_to_oracle,
+                          config_from_dict, dump_stacks, emit_csv, load_config,
+                          record_array, run_scenario, validate_config)
 
 W_V_EXACT = np.array([1.820018342750099, 2.3021637657609624,
                       1.8321595661992322])
@@ -33,25 +33,34 @@ def _short_cfg(**overrides):
 
 # -- configuration ------------------------------------------------------------
 
-def test_config_json_round_trip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(CFG)))
-    assert load_config(path) == CFG
+def _shipped_data() -> dict:
+    return json.loads(SHIPPED.read_text())
 
 
-def test_config_dict_round_trip():
-    assert config_from_dict(config_to_dict(CFG)) == CFG
+def test_the_shipped_config_spells_out_every_key():
+    """The shipped file holds every key the reader knows, and the reader
+    fills every field of the config and of its groups from a key."""
+    data = _shipped_data()
+    assert {(s, k) for s, body in data.items() for k in body} == set(CONFIG_TABLE)
+    fields = set()
+    for f in dataclasses.fields(ScenarioConfig):
+        if dataclasses.is_dataclass(f.default):
+            fields |= {f"{f.name}.{g.name}" for g in dataclasses.fields(f.default)}
+        else:
+            fields.add(f.name)
+    assert {name for name, _ in CONFIG_TABLE.values() if name} == fields
+    assert config_from_dict(data) == CFG
 
 
 def test_unknown_section_is_rejected():
-    data = config_to_dict(CFG)
+    data = _shipped_data()
     data["extras"] = {}
     with pytest.raises(ConfigError):
         config_from_dict(data)
 
 
 def test_unknown_key_is_rejected():
-    data = config_to_dict(CFG)
+    data = _shipped_data()
     data["irl"]["momentum"] = 0.9
     with pytest.raises(ConfigError):
         config_from_dict(data)
@@ -65,9 +74,15 @@ def test_unknown_key_is_rejected():
     ("reference", "x0", [0.0, [0.0]]),                    # not rectangular
     ("reward", "q", [[1.0, "0"], [0.0, 1.0]]),            # a string entry
     ("features", "value", 3),
+    # keys stored nowhere: one implemented value, or a positive number
+    ("plant", "family", "pendulum"),
+    ("features", "value", "fourier"),
+    ("features", "policy", "quadratic"),
+    ("irl", "rank_threshold", 0.0),
+    ("irl", "rank_threshold", "0.1"),
 ])
 def test_values_are_checked_against_their_kind(section, key, value):
-    data = config_to_dict(CFG)
+    data = _shipped_data()
     if value is None:
         del data[section][key]
     else:
@@ -77,15 +92,17 @@ def test_values_are_checked_against_their_kind(section, key, value):
 
 
 def test_omitted_keys_take_the_dataclass_defaults():
-    data = config_to_dict(CFG)
-    for section in ("features", "policy_estimator", "theta_estimator", "irl",
-                    "simulation", "flags", "tolerances"):
+    data = _shipped_data()
+    for section in ("features", "policy_estimator", "theta_estimator",
+                    "simulation", "flags"):
         del data[section]
     del data["plant"]["family"]
     data["irl"] = {"r1": 20.0}
+    data["tolerances"] = {"theta": 0.5}
     cfg = config_from_dict(data)
     assert cfg.irl == dataclasses.replace(CFG.irl, r1=20.0)
-    assert dataclasses.replace(cfg, irl=CFG.irl) == CFG
+    assert cfg.tolerances == Tolerances(theta=0.5)
+    assert dataclasses.replace(cfg, irl=CFG.irl, tolerances=CFG.tolerances) == CFG
 
 
 def test_malformed_json_is_a_config_error(tmp_path):
@@ -108,8 +125,8 @@ def test_true_linear_system_assembles_the_plant():
     {"theta_true": ((0.0, -0.5), (0.0, -0.5))},
     {"q_true": ((1.0, 0.5), (0.0, 1.0))},
     {"r_true": ((-10.0,),)},
-    {"value_basis": "fourier"},
-    {"plant_family": "pendulum"},
+    {"seed": -1},                                         # no random stream
+    {"irl": dataclasses.replace(CFG.irl, dwell=0.0)},
     {"dt": 0.004},                                        # 62.5 steps per window
     {"duration": 2.003},                                  # 400.6 steps
     {"duration": 2.0024},                                 # 400.48 steps
@@ -226,6 +243,13 @@ def test_zero_duration_yields_an_empty_run(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv(result.records, path)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_ablate_needs_a_step_to_compare():
+    """A run of duration 0 is valid, but ablate has no terminal errors to
+    contrast."""
+    with pytest.raises(ConfigError, match="duration"):
+        ablate(dataclasses.replace(CFG, duration=0.0))
 
 
 def test_short_run_record_count_and_time_grid():
@@ -392,8 +416,6 @@ def test_reference_run_bookkeeping(query_run):
     # the policy stack reaches full rank well before the 5 s mark
     assert result.first_policy_rank_time is not None
     assert result.first_policy_rank_time <= 5.0
-    assert result.gamma_stats["policy"] is not None
-    assert result.gamma_stats["irl"] is not None
 
 
 def test_first_policy_rank_time_is_read_from_the_records():
@@ -494,7 +516,6 @@ def test_ablate_lanes_equal_stand_alone_runs(two_input_cut, tmp_path):
                                           getattr(alone.estimates, name))
         assert lane.gain_resets == alone.gain_resets
         assert lane.purge_times == alone.purge_times == [2.0, 4.0, 6.0]
-        assert lane.gamma_stats == alone.gamma_stats
         assert lane.first_policy_rank_time == alone.first_policy_rank_time
         for name in ("theta", "policy", "irl"):
             assert _stack_rows(lane.stacks[name]) == _stack_rows(alone.stacks[name])
@@ -557,10 +578,6 @@ def _assert_matches_per_step(lanes, per_step_lanes):
         assert got.first_policy_rank_time == want.first_policy_rank_time
         for name in ("theta", "policy"):
             assert _stack_rows(got.stacks[name]) == _stack_rows(want.stacks[name])
-        for name, stats in got.gamma_stats.items():
-            assert (stats is None) == (want.gamma_stats[name] is None)
-            if stats is not None:
-                np.testing.assert_allclose(stats, want.gamma_stats[name], rtol=1e-12)
 
 
 def test_pipeline_equals_the_per_step_loop(two_input_cut, two_input_per_step):

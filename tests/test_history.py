@@ -92,7 +92,7 @@ def test_tags_and_oldest_tag():
     assert stack.try_insert(np.array([0.0, 1.0]), 0.0, t=2.0, tag=5)
     assert sorted(tag for _, tag, _, _ in stack.dump_rows()) == [3, 5]
     assert stack.oldest_tag() == 3
-    assert stack.purge(t_now=4.0, dwell=2.0, last_purge=0.0)
+    stack.clear()
     assert stack.oldest_tag() is None
 
 
@@ -109,21 +109,14 @@ def test_cached_sums_are_read_only_and_replaced_on_change():
     np.testing.assert_array_equal(stack.normal_matrix(), [[1.0, 2.0], [2.0, 5.0]])
 
 
-def test_purge_clears_and_respects_dwell():
+def test_clear_empties_the_stack():
     stack = HistoryStack(capacity=2, row_dim=2)
     stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0)
     stack.try_insert(np.array([0.0, 1.0]), 0.0, t=0.1)
-    assert not stack.purge(t_now=1.0, dwell=2.0, last_purge=0.0)
-    assert len(stack) == 2
-    assert stack.purge(t_now=2.5, dwell=2.0, last_purge=0.0)
+    stack.clear()
     assert len(stack) == 0
     assert stack.rank_metric == 0.0
-
-
-def test_purge_rejects_nonpositive_dwell():
-    stack = HistoryStack(capacity=2, row_dim=2)
-    with pytest.raises(ValueError):
-        stack.purge(t_now=1.0, dwell=0.0, last_purge=0.0)
+    np.testing.assert_array_equal(stack.normal_matrix(), np.zeros((2, 2)))
 
 
 def test_non_finite_rows_are_rejected():

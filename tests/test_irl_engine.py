@@ -132,6 +132,11 @@ def test_anchor_must_be_positive():
         RewardEstimator(_basis(), _plant(), IrlConfig(r1=0.0), 0)
 
 
+def test_purge_rejects_nonpositive_dwell():
+    with pytest.raises(ValueError):
+        RewardEstimator(_basis(), _plant(), IrlConfig(dwell=0.0), 0)
+
+
 def test_degenerate_origin_sample_is_rejected():
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(), 0)
     assert not eng.collect_trajectory_sample(np.zeros(2), np.zeros(1), THETA, 1, 0.0)

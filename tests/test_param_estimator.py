@@ -166,6 +166,29 @@ def test_generation_counts_significant_revisions():
     assert all(g2 >= g1 for g1, g2 in zip(generations, generations[1:]))
 
 
+def test_revise_over_any_split_equals_one_call():
+    """`revise` takes its estimates in order, so calls over the pieces of one
+    array give the generations, and the final generation, of one call over
+    all of it, whether a piece starts or ends on a revision, is empty, or
+    holds a stretch without revisions longer than one pass (CHUNK rows)."""
+    rng = np.random.default_rng(3)
+    steps = np.concatenate([rng.normal(0.0, 0.02, (60, 3, 2)), np.zeros((300, 3, 2)),
+                            rng.normal(0.0, 0.02, (60, 3, 2))])
+    w = np.cumsum(steps, axis=0)
+    whole = ThetaEstimator(_plant(), ThetaEstimatorConfig())
+    want = whole.revise(w)
+    revisions = np.flatnonzero(np.diff(want, prepend=0))
+    assert len(revisions) >= 3
+    r = int(revisions[1])
+    splits = ([[k] for k in range(len(w) + 1)]          # one cut anywhere
+              + [[r, r + 1], [r - 1, r], [0, r, r, len(w)], list(range(1, len(w)))])
+    for cuts in splits:
+        est = ThetaEstimator(_plant(), ThetaEstimatorConfig())
+        got = np.concatenate([est.revise(part) for part in np.split(w, cuts)])
+        np.testing.assert_array_equal(got, want, err_msg=str(cuts))
+        assert est.generation == whole.generation == want[-1]
+
+
 def _loop_window(nominal, features, times, states, controls):
     """The window integral as one plain left-to-right loop."""
     y = f_int = None
