@@ -6,8 +6,14 @@ parameter-estimate generation produced it. Owners bank rows so that
 rows @ W ~= target for their weights W, which is why the policy
 (u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0) bank
 -offsets. The informativity metric is lambda_min of the stacked normal
-matrix; admission maximizes it. `clear` empties the stack; when to purge
-(staleness, dwell time) is the owner's rule.
+matrix; admission maximizes it. Once the stack is full, an offer swaps in
+for the entry whose removal leaves the largest lambda_min, and only on a
+strict relative gain. Most offers are rejected, so an exact certificate (a
+Rayleigh quotient of every swap on the current lambda_min eigenvector, with
+a rounding allowance) rejects them before any swap is tried. It rejects only
+offers that the full search would reject too, so every decision, slot and
+cached sum is bit for bit the search's. `clear` empties the stack;
+when to purge (staleness, dwell time) is the owner's rule.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ class HistoryStack:
         self._tags = np.zeros(capacity, dtype=int)
         self._grams = np.zeros((capacity, row_dim, row_dim))
         self._count = 0
+        # the certificate's rounding allowance per unit of tr N + |R|_F^2
+        self._slack = 8.0 * (row_dim * row_dim + row_dim + block_rows + 1) \
+            * np.finfo(float).eps
         self._refresh()
 
     # -- read side ----------------------------------------------------------
@@ -148,12 +157,15 @@ class HistoryStack:
             self._cross = flat_rows.T @ flat_targets
             self._rank_metric = float(eigvalsh(self._normal)[0])
             self._oldest_tag = int(self._tags[:k].min())
+        self._probe = None
         self._normal.flags.writeable = False
         self._cross.flags.writeable = False
 
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal
         most improves lambda_min, and only on a strict relative improvement.
+        A certificate rejects most offers to a full stack without trying
+        the swaps, with the same result.
 
         Returns whether the stack changed.
         """
@@ -164,18 +176,50 @@ class HistoryStack:
             self._refresh()
             return True
 
+        threshold = self._rank_metric * (1.0 + ADMISSION_MARGIN) \
+            if self._rank_metric > 0.0 else 0.0
+        # Certificate. The swap of entry i is T_i = N + g - G_i, with g = R'R
+        # the candidate's gram. For v the lambda_min eigenvector of N,
+        # lambda_min(T_i) <= v'T_i v / v'v <= U = (v'Nv + |Rv|^2 - min_i v'G_i v)
+        # / v'v in real arithmetic, so U + slack <= threshold rejects as the
+        # search would. Slack: N, g and each G_i are grams, so s = tr N +
+        # |R|_F^2 bounds the 2-norm of each and of its entrywise absolute
+        # value. With d = row_dim, r = block_rows and u = eps/2 (the unit
+        # roundoff), the roundings are at most, in units of u*s:
+        #   forming the float T_i from N, g and G_i ........... 3
+        #   |Rv|^2 for v'gv (the matmul R'R, then R@v) ....... d + 2r + 1
+        #   v'Nv and each v'G_i v, matmuls of length d ....... 4d
+        #   summing U's numerator, dividing by v'v, adding ... 2d + 8
+        # and eigvalsh's backward error moves each lambda by at most
+        # p(d)*u*|T_i| <= 2p(d)*u*s, p a low-degree polynomial (LAPACK Users'
+        # Guide 4.7), taken as d^2. The allowance, 16(d^2 + d + r + 1)*u*s,
+        # is at least twice their sum. It grows with |R|_F^2, so a candidate
+        # whose gram overflows falls through to the search, which raises.
+        v, base, vv, trace = self._rayleigh_probe()
+        rv = rows @ v
+        flat = rows.ravel()
+        if (base + rv @ rv) / vv + self._slack * (trace + flat @ flat) <= threshold:
+            return False
         cand_gram = rows.T @ rows
         # lambda_min of the normal matrix with entry i swapped for the candidate
         trial = (self._normal + cand_gram)[None, :, :] - self._grams
         lam = eigvalsh(trial)[:, 0]
         best = int(np.argmax(lam))
-        accept = lam[best] > self._rank_metric * (1.0 + ADMISSION_MARGIN) \
-            if self._rank_metric > 0.0 else lam[best] > 0.0
-        if not accept:
+        if not lam[best] > threshold:
             return False
         self._write_slot(best, rows, targets, t, tag)
         self._refresh()
         return True
+
+    def _rayleigh_probe(self):
+        # what the certificate needs of a full stack, once per stack change:
+        # the lambda_min eigenvector v of N (the LAPACK gufunc, as eigvalsh
+        # calls it), v'Nv - min_i v'G_i v, v'v and tr N
+        if self._probe is None:
+            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
+            base = v @ self._normal @ v - (self._grams @ v @ v).min()
+            self._probe = (v, float(base), float(v @ v), float(np.trace(self._normal)))
+        return self._probe
 
     def clear(self) -> None:
         """Remove every entry."""

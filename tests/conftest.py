@@ -1,8 +1,9 @@
-"""Shared fixtures. A full-length reference run still takes about a second:
-its learners step a span at a time, but the stacks' 6,000 offers (each up
-to 50 trial eigendecompositions) and the 20,001-step demonstration loop are
-interpreter-bound, and `ablate` adds a lane's offers on top. So each is
-computed once per session and reused by the harness and acceptance tests."""
+"""Shared fixtures. A full-length reference run still takes most of a
+second: its learners step a span at a time, but the stacks' 6,000 offers
+(each a certificate, and a few a batched trial eigendecomposition) and the
+20,001-step demonstration loop are interpreter-bound, and `ablate` adds a
+lane's offers on top. So each is computed once per session and reused by
+the harness and acceptance tests."""
 
 import time
 from pathlib import Path

@@ -1,10 +1,18 @@
 """History stack admission, replacement, and purge behavior."""
 
+import dataclasses
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oirl import history
 from oirl.errors import DimensionError, DivergenceError
-from oirl.history import HistoryStack, all_finite, eigvalsh
+from oirl.harness import load_config, run_scenario
+from oirl.history import ADMISSION_MARGIN, HistoryStack, all_finite, eigvalsh
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
 
 def test_empty_stack_accepts_any_finite_row():
@@ -191,3 +199,137 @@ def test_eigvalsh_raises_divergence_on_non_finite_input():
 def test_all_finite_equals_numpy(a):
     with np.errstate(over="ignore"):    # the squares of 1e200 overflow
         assert all_finite(a) is bool(np.isfinite(a).all())
+
+
+def search_insert(stack, row_block, target_block, t, tag=0):
+    """`HistoryStack.try_insert` without its certificate, as it was before
+    it: every offer to a full stack tries all swaps. The reference for it."""
+    rows, targets = stack._coerce(row_block, target_block)
+    if stack._count < stack.capacity:
+        stack._write_slot(stack._count, rows, targets, t, tag)
+        stack._count += 1
+        stack._refresh()
+        return True
+    cand_gram = rows.T @ rows
+    trial = (stack._normal + cand_gram)[None, :, :] - stack._grams
+    lam = eigvalsh(trial)[:, 0]
+    best = int(np.argmax(lam))
+    accept = lam[best] > stack._rank_metric * (1.0 + ADMISSION_MARGIN) \
+        if stack._rank_metric > 0.0 else lam[best] > 0.0
+    if not accept:
+        return False
+    stack._write_slot(best, rows, targets, t, tag)
+    stack._refresh()
+    return True
+
+
+def _random_offers(stack, rng, scale):
+    r, d = stack.block_rows, stack.row_dim
+    for _ in range(stack.capacity + 40):
+        yield scale * np.exp(rng.normal()) * rng.normal(size=(r, d))
+
+
+def _rank_deficient_offers(stack, rng, scale):
+    """Rows in a random subspace of dimension d - 1 (with one coordinate
+    exactly 0 half the time, so lambda_min can be exactly 0 or below), and
+    now and then a row out of it."""
+    r, d = stack.block_rows, stack.row_dim
+    basis = rng.normal(size=(d - 1, d))
+    if rng.random() < 0.5:
+        basis[:, rng.integers(d)] = 0.0
+    for _ in range(stack.capacity + 40):
+        rows = rng.normal(size=(r, d - 1)) @ basis
+        if rng.random() < 0.1:
+            rows = rng.normal(size=(r, d))
+        yield scale * rows
+
+
+def _tied_offers(stack, rng, scale):
+    """Fill the stack with rows along a random orthonormal basis q, one
+    light row along q_0 and two heavy rows along each other q_j; then offer
+    rows along the current lambda_min eigenvector, sized to lift lambda_min
+    by ADMISSION_MARGIN to a relative 1e-8. The best swap drops a heavy row
+    and lands on the acceptance threshold, to rounding."""
+    r, d = stack.block_rows, stack.row_dim
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0].T
+    pad = np.zeros((r - 1, d))
+    yield scale * np.vstack([q[:1], pad])
+    for j in range(1, 2 * d - 1):
+        yield scale * 3.0 * (1 + rng.random()) * np.vstack([q[(j + 1) // 2], pad])
+    for _ in range(3):
+        lam, vecs = np.linalg.eigh(stack.normal_matrix())
+        size = np.sqrt(abs(lam[0]) * ADMISSION_MARGIN * (1 + 1e-8 * rng.uniform(-1, 1)))
+        yield np.vstack([size * vecs[:, 0], pad])
+
+
+def _state(stack):
+    """What a caller can read of a stack, bit for bit."""
+    return (stack.regressor().tobytes(), stack.targets().tobytes(),
+            [(t, tag) for t, tag, _, _ in stack.dump_rows()],
+            stack.normal_matrix().tobytes(), stack.cross_matrix().tobytes(),
+            stack.rank_metric.hex())
+
+
+def test_certificate_decides_as_the_full_search():
+    """try_insert and the certificate-free search make bit-equal decisions
+    and keep bit-equal stacks on random, rank-deficient and tied offers of
+    every block shape, over 16 orders of magnitude of scale. The counts
+    show that each case the certificate must get right was reached."""
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for r in (1, 2, 3):
+        for d in range(2, 7):
+            for scale in (1e-8, 1.0, 1e8):
+                cases = [("random", d + 3, _random_offers),
+                         ("rank-deficient", d + 1, _rank_deficient_offers)]
+                cases += [("tie", 2 * d - 1, _tied_offers)] * 8
+                for kind, capacity, offers in cases:
+                    fast = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                    ref = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                    for i, rows in enumerate(offers(fast, rng, scale)):
+                        case = kind if len(fast) == capacity else "filling"
+                        if case != "filling" and fast.rank_metric <= 0.0:
+                            case = "rank_metric <= 0"
+                        target = rng.normal(size=(r, 2))
+                        took = fast.try_insert(rows, target, t=0.1 * i, tag=i)
+                        assert took == search_insert(ref, rows, target, t=0.1 * i, tag=i)
+                        assert _state(fast) == _state(ref)
+                        seen[case, took] += 1
+    # counted on this seed; each case is reached on both sides of the rule
+    for case in ("random", "rank-deficient", "tie", "rank_metric <= 0"):
+        assert seen[case, True] >= 20 and seen[case, False] >= 20, seen
+
+
+@pytest.mark.parametrize("row", [[0.0, 1e200], [1e200, 0.0], [1e200, -1e200]])
+def test_an_overflowing_candidate_still_diverges(row):
+    """A finite candidate whose gram overflows, also along a direction
+    orthogonal to the lambda_min eigenvector e_1 (where its Rayleigh
+    quotient reads 0), reaches the search and raises as it does."""
+    stack = HistoryStack(capacity=2, row_dim=2)
+    stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0)
+    stack.try_insert(np.array([0.0, 2.0]), 0.0, t=1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        stack.try_insert(np.array(row), 0.0, t=2.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        search_insert(stack, np.array(row), 0.0, t=2.0)
+
+
+# Full searches (batched eigvalsh calls) per stack on the first 20 s of the
+# shipped scenario, keyed by the stack's row_dim there: 40, 24 and 92 with
+# the certificate, against 346, 351 and 271 (every offer to a full stack)
+# without it.
+FULL_SEARCHES = {"theta": (3, 40), "policy": (2, 24), "irl": (5, 92)}
+
+
+def test_certificate_spares_most_full_searches(monkeypatch):
+    searches = Counter()
+
+    def spy(a):
+        if a.ndim == 3:
+            searches[a.shape[-1]] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(history, "eigvalsh", spy)
+    run_scenario(dataclasses.replace(load_config(SHIPPED), duration=20.0))
+    for owner, (row_dim, bound) in FULL_SEARCHES.items():
+        assert 0 < searches[row_dim] <= bound, (owner, searches)
