@@ -9,6 +9,11 @@ where A0 (n x n) and B0 (n x m) are the known nominal part and theta
 the state then the input. The true system is (A0 + theta[:n]^T,
 B0 + theta[n:]^T), and the input Jacobian B0 + theta[n:]^T is exact and
 independent of x.
+
+The modeled field and the input Jacobian take arrays of samples, (..., n)
+states with their inputs and estimates, and compute each product as one
+stacked matmul (`matvec`), which gives every sample the bits of its own
+`A @ x`. Shapes are checked once, when a plant or scenario is built.
 """
 
 from __future__ import annotations
@@ -65,15 +70,10 @@ class LinearPlant:
     def param_dim(self) -> int:
         return self.theta_true.shape[0]
 
-    def nominal(self, x: Vector, u: Vector) -> Vector:
-        return self.a0 @ x + self.b0 @ u
-
-    def features(self, x: Vector, u: Vector) -> Vector:
-        return np.concatenate([x, u])
-
     def input_jacobian(self, theta: Matrix) -> Matrix:
-        """d/du of the modeled dynamics, (n, m): B0 + theta[n:]^T."""
-        return self.b0 + _check_theta(self, theta)[self.state_dim:].T
+        """d/du of the modeled dynamics under each estimate of theta
+        (..., n + m, n): B0 + theta[n:]^T, shape (..., n, m)."""
+        return self.b0 + np.swapaxes(theta[..., self.state_dim:, :], -1, -2)
 
     def true_system(self) -> tuple[Matrix, Matrix]:
         """(A, B) of the true plant, nominal plus the theta contribution."""
@@ -81,28 +81,20 @@ class LinearPlant:
         return self.a0 + self.theta_true[:n].T, self.b0 + self.theta_true[n:].T
 
 
-def _check_xu(dyn: LinearPlant, x: Vector, u: Vector) -> tuple[Vector, Vector]:
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (dyn.state_dim,):
-        raise DimensionError(f"state must be ({dyn.state_dim},), got {x.shape}")
-    if u.shape != (dyn.input_dim,):
-        raise DimensionError(f"input must be ({dyn.input_dim},), got {u.shape}")
-    return x, u
+def matvec(a: Matrix, x: Matrix) -> Matrix:
+    """a @ x for each vector of x (..., k), with one matrix a (j, k) or one
+    per vector (..., j, k): shape (..., j). One stacked matmul, whose loop
+    runs each product as the two-dimensional `a @ x` does, bit for bit."""
+    return np.matmul(a, x[..., None])[..., 0]
 
 
-def _check_theta(dyn: LinearPlant, theta: Matrix) -> Matrix:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != dyn.theta_true.shape:
-        raise DimensionError(
-            f"theta must be {dyn.theta_true.shape}, got {theta.shape}")
-    return theta
-
-
-def eval_dynamics(dyn: LinearPlant, x: Vector, u: Vector, theta: Matrix) -> Vector:
-    """State derivative under parameter estimate theta (p x n)."""
-    x, u = _check_xu(dyn, x, u)
-    return dyn.nominal(x, u) + _check_theta(dyn, theta).T @ dyn.features(x, u)
+def eval_dynamics(dyn: LinearPlant, x: Matrix, u: Matrix, theta: Matrix) -> Matrix:
+    """The modeled field A0 x + B0 u + theta^T [x; u] at each sample: states
+    x (..., n), inputs u (..., m) and estimates theta (..., n + m, n), or one
+    theta for all; shape (..., n)."""
+    nominal = matvec(dyn.a0, x) + matvec(dyn.b0, u)
+    return nominal + matvec(np.swapaxes(theta, -1, -2),
+                            np.concatenate([x, u], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +144,14 @@ class TrackingScenario:
 
     def desired_control(self, x_d: Vector) -> Vector:
         return self.feedforward_gain @ x_d
+
+    def step_radii(self, gain: Matrix, dt: float) -> tuple[float, float]:
+        """Spectral radii of the RK4 steps at dt (`rk4_transition`) of the
+        plant under u = -gain x, rho(Phi - G K), and of the reference,
+        rho(Phi_d). A step grows the state it maps when its radius passes 1,
+        even where the continuous-time system decays."""
+        phi, g = rk4_transition(*self.plant.true_system(), dt)
+        phi_d, _ = rk4_transition(self.reference_matrix,
+                                  np.zeros((self.plant.state_dim, 0)), dt)
+        return tuple(float(np.abs(np.linalg.eigvals(m)).max())
+                     for m in (phi - g @ gain, phi_d))

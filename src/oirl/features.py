@@ -7,6 +7,11 @@ V(x) = x^T P x and u = -K x. The state reward is the one basis choice left,
 monomials). The value gradient is analytic, so the estimators never fall back
 to finite differences at runtime. Control penalties always use componentwise
 input squares.
+
+Every map takes an array of states (..., n), or of inputs, and maps the last
+axis, so one call serves a batch of samples. The inputs are not checked
+here: they come from the configuration, checked once when it is validated,
+or from the run's own arrays.
 """
 
 from __future__ import annotations
@@ -15,36 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-
-Vector = np.ndarray
 Matrix = np.ndarray
 
 REWARDS = ("squares", "quadratic")
 
 
-def _quadratic_eval(z: Vector) -> Vector:
-    """Squares first, then cross terms z_i z_j for i < j in row order."""
-    n = z.shape[0]
-    out = [z * z]
-    cross = [z[i] * z[j] for i in range(n) for j in range(i + 1, n)]
-    if cross:
-        out.append(np.asarray(cross))
-    return np.concatenate(out)
-
-
-def _quadratic_grad(z: Vector) -> Matrix:
-    n = z.shape[0]
-    rows = np.zeros((n * (n + 1) // 2, n))
-    for i in range(n):
-        rows[i, i] = 2.0 * z[i]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[k, i] = z[j]
-            rows[k, j] = z[i]
-            k += 1
-    return rows
+def monomial_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of each quadratic monomial x_i x_j of an n-vector, in basis
+    order: the squares first, then x_i x_j for i < j in row order. The one
+    place that order is written; the features, their gradient and the
+    oracle's value weights all read it."""
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([diag, rows]), np.concatenate([diag, cols])
 
 
 @dataclass(frozen=True)
@@ -76,29 +64,24 @@ class FeatureBasis:
     def policy_dim(self) -> int:
         return self.state_dim
 
-    def _check_state(self, x: Vector) -> Vector:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise DimensionError(f"state must be ({self.state_dim},), got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite state passed to feature basis")
-        return x
+    def value_gradient(self, x: Matrix) -> Matrix:
+        """d sigma_V / dx at each state of x (..., n), shape (..., P, n):
+        the row of x_i x_j holds x_j in column i and x_i in column j, and the
+        row of x_i^2 holds 2 x_i in column i."""
+        i, j = monomial_pairs(self.state_dim)
+        k = np.arange(len(i))
+        grad = np.zeros(x.shape[:-1] + (len(i), self.state_dim))
+        grad[..., k, i] = x[..., j]
+        grad[..., k, j] = np.where(i == j, 2.0, 1.0) * x[..., i]
+        return grad
 
-    def value_gradient(self, x: Vector) -> Matrix:
-        """d sigma_V / dx, shape (value_dim, state_dim)."""
-        return _quadratic_grad(self._check_state(x))
+    def reward_features(self, x: Matrix) -> Matrix:
+        """sigma_Q at each state of x (..., n), shape (..., L)."""
+        if self.reward == "squares":
+            return x * x
+        i, j = monomial_pairs(self.state_dim)
+        return x[..., i] * x[..., j]
 
-    def reward_features(self, x: Vector) -> Vector:
-        x = self._check_state(x)
-        return _quadratic_eval(x) if self.reward == "quadratic" else x * x
-
-    def policy_features(self, x: Vector) -> Vector:
-        return self._check_state(x)
-
-    def control_squares(self, u: Vector) -> Vector:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.input_dim,):
-            raise DimensionError(f"input must be ({self.input_dim},), got {u.shape}")
-        if not np.isfinite(u).all():
-            raise ValueError("non-finite input passed to feature basis")
+    def control_squares(self, u: Matrix) -> Matrix:
+        """The control-penalty features u_j^2 of each input of u (..., m)."""
         return u * u

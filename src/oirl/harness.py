@@ -5,12 +5,15 @@ reference feedforward) and nothing an estimator does feeds back into the
 plant, so a run is a pipeline of stages in the loop's dependency order:
 (1) the demonstration, x, xd, e, mu and u of every step, by the exact
 zero-order-hold RK4 step of `rk4_transition`; (2) the theta, then the policy
-estimator, each offering its stack everything due on its clock in order
-(the theta windows from `window_pairs`), then stepping its learner in closed
-form (`ConcurrentLearner.advance`) over each span between the stack's
-changes; (3) one lane per querying flag, a reward estimator with its own
-gate, clock and records, reading each step's estimates from (2):
-`run_scenario` is one lane, `ablate` two. A span ends at a stack change (an
+estimator, each offering its stack everything due on its clock in order,
+then stepping its learner in closed form (`ConcurrentLearner.advance`) over
+each span between the stack's changes; (3) one lane per querying flag, a
+reward estimator with its own gate, clock, purges and records, reading each
+step's estimates from (2): `run_scenario` is one lane, `ablate` two. Every
+offer is built as arrays before its stage walks them (the theta windows by
+`window_pairs`, a lane's queries and row blocks by its estimator), each bit
+for bit a one-sample build; the walk does only the purges and
+`HistoryStack.try_insert`, through `_admit`. A span ends at a stack change (an
 accepted offer, a purge), at the gate's opening, at a gain reset (W kept,
 the step flagged) and at a box clip of theta_hat (Z = H W recomputed); a
 rejected offer ends none. Each lane's records are a `RecordTable`, a
@@ -41,7 +44,7 @@ from .oracle import (LqrSolution, ideal_policy_weights, quadratic_value_weights,
                      solve_are)
 from .param_estimator import ThetaEstimator, ThetaEstimatorConfig, window_pairs
 from .policy_estimator import PolicyEstimator, PolicyEstimatorConfig
-from .rls import _norm, row_norms
+from .rls import row_norms
 
 Matrix = np.ndarray
 
@@ -120,8 +123,8 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
 
     This is the only code that turns a ScenarioConfig into objects. A config
     passes only if its plant, reference, basis, stabilizing Riccati solution
-    and weight targets can all be built, so every config that loads can also
-    run and be scored.
+    and weight targets can all be built, and the demonstrator's RK4 step at
+    dt is stable, so every config that loads can also run and be scored.
     """
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
@@ -202,6 +205,15 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
         targets = weight_targets(cfg, oracle)
     except (ValueError, RiccatiConvergenceError) as exc:
         raise ConfigError(f"no ground truth for this scenario: {exc}") from exc
+    # the demonstration takes RK4 steps of dt, which can grow a state that
+    # decays in continuous time; the reference gets the slack of its
+    # continuous-time rule, so an integrator (rho = 1) passes
+    rho, rho_d = scenario.step_radii(oracle.gain, cfg.dt)
+    if rho >= 1.0 or rho_d > 1.0 + 1e-9:
+        raise ConfigError(
+            f"simulation.dt = {cfg.dt:g} makes the RK4 step unstable: spectral "
+            f"radius {rho:.3g} under the optimal feedback (needs < 1), "
+            f"{rho_d:.3g} of the reference (needs <= 1)")
     return ValidScenario(scenario, basis, oracle, targets)
 
 
@@ -499,30 +511,26 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
             f"non-finite state after step at t={clock[n - 1]:.6g}",
             t=clock[n - 1], state=xs[n])))
     cols = [dict(zip(CSV_COLUMNS, table.T)) for table in tables]
-    theta0, policy0 = theta_est.weights, policy_est.weights
-    theta_rows = np.zeros((rows,) + theta0.shape)
-    policy_rows = np.zeros((rows,) + policy0.shape)
+    theta_rows = np.zeros((rows,) + theta_est.weights.shape)
+    policy_rows = np.zeros((rows,) + policy_est.weights.shape)
 
     length = _step_count(cfg.theta_estimator.window, dt)
     ends = _clock(clock, cfg.theta_estimator.offer_period, range(length, n))
-    windows = dict(zip(ends, zip(*window_pairs(scn.plant, times, xs, us, ends,
-                                               length)))) if ends else {}
-
-    def bank_window(k):         # tagged by step until the generations are known
-        y, b = windows[k]
-        return not _norm(y) < 1e-12 and theta_est.stack.try_insert(y, b, clock[k],
-                                                                    tag=k)
-
+    # tagged by step until the generations are known
+    offer = _admit(theta_est.stack, ends,
+                   *window_pairs(scn.plant, times, xs, us, ends, length), clock,
+                   range(rows))
     col = cols[0]
-    n = _stage(theta_est, dt, bank_window, ends, 0, n, errors, 0, theta_rows,
+    n = _stage(theta_est, dt, offer, ends, 0, n, errors, 0, theta_rows,
                np.empty(rows), col["theta_gain_reset"], col["lambda_theta_stack"])
     # revise takes its rows in order, so one call equals one per span
     generations = theta_est.revise(theta_rows[:n])
     gens = np.concatenate([[0], generations[:-1]])  # as each step's offers read it
     theta_est.stack.retag(gens)
-    n = _stage(policy_est, dt,
-               lambda k: policy_est.record_sample(es[k], mus[k], clock[k]),
-               _clock(clock, pc.offer_period, range(n)), 0, n, errors, 1, policy_rows,
+    due = _clock(clock, pc.offer_period, range(n))
+    # the policy features are the state: rows e, targets -mu
+    offer = _admit(policy_est.stack, due, es[due], -mus[due], clock, [0] * rows)
+    n = _stage(policy_est, dt, offer, due, 0, n, errors, 1, policy_rows,
                col["lambda_gamma_policy"], col["policy_gain_reset"],
                col["lambda_policy_stack"])
     for table in tables[1:]:
@@ -535,19 +543,20 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     w_rows = [np.zeros((rows, engine.dim)) for engine in engines]
     for order, (engine, query, lane, w, gate) in enumerate(
             zip(engines, modes, cols, w_rows, gates), start=2):
-        due = set(_clock(clock, ic.query_period, np.flatnonzero(gate).tolist()))
+        due = _clock(clock, ic.query_period, np.flatnonzero(gate).tolist())
+        # each due step reads the estimates of the step before it; step 0,
+        # whose generation is 0, is never due
+        prev = np.asarray(due, dtype=int) - 1
+        # built ahead of the walk, past a divergence too, so quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, u = (engine.queries(policy_rows[prev]) if query
+                    else (es[due], mus[due]))
+            offer = _admit(engine.stack, due,
+                           *engine.row_blocks(x, u, theta_rows[prev]), clock, gens)
 
-        def collect(k, engine=engine, query=query, due=due, purged=lane["purge"]):
+        def collect(k, engine=engine, offer=offer, purged=lane["purge"]):
             changed = purged[k] = engine.schedule_purge(clock[k], gens[k])
-            if k in due:
-                theta = theta_rows[k - 1] if k else theta0
-                if query:
-                    changed |= engine.generate_query(
-                        policy_rows[k - 1] if k else policy0, theta, gens[k], clock[k])
-                else:
-                    changed |= engine.collect_trajectory_sample(
-                        es[k], mus[k], theta, gens[k], clock[k])
-            return changed
+            return offer(k) | changed
 
         lane["lambda_gamma_irl"][:] = ic.gamma0     # until the gate opens
         _stage(engine, dt, collect, range(n), int(gate.argmax()) if gate.any() else n,
@@ -605,6 +614,22 @@ def _clock(clock: list, period: float, steps) -> list:
             fired.append(k)
             last = clock[k]
     return fired
+
+
+def _admit(stack, due, rows, targets, clock, tags):
+    """offer(k) for `_stage`, from a stack's offers built as arrays, one per
+    step of `due`: at the i-th, try_insert of rows[i] and targets[i] tagged
+    tags[k]. An offer whose rows have no signal (norm below 1e-12) cannot
+    raise lambda_min, so it is not made; a non-finite one is, and fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        silent = row_norms(rows) < 1e-12
+    slots = {k: i for i, k in enumerate(due) if not silent[i]}
+
+    def offer(k):
+        i = slots.get(k)
+        return i is not None and stack.try_insert(rows[i], targets[i], clock[k],
+                                                  tag=tags[k])
+    return offer
 
 
 def _stage(learner, dt, offer, steps, start, n, errors, order, weights, gamma,

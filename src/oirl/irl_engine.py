@@ -17,6 +17,13 @@ Rows are built from a drift-parameter estimate theta_hat, banked in a history
 stack tagged with that estimate's generation, and purged when fresher
 estimates make old rows stale. The stack holds -offsets as targets, so that
 rows @ W ~= target as `rls.ConcurrentLearner` expects.
+
+Neither a query nor a row block reads the stack, so a run builds all of a
+lane's queries and row blocks as arrays before it offers them: `queries`
+draws every query state at once, the same doubles and generator state as
+one draw per query, and `build_row_block` builds the rows of N samples,
+each bit for bit its rows from a one-sample call. Only the purges and the
+stack's admission step through the offers one at a time.
 """
 
 from __future__ import annotations
@@ -25,43 +32,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LinearPlant, eval_dynamics
+from .dynamics import LinearPlant, eval_dynamics, matvec
 from .features import FeatureBasis
 from .history import HistoryStack
-from .rls import ConcurrentLearner, _norm
+from .rls import ConcurrentLearner
 
 Matrix = np.ndarray
 Vector = np.ndarray
 
 
-def build_row_block(basis: FeatureBasis, dyn: LinearPlant, x: Vector,
-                    u_hat: Vector, theta_hat: Matrix,
-                    r1: float) -> tuple[Matrix, Vector]:
-    """Regressor rows and offsets contributed by one (x, u_hat) sample.
+def build_row_block(basis: FeatureBasis, dyn: LinearPlant, x: Matrix,
+                    u: Matrix, theta: Matrix, r1: float) -> tuple[Matrix, Matrix]:
+    """Regressor rows and offsets of N samples (x_i, u_i): states x (N, n),
+    inputs u (N, m) and the drift estimate each sample's rows are built from,
+    theta (N, n + m, n), or one (n + m, n) for all.
 
-    Returns (rows, offsets) with rows of shape (1 + m, P + L + m - 1) over the
-    unknowns [W_V; W_Q; W_R minus its first entry] and offsets carrying the
-    anchored r1 terms, so that rows @ W_true + offsets = 0 at exact data.
+    Returns rows of shape (N, 1 + m, P + L + m - 1) over the unknowns
+    [W_V; W_Q; W_R minus its first entry] and offsets (N, 1 + m) carrying the
+    anchored r1 terms, so that rows[i] @ W_true + offsets[i] = 0 at exact
+    data. Each product is a stacked matmul, so sample i gets the bits that a
+    call with it alone gives.
     """
     p, l, m = basis.value_dim, basis.reward_dim, basis.input_dim
-    u_hat = np.asarray(u_hat, dtype=float)
-    grad_v = basis.value_gradient(x)                       # (P, n)
-    xdot = eval_dynamics(dyn, x, u_hat, theta_hat)
-    u_sq = basis.control_squares(u_hat)
-    rows = np.zeros((1 + m, p + l + m - 1))
-    offsets = np.zeros(1 + m)
-    rows[0, :p] = grad_v @ xdot
-    rows[0, p:p + l] = basis.reward_features(x)
-    rows[0, p + l:] = u_sq[1:]
-    offsets[0] = r1 * u_sq[0]
+    grad_v = basis.value_gradient(x)                       # (N, P, n)
+    u_sq = basis.control_squares(u)
+    rows = np.zeros((len(x), 1 + m, p + l + m - 1))
+    offsets = np.zeros((len(x), 1 + m))
+    rows[:, 0, :p] = matvec(grad_v, eval_dynamics(dyn, x, u, theta))
+    rows[:, 0, p:p + l] = basis.reward_features(x)
+    rows[:, 0, p + l:] = u_sq[:, 1:]
+    offsets[:, 0] = r1 * u_sq[:, 0]
     # stationarity rows: dV/dx * d(xdot)/du_j + 2 r_j u_j = 0 per channel
-    g = grad_v @ dyn.input_jacobian(theta_hat)             # (P, m)
-    for j in range(m):
-        rows[1 + j, :p] = g[:, j]
-        if j == 0:
-            offsets[1] = 2.0 * r1 * u_hat[0]
-        else:
-            rows[1 + j, p + l + j - 1] = 2.0 * u_hat[j]
+    rows[:, 1:, :p] = np.swapaxes(grad_v @ dyn.input_jacobian(theta), 1, 2)
+    offsets[:, 1] = 2.0 * r1 * u[:, 0]
+    j = np.arange(1, m)
+    rows[:, 1 + j, p + l + j - 1] = 2.0 * u[:, 1:]
     return rows, offsets
 
 
@@ -123,32 +128,24 @@ class RewardEstimator(ConcurrentLearner):
     def control_weights_rest(self) -> Vector:
         return self.weights[self.basis.value_dim + self.basis.reward_dim:].copy()
 
-    # -- sample collection -----------------------------------------------------
+    # -- samples -------------------------------------------------------------
 
-    def draw_query_state(self) -> Vector:
-        return self.rng.uniform(self.query_box[:, 0], self.query_box[:, 1])
+    def queries(self, policy_weights: Matrix) -> tuple[Matrix, Matrix]:
+        """One query per policy estimate W_u in policy_weights (N, K, m):
+        (x, u_hat) with x (N, n) drawn uniformly from the query box in one
+        draw, the same doubles and generator state as N draws of one state,
+        and u_hat = -W_u^T x (N, m), the estimated policy at each."""
+        x = self.rng.uniform(self.query_box[:, 0], self.query_box[:, 1],
+                             size=(len(policy_weights), len(self.query_box)))
+        return x, -matvec(np.swapaxes(policy_weights, 1, 2), x)
 
-    def _offer(self, x: Vector, u_hat: Vector, theta_hat: Matrix,
-               generation: int, t: float) -> bool:
-        rows, offsets = build_row_block(self.basis, self.dyn, x, u_hat,
-                                        theta_hat, self.cfg.r1)
-        if _norm(rows) < 1e-12:
-            return False        # degenerate sample, cannot raise lambda_min
-        return self.stack.try_insert(rows, -offsets, t, tag=generation)
-
-    def generate_query(self, policy_weights: Matrix, theta_hat: Matrix,
-                       generation: int, t: float) -> bool:
-        """Draw x_i from the query box, evaluate the estimated policy, and
-        bank its rows, built from theta_hat and tagged with its generation."""
-        x_i = self.draw_query_state()
-        u_hat = -(policy_weights.T @ self.basis.policy_features(x_i))
-        return self._offer(x_i, u_hat, theta_hat, generation, t)
-
-    def collect_trajectory_sample(self, x: Vector, u: Vector, theta_hat: Matrix,
-                                  generation: int, t: float) -> bool:
-        """No-querying variant: bank rows built from an observed (x, u) pair."""
-        return self._offer(np.asarray(x, dtype=float),
-                           np.asarray(u, dtype=float), theta_hat, generation, t)
+    def row_blocks(self, x: Matrix, u: Matrix,
+                   theta: Matrix) -> tuple[Matrix, Matrix]:
+        """The row blocks of N samples and the stack's targets for them,
+        (rows, -offsets), from `build_row_block`."""
+        rows, offsets = build_row_block(self.basis, self.dyn, x, u, theta,
+                                        self.cfg.r1)
+        return rows, -offsets
 
     # -- purging ---------------------------------------------------------------
 

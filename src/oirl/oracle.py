@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RiccatiConvergenceError, UnstabilizableError
+from .features import monomial_pairs
 
 Matrix = np.ndarray
 
@@ -31,8 +32,7 @@ class LqrSolution:
 
     gain is the state-feedback matrix K (m, n) with optimal input u = -K x.
     value_weights expresses x^T P x over the quadratic monomial basis
-    (squares first, then cross terms x_i x_j for i < j), so the cross-term
-    weights are 2 P_ij.
+    (`features.monomial_pairs`), so the cross-term weights are 2 P_ij.
     """
 
     cost_matrix: Matrix
@@ -70,13 +70,10 @@ def _lyapunov_separation(a_c: Matrix) -> float:
 
 
 def quadratic_value_weights(p: Matrix) -> np.ndarray:
-    """Weights of x^T P x over the quadratic monomial basis (squares, then crosses)."""
-    n = p.shape[0]
-    w = [np.diag(p)]
-    cross = [2.0 * p[i, j] for i in range(n) for j in range(i + 1, n)]
-    if cross:
-        w.append(np.asarray(cross))
-    return np.concatenate(w)
+    """Weights of x^T P x over the quadratic monomials, in the order of
+    `features.monomial_pairs`: P_ii for x_i^2 and 2 P_ij for x_i x_j."""
+    i, j = monomial_pairs(p.shape[0])
+    return np.where(i == j, 1.0, 2.0) * p[i, j]
 
 
 ARE_TOL = 1e-9          # Riccati residual bound, relative to max(1, ||P||_F)

@@ -25,7 +25,7 @@ import numpy as np
 from numpy._core.umath import clip   # the ufunc np.clip ends in, undispatched
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import LinearPlant
+from .dynamics import LinearPlant, matvec
 from .history import HistoryStack
 from .rls import CHUNK, ConcurrentLearner, row_norms
 
@@ -40,10 +40,12 @@ def window_pairs(dyn: LinearPlant, times, states, controls, ends,
     """(Y, b) of each window of `length` subintervals that ends at a sample
     index in `ends`, stacked: Y = int sigma dt (p,) and
     b = x(end) - x(start) - int f0 dt (n,), with f0 = A0 x + B0 u evaluated
-    as `LinearPlant.nominal` does. WINDOWS_PER_PASS windows at a time are
-    summed, from the terms of their own samples."""
+    as `eval_dynamics` does. WINDOWS_PER_PASS windows at a time are summed,
+    from the terms of their own samples."""
     if length < 1:
         raise ValueError("integration window needs at least 2 samples")
+    if not len(ends):
+        return np.zeros((0, dyn.param_dim)), np.zeros((0, dyn.state_dim))
     if len(ends) > WINDOWS_PER_PASS:
         return tuple(map(np.concatenate, zip(*(
             window_pairs(dyn, times, states, controls, ends[i:i + WINDOWS_PER_PASS],
@@ -53,9 +55,8 @@ def window_pairs(dyn: LinearPlant, times, states, controls, ends,
     t, x, u = (np.asarray(a, dtype=float)[lo:ends.max() + 1]
                for a in (times, states, controls))
     half = (0.5 * (t[1:] - t[:-1]))[:, None]
-    # A0 x and B0 u as one matrix-vector product per sample, as `nominal`
-    a0x = np.matmul(dyn.a0, x[:, :, None])[:, :, 0]
-    b0u = np.matmul(dyn.b0, u[:-1, :, None])[:, :, 0]
+    # A0 x and B0 u as one matrix-vector product per sample
+    a0x, b0u = matvec(dyn.a0, x), matvec(dyn.b0, u[:-1])
     # (int sigma, int f0) per subinterval, with u held at its left sample
     sigma = np.concatenate([x[:-1] + x[1:], u[:-1] + u[:-1]], axis=1)
     terms = np.concatenate([half * sigma, half * ((a0x[:-1] + b0u) + (a0x[1:] + b0u))],

@@ -1,10 +1,12 @@
 """Feedback-policy estimation by concurrent learning over stored samples.
 
-The demonstrator's policy is modeled as u = -W_u^T sigma_pi(x). Observed
-(x, u) pairs enter a history stack as (sigma_pi(x)^T, -u^T) rows, so that
-rows @ W_u ~= target as `rls.ConcurrentLearner` expects; the weight and gain
-updates are driven by the stacked normal equations so estimation keeps
-converging after the live trajectory stops being informative.
+The demonstrator's policy is modeled as u = -W_u^T sigma_pi(x), with the
+policy features sigma_pi(x) = x. Observed (x, u) pairs enter a history stack
+as (x^T, -u^T) rows, so that rows @ W_u ~= target as `rls.ConcurrentLearner`
+expects; the weight and gain updates are driven by the stacked normal
+equations so estimation keeps converging after the live trajectory stops
+being informative. A run offers the stack its samples straight from the
+demonstration's arrays (`harness._admit`).
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import numpy as np
 
 from .features import FeatureBasis
 from .history import HistoryStack
-from .rls import ConcurrentLearner, _norm
-
-Vector = np.ndarray
+from .rls import ConcurrentLearner
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,7 @@ class PolicyEstimator(ConcurrentLearner):
     """Concurrent-learning estimator of the feedback-policy weights W_u (K x m)."""
 
     def __init__(self, basis: FeatureBasis, cfg: PolicyEstimatorConfig):
-        self.basis = basis
         k, m = basis.policy_dim, basis.input_dim
         super().__init__(
             cfg, HistoryStack(cfg.stack_size, row_dim=k, block_rows=1, target_dim=m),
             np.zeros((k, m)))
-
-    def record_sample(self, x: Vector, u: Vector, t: float) -> bool:
-        """Offer one (sigma_pi(x), -u) pair to the stack.
-
-        Zero feature rows are rejected up front; they cannot raise the rank
-        metric and would waste a slot while the stack is still filling.
-        """
-        row = self.basis.policy_features(x)
-        if _norm(row) < 1e-12:
-            return False
-        return self.stack.try_insert(row, -np.asarray(u, dtype=float), t)

@@ -15,13 +15,14 @@ policy (u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0)
 bank -offsets to fit the convention; negation is exact, so their cross
 matrices are bit for bit the negated ones.
 
-`_norm` is the Frobenius/2-norm every estimator uses on the step path. It
-computes exactly what `np.linalg.norm(a)` computes for a real array with
-ord=None, sqrt(v . v) on v = a.ravel(order="K"), so results are
-bit-identical; it only skips that function's argument dispatch, which
+`_norm` is the Frobenius/2-norm of one array, the per-sample reference
+for `row_norms`. It computes exactly what `np.linalg.norm(a)` computes for a
+real array with ord=None, sqrt(v . v) on v = a.ravel(order="K"), so results
+are bit-identical; it only skips that function's argument dispatch, which
 dominates the cost on arrays of a few entries. `row_norms` takes it of every
 row of a table in one pass, bit for bit: `np.vecdot` and `ndarray.dot` run
-the same BLAS dot on each row.
+the same BLAS dot on each row. The run takes its error norms with it, and
+the zero-signal test of every stack's offers (`harness._admit`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _norm(a: np.ndarray) -> float:
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """`_norm` of each rows[i], shape (len(rows),), as one array pass."""
-    d = rows.reshape(len(rows), -1)
+    d = rows.reshape(len(rows), math.prod(rows.shape[1:]))
     return np.sqrt(np.vecdot(d, d))
 
 

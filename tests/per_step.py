@@ -5,9 +5,11 @@ reference for it, the way `_getattr_csv` is kept for `emit_csv`.
 and every lane one step at a time, in the loop's order: the theta window
 offer, the policy sample, each lane's purge and query, then the theta,
 policy and lane updates (each its learner's one-step `advance`, and
-`revise` for theta), the records, and the plant step. It returns what `harness._run_lanes` returns, or raises
-the first DivergenceError with its `t` and `last_record_index`.
-`ThetaWindows.observe` is the theta estimator's per-sample window offer.
+`revise` for theta), the records, and the plant step. Each query is drawn
+on its own step, and its rows are built as a one-sample batch. It returns
+what `harness._run_lanes` returns, or raises the first DivergenceError with
+its `t` and `last_record_index`. `ThetaWindows.observe` is the theta
+estimator's per-sample window offer.
 """
 
 from collections import deque
@@ -90,7 +92,8 @@ def run_lanes(cfg, modes):
 
             windows.observe(t, x, u)
             if t - last_policy_offer >= pc.offer_period - 1e-9:
-                policy_est.record_sample(e, mu, t)
+                if not _norm(e) < 1e-12:
+                    policy_est.stack.try_insert(e, -mu, t)
                 last_policy_offer = t
 
             policy_ready = policy_est.stack.rank_metric > pc.rank_threshold
@@ -99,12 +102,12 @@ def run_lanes(cfg, modes):
                 gates[i] = gate = generation >= 1 and (policy_ready or not query)
                 purged[i] = engine.schedule_purge(t, generation)
                 if gate and t - last_collect[i] >= ic.query_period - 1e-9:
-                    if query:
-                        engine.generate_query(policy_est.weights, theta_est.weights,
-                                              generation, t)
-                    else:
-                        engine.collect_trajectory_sample(e, mu, theta_est.weights,
-                                                         generation, t)
+                    x_i, u_i = (engine.queries(policy_est.weights[None]) if query
+                                else (e[None], mu[None]))
+                    (block,), (target,) = engine.row_blocks(
+                        x_i, u_i, theta_est.weights[None])
+                    if not _norm(block) < 1e-12:
+                        engine.stack.try_insert(block, target, t, tag=generation)
                     last_collect[i] = t
 
             for w, _ in theta_est.advance(dt, 1):

@@ -134,11 +134,11 @@ def test_criterion_5_oracle_property_suite(capsys):
         w_true = np.concatenate([sol.value_weights, np.diag(q),
                                  np.diag(r)[1:]])
         full = np.concatenate([sol.value_weights, np.diag(q), np.diag(r)])
-        for _ in range(3):
-            x = rng.uniform(-1.0, 1.0, n)
-            u = -(sol.gain @ x)
-            rows, offsets = build_row_block(basis, dyn, x, u, theta, r1)
-            worst_row = max(worst_row, np.max(np.abs(rows @ w_true + offsets)))
+        xs = rng.uniform(-1.0, 1.0, (3, n))
+        us = -(xs @ sol.gain.T)
+        rows, offsets = build_row_block(basis, dyn, xs, us, theta, r1)
+        worst_row = max(worst_row, np.max(np.abs(rows @ w_true + offsets)))
+        for x, u in zip(xs, us):
             worst_bell = max(worst_bell,
                              abs(inverse_bellman_error(basis, dyn, x, u,
                                                        full, theta)))
@@ -164,7 +164,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
     for i in range(40):
         x = rng.uniform(-1.0, 1.0, 2)
         u = -(k_true @ x) + 0.01 * rng.normal(size=1)
-        pol.record_sample(x, u, t=0.05 * i)
+        pol.stack.try_insert(x, -u, t=0.05 * i)
     for _ in pol.advance(dt, 40000):    # 40,000 exact steps, in spans
         pass
     s = pol.stack.normal_matrix()
@@ -179,8 +179,10 @@ def test_criterion_6_recursive_matches_batch(capsys):
                       theta)
     eng = RewardEstimator(basis, dyn, IrlConfig(), 31)
     policy = k_true.T + 0.02 * rng.normal(size=(2, 1))
-    for i in range(40):
-        eng.generate_query(policy, theta, 1, t=0.05 * i)
+    rows, targets = eng.row_blocks(*eng.queries(np.repeat(policy[None], 40, axis=0)),
+                                   theta)
+    for i, (block, target) in enumerate(zip(rows, targets)):
+        eng.stack.try_insert(block, target, t=0.05 * i, tag=1)
     for _ in eng.advance(dt, 80000):
         pass
     s_irl = eng.stack.normal_matrix()

@@ -140,6 +140,24 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_dt_that_makes_the_demonstrators_step_unstable_exits_2(tmp_path, capsys):
+    """With Q = 1e4 I the closed loop's eigenvalues are -1.00 and -31.6, and
+    at dt = 0.25 its RK4 step has spectral radius 7.36: `oracle`, the run
+    and the no-query run are refused, not simulated into a tolerance failure
+    or an overflow. At the shipped dt the same costs pass."""
+    data = json.loads(SHIPPED.read_text())
+    data["reward"]["q"] = [[1e4, 0.0], [0.0, 1e4]]
+    data["simulation"].update(dt=0.25, duration=30.0)
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["oracle"], ["run", *out], ["run", "--no-query", *out]):
+        assert main([*argv, "--config", _write(tmp_path, data)]) == 2
+        assert "spectral radius 7.36 under the optimal feedback" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+    data["simulation"].update(dt=0.005, duration=2.0)
+    assert main(["oracle", "--config", _write(tmp_path, data)]) == 0
+
+
 def test_ablate_of_zero_duration_exits_2(tmp_path, capsys):
     """Duration 0 is a valid run, but ablate has no step to compare."""
     data = json.loads(SHIPPED.read_text())
@@ -180,12 +198,15 @@ def test_oracle_exits_0(capsys):
 def overflowing_policy_samples(monkeypatch):
     """Bank each policy sample with its row scaled by 1e-10 and its target by
     1e300: finite rows and targets whose least-squares weights overflow."""
-    record = PolicyEstimator.record_sample
+    init = PolicyEstimator.__init__
 
-    def rescaled(self, x, u, t):
-        return record(self, 1e-10 * np.asarray(x), 1e300 * np.asarray(u), t)
+    def rescaling(self, *args):
+        init(self, *args)
+        insert = self.stack.try_insert
+        self.stack.try_insert = lambda row, target, t, tag=0: insert(
+            1e-10 * row, 1e300 * target, t, tag)
 
-    monkeypatch.setattr(PolicyEstimator, "record_sample", rescaled)
+    monkeypatch.setattr(PolicyEstimator, "__init__", rescaling)
 
 
 def _diverging_policy_config() -> dict:

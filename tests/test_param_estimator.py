@@ -217,7 +217,8 @@ def test_observe_banks_exactly_the_reference_window_integral():
 
     def spy(y, b, t, tag=0):
         window = [[s[k] for s in windows.buffer] for k in range(3)]
-        ref_y, ref_b = _loop_window(dyn.nominal, dyn.features, *window)
+        ref_y, ref_b = _loop_window(lambda x, u: a0 @ x + b0 @ u,
+                                    lambda x, u: np.concatenate([x, u]), *window)
         equal = np.array_equal(y, ref_y) and np.array_equal(b, ref_b)
         offered.append((equal, len(window[0])))
         return False

@@ -6,6 +6,7 @@ import pytest
 from oirl.dynamics import LinearPlant
 from oirl.errors import DivergenceError
 from oirl.features import FeatureBasis
+from oirl.harness import _admit
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 
@@ -25,15 +26,17 @@ def _filled_estimator(n_samples=30, seed=2):
     est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     for i in range(n_samples):
         x = rng.uniform(-1.0, 1.0, 2)
-        est.record_sample(x, -(K_TRUE @ x), t=0.05 * i)
+        est.stack.try_insert(x, K_TRUE @ x, t=0.05 * i)     # rows x, targets -u
     return est
 
 
 def test_zero_state_samples_are_rejected():
     est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
-    assert not est.record_sample(np.zeros(2), np.zeros(1), t=0.0)
+    states, inputs = np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([[0.0], [0.5]])
+    offer = _admit(est.stack, [0, 1], states, -inputs, [0.0, 0.0], [0, 0])
+    assert not offer(0)
     assert len(est.stack) == 0
-    assert est.record_sample(np.array([0.1, 0.0]), np.array([0.5]), t=0.0)
+    assert offer(1)
 
 
 def test_banked_targets_follow_the_true_weights():
@@ -93,15 +96,15 @@ def test_query_is_linear_in_the_state():
     dyn = LinearPlant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
                       THETA)
     eng = RewardEstimator(_basis(), dyn, IrlConfig(), 3)
-    twin = RewardEstimator(_basis(), dyn, IrlConfig(), 3)
-    for i in range(5):
-        x = twin.draw_query_state()
-        assert eng.generate_query(est.weights, THETA, 1, 0.05 * i)
-        rows, offsets = build_row_block(_basis(), dyn, x, -(K_TRUE @ x), THETA,
-                                        eng.cfg.r1)
-        np.testing.assert_allclose(eng.stack.regressor()[-2:], rows,
+    x, u_hat = eng.queries(np.repeat(est.weights[None], 5, axis=0))
+    np.testing.assert_allclose(u_hat, -(x @ K_TRUE.T), rtol=1e-14, atol=0)
+    for i, (block, target) in enumerate(zip(*eng.row_blocks(x, u_hat, THETA))):
+        assert eng.stack.try_insert(block, target, 0.05 * i, tag=1)
+        rows, offsets = build_row_block(_basis(), dyn, x[i:i + 1],
+                                        -(x[i:i + 1] @ K_TRUE.T), THETA, eng.cfg.r1)
+        np.testing.assert_allclose(eng.stack.regressor()[-2:], rows[0],
                                    rtol=1e-14, atol=0)
-        np.testing.assert_allclose(eng.stack.targets()[-2:, 0], -offsets,
+        np.testing.assert_allclose(eng.stack.targets()[-2:, 0], -offsets[0],
                                    rtol=1e-14, atol=0)
 
 
@@ -110,8 +113,8 @@ def test_non_finite_update_raises():
     feature) make the weight solve overflow once forgetting has shrunk H."""
     cfg = PolicyEstimatorConfig(beta=100.0, gamma_ceiling=1e300)
     est = PolicyEstimator(_basis(), cfg)
-    assert est.record_sample(np.array([1e-10, 0.0]), np.array([-1e300]), t=0.0)
-    assert est.record_sample(np.array([0.0, 1.0]), np.array([0.0]), t=0.05)
+    assert est.stack.try_insert(np.array([1e-10, 0.0]), np.array([1e300]), t=0.0)
+    assert est.stack.try_insert(np.array([0.0, 1.0]), np.array([0.0]), t=0.05)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
             for _ in range(200):
