@@ -4,7 +4,8 @@ The demonstrator acts under its true optimal policy (LQR feedback around the
 reference feedforward) and nothing an estimator does feeds back into the
 plant, so a run is a pipeline of stages in the loop's dependency order:
 (1) the demonstration, x, xd, e, mu and u of every step, by the exact
-zero-order-hold RK4 step of `rk4_transition`; (2) the theta, then the policy
+zero-order-hold RK4 step of `rk4_transition`, with only the x recurrence
+and the autonomous xd recurrence stepped; (2) the theta, then the policy
 estimator, each offering its stack everything due on its clock in order,
 then stepping its learner in closed form (`ConcurrentLearner.advance`) over
 each span between the stack's changes; (3) one lane per querying flag, a
@@ -12,20 +13,25 @@ reward estimator with its own gate, clock, purges and records, reading each
 step's estimates from (2): `run_scenario` is one lane, `ablate` two. Every
 offer is built as arrays before its stage walks them (the theta windows by
 `window_pairs`, a lane's queries and row blocks by its estimator), each bit
-for bit a one-sample build; the walk does only the purges and
-`HistoryStack.try_insert`, through `_admit`. A span ends at a stack change (an
-accepted offer, a purge), at the gate's opening, at a gain reset (W kept,
-the step flagged) and at a box clip of theta_hat (Z = H W recomputed); a
-rejected offer ends none. Each lane's records are a `RecordTable`, a
-(steps + 1, 16) array in CSV column order written a span at a time, with
-the error norms taken after all stages (`rls.row_norms`). A DivergenceError
-is the one a per-step loop would raise first: the earliest step, and within
-it the offers, the updates, then the plant step, each in the order theta,
-policy, lanes. Reruns with the same (config, seed) are byte-identical.
+for bit a one-sample build. The walk (`_walk`) stops only where the stack
+may change: between two changes the admission certificate is taken of a
+window of offers in one pass (`HistoryStack.first_unrejected`) and a lane
+bisects for its next purge, so only offers the certificate cannot reject
+reach `HistoryStack.try_insert`, every decision that of a per-step loop.
+A span ends at a stack change (an accepted offer, a purge), at the gate's
+opening, at a gain reset (W kept, the step flagged) and at a box clip of
+theta_hat (Z = H W recomputed); a rejected offer ends none. Each lane's
+records are a `RecordTable`, a (steps + 1, 16) array in CSV column order
+written a span at a time, with the error norms taken after all stages
+(`rls.row_norms`). A DivergenceError is the one a per-step loop would raise
+first: the earliest step, and within it the offers, the updates, then the
+plant step, each in the order theta, policy, lanes. Reruns with the same
+(config, seed) are byte-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -36,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import LinearPlant, TrackingScenario, rk4_transition
+from .dynamics import LinearPlant, TrackingScenario, matvec, rk4_transition
 from .errors import ConfigError, DivergenceError, RiccatiConvergenceError
 from .features import REWARDS, FeatureBasis
 from .irl_engine import IrlConfig, RewardEstimator
@@ -404,18 +410,24 @@ class RecordTable:
         return map(self.__getitem__, range(len(self)))
 
 
+CSV_BLOCK = 1024    # rows formatted by one %-format string
+
+
 def emit_csv(records: RecordTable, path) -> None:
     """Write records deterministically: 17 significant digits, ',' separator.
 
-    Rows are formatted one at a time, so no text copy of the whole table is
-    held; "%.17g" and "%d" give the same text as format(v, ".17g") and
-    str(int(v)).
+    Rows are formatted CSV_BLOCK at a time, each block by one %-format
+    string over its values as Python floats, so no text copy of the whole
+    table is held; "%.17g" and "%d" give the same text as format(v, ".17g")
+    and str(int(v)).
     """
+    line = ",".join(["%.17g"] * _FIRST_FLAG
+                    + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG)) + "\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, records.table, delimiter=",", comments="",
-                   header=",".join(CSV_COLUMNS),
-                   fmt=["%.17g"] * _FIRST_FLAG
-                   + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG))
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(records), CSV_BLOCK):
+            block = records.table[start:start + CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def record_array(records: RecordTable, name: str) -> np.ndarray:
@@ -517,20 +529,20 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     length = _step_count(cfg.theta_estimator.window, dt)
     ends = _clock(clock, cfg.theta_estimator.offer_period, range(length, n))
     # tagged by step until the generations are known
-    offer = _admit(theta_est.stack, ends,
-                   *window_pairs(scn.plant, times, xs, us, ends, length), clock,
-                   range(rows))
+    walk = _walk(theta_est.stack, ends,
+                 *window_pairs(scn.plant, times, xs, us, ends, length), clock,
+                 range(rows), n)
     col = cols[0]
-    n = _stage(theta_est, dt, offer, ends, 0, n, errors, 0, theta_rows,
-               np.empty(rows), col["theta_gain_reset"], col["lambda_theta_stack"])
+    n = _stage(theta_est, dt, walk, 0, n, errors, 0, theta_rows, np.empty(rows),
+               col["theta_gain_reset"], col["lambda_theta_stack"])
     # revise takes its rows in order, so one call equals one per span
     generations = theta_est.revise(theta_rows[:n])
     gens = np.concatenate([[0], generations[:-1]])  # as each step's offers read it
     theta_est.stack.retag(gens)
     due = _clock(clock, pc.offer_period, range(n))
     # the policy features are the state: rows e, targets -mu
-    offer = _admit(policy_est.stack, due, es[due], -mus[due], clock, [0] * rows)
-    n = _stage(policy_est, dt, offer, due, 0, n, errors, 1, policy_rows,
+    walk = _walk(policy_est.stack, due, es[due], -mus[due], clock, [0] * rows, n)
+    n = _stage(policy_est, dt, walk, 0, n, errors, 1, policy_rows,
                col["lambda_gamma_policy"], col["policy_gain_reset"],
                col["lambda_policy_stack"])
     for table in tables[1:]:
@@ -539,7 +551,6 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     ready = col["lambda_policy_stack"] > pc.rank_threshold
     # a gate opens once: neither the generation nor the policy rank falls
     gates = [(gens[:n] >= 1) & (ready[:n] | (not query)) for query in modes]
-    gens = gens.tolist()
     w_rows = [np.zeros((rows, engine.dim)) for engine in engines]
     for order, (engine, query, lane, w, gate) in enumerate(
             zip(engines, modes, cols, w_rows, gates), start=2):
@@ -551,17 +562,14 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
         with np.errstate(over="ignore", invalid="ignore"):
             x, u = (engine.queries(policy_rows[prev]) if query
                     else (es[due], mus[due]))
-            offer = _admit(engine.stack, due,
-                           *engine.row_blocks(x, u, theta_rows[prev]), clock, gens)
-
-        def collect(k, engine=engine, offer=offer, purged=lane["purge"]):
-            changed = purged[k] = engine.schedule_purge(clock[k], gens[k])
-            return offer(k) | changed
-
+            walk = _walk(engine.stack, due, *engine.row_blocks(x, u, theta_rows[prev]),
+                         clock, gens, n, engine)
         lane["lambda_gamma_irl"][:] = ic.gamma0     # until the gate opens
-        _stage(engine, dt, collect, range(n), int(gate.argmax()) if gate.any() else n,
-               n, errors, order, w, lane["lambda_gamma_irl"], lane["irl_gain_reset"],
+        _stage(engine, dt, walk, int(gate.argmax()) if gate.any() else n, n, errors,
+               order, w, lane["lambda_gamma_irl"], lane["irl_gain_reset"],
                lane["lambda_irl_stack"])
+        # a purge time is its step's clock value, so the search is exact
+        lane["purge"][np.searchsorted(times, engine.purge_times)] = 1.0
     if errors:
         step, phase, _, err = min(errors, key=lambda e: e[:3])
         err.last_record_index = step if phase == 2 else step - 1
@@ -587,20 +595,22 @@ def _demonstration(scn: TrackingScenario, gain: Matrix, cfg: ScenarioConfig,
     phi, g_in = rk4_transition(*dyn.true_system(), cfg.dt)
     phi_d, _ = rk4_transition(scn.reference_matrix,
                               np.zeros((dyn.state_dim, 0)), cfg.dt)
-    xs, es = np.empty((2, steps + 1, dyn.state_dim))
-    mus, us = np.empty((2, steps + 1, dyn.input_dim))
+    xs, xds = np.empty((2, steps + 1, dyn.state_dim))
+    xd = xds[0] = np.asarray(cfg.xd0, dtype=float)
     x = np.asarray(cfg.x0, dtype=float)
-    xd = np.asarray(cfg.xd0, dtype=float)
-    # an overflow ends the run with a DivergenceError, not a warning
+    # an overflow ends the run with a DivergenceError, not a warning; each
+    # stacked product is bit for bit the product of one step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            e = x - xd
-            mu = -(gain @ e)
-            u = scn.desired_control(xd) + mu
-            xs[k], es[k], mus[k], us[k] = x, e, mu, u
-            if k < steps:
-                x = phi @ x + g_in @ u
-                xd = phi_d @ xd
+        for k in range(steps):      # the reference is autonomous
+            xd = xds[k + 1] = phi_d @ xd
+        feedforward = matvec(scn.feedforward_gain, xds)
+        for k in range(steps):
+            xs[k] = x
+            x = phi @ x + g_in @ (feedforward[k] - gain @ (x - xds[k]))
+        xs[steps] = x
+        es = xs - xds
+        mus = -matvec(gain, es)
+        us = feedforward + mus
     finite = np.isfinite(xs).all(axis=1)
     return xs, es, mus, us, steps + 1 if finite.all() else int(finite.argmin())
 
@@ -616,40 +626,76 @@ def _clock(clock: list, period: float, steps) -> list:
     return fired
 
 
-def _admit(stack, due, rows, targets, clock, tags):
-    """offer(k) for `_stage`, from a stack's offers built as arrays, one per
-    step of `due`: at the i-th, try_insert of rows[i] and targets[i] tagged
-    tags[k]. An offer whose rows have no signal (norm below 1e-12) cannot
-    raise lambda_min, so it is not made; a non-finite one is, and fails."""
+def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
+    """The steps below n at which `stack` changes, in order. At the i-th
+    step k of `due` it is offered rows[i] and targets[i] tagged tags[k]; on a
+    lane's stack (`engine` given) the purge rule of `schedule_purge`, on
+    generations `tags`, comes first at every step. An offer whose rows have
+    no signal (norm below 1e-12) cannot raise lambda_min, so it is not made.
+
+    The stack is fixed between changes, so the walk visits only the first
+    and last steps, the next purge (`next_purge`) and the next offer that
+    `first_unrejected` cannot reject, each as a per-step loop would. A
+    DivergenceError leaves with its step k, as last_record_index = k - 1.
+    """
+    flat = rows.reshape(len(rows), stack.block_rows * stack.row_dim)
+    flat_targets = targets.reshape(len(rows), stack.block_rows * stack.target_dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        silent = row_norms(rows) < 1e-12
-    slots = {k: i for i, k in enumerate(due) if not silent[i]}
+        frob = np.vecdot(flat, flat)        # the squares row_norms sums
+        made = ~(np.sqrt(frob) < 1e-12)
+    # a non-finite offer is made, and fails in try_insert
+    finite = np.isfinite(flat).all(axis=1) & np.isfinite(flat_targets).all(axis=1)
+    frob = np.where(finite, frob, np.nan)[made]
+    rows = flat[made].reshape(len(frob), stack.block_rows, stack.row_dim)
+    targets, due = targets[made], np.asarray(due, dtype=int)[made].tolist()
 
-    def offer(k):
-        i = slots.get(k)
-        return i is not None and stack.try_insert(rows[i], targets[i], clock[k],
-                                                  tag=tags[k])
-    return offer
+    def next_offer(i):
+        # offers from i on, in windows that double while all are rejected
+        span = 16
+        while i < len(due):
+            j = stack.first_unrejected(rows[i:i + span], frob[i:i + span])
+            if i + j < min(i + span, len(due)):
+                return i + j
+            i, span = i + span, 2 * span
+        return len(due)
+
+    i = k = 0
+    while True:
+        try:
+            changed = engine is not None and engine.schedule_purge(clock[k], tags[k])
+            if i < len(due) and due[i] == k:
+                changed |= stack.try_insert(rows[i], targets[i], clock[k], tag=tags[k])
+                i += 1
+        except DivergenceError as err:
+            err.last_record_index = k - 1
+            raise
+        if changed:
+            yield k
+        if k >= n - 1:
+            return
+        j = next_offer(i)
+        k = min(due[j] if j < len(due) else n - 1,
+                n - 1 if engine is None else engine.next_purge(clock, tags, k + 1))
+        i = bisect.bisect_left(due, k, i)
 
 
-def _stage(learner, dt, offer, steps, start, n, errors, order, weights, gamma,
-           reset, rank) -> int:
-    """One estimator over the first n steps: offer(k), True if the stack
-    changed, at each of `steps`, then the learner from `start` in spans
-    between the changes, writing each step's columns (`gamma` is Gamma's
-    lambda_min). Appends errors keyed (step, phase, order); returns how many
-    steps the later stages run."""
+def _stage(learner, dt, walk, start, n, errors, order, weights, gamma, reset,
+           rank) -> int:
+    """One estimator over the first n steps: its stack's changes from
+    `walk`, then the learner from `start` in spans between the changes,
+    writing each step's columns (`gamma` is Gamma's lambda_min). Appends
+    errors keyed (step, phase, order); returns how many steps the later
+    stages run."""
     stack = learner.stack
     changes = [(0, stack.normal_matrix(), stack.cross_matrix(), 0.0)]
-    k = stop = n
+    stop = n
     try:
-        for k in steps:
-            if offer(k):
-                changes.append((k, stack.normal_matrix(), stack.cross_matrix(),
-                                stack.rank_metric))
+        for k in walk:
+            changes.append((k, stack.normal_matrix(), stack.cross_matrix(),
+                            stack.rank_metric))
     except DivergenceError as err:
-        errors.append((k, 0, order, err))
-        stop = k
+        stop = err.last_record_index + 1
+        errors.append((stop, 0, order, err))
     for (at, *_, value), (end, *_) in zip(changes, changes[1:] + [(len(rank),)]):
         rank[at:end] = value
     k = start

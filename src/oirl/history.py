@@ -12,8 +12,12 @@ strict relative gain. Most offers are rejected, so an exact certificate (a
 Rayleigh quotient of every swap on the current lambda_min eigenvector, with
 a rounding allowance) rejects them before any swap is tried. It rejects only
 offers that the full search would reject too, so every decision, slot and
-cached sum is bit for bit the search's. `clear` empties the stack;
-when to purge (staleness, dwell time) is the owner's rule.
+cached sum is bit for bit the search's. Its inputs from the stack are fixed
+until the stack changes, so `first_unrejected` takes it of a batch of
+upcoming offers in one stacked pass; its allowance bounds the rounding of
+every sum whatever its order, so a batch rejection is one the search makes
+too. `clear` empties the stack; when to purge (staleness, dwell time) is the
+owner's rule.
 """
 
 from __future__ import annotations
@@ -161,6 +165,9 @@ class HistoryStack:
         self._normal.flags.writeable = False
         self._cross.flags.writeable = False
 
+    # a finite offer whose products overflow ends in the DivergenceError of
+    # eigvalsh, with no warning before it
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal
         most improves lambda_min, and only on a strict relative improvement.
@@ -176,8 +183,6 @@ class HistoryStack:
             self._refresh()
             return True
 
-        threshold = self._rank_metric * (1.0 + ADMISSION_MARGIN) \
-            if self._rank_metric > 0.0 else 0.0
         # Certificate. The swap of entry i is T_i = N + g - G_i, with g = R'R
         # the candidate's gram. For v the lambda_min eigenvector of N,
         # lambda_min(T_i) <= v'T_i v / v'v <= U = (v'Nv + |Rv|^2 - min_i v'G_i v)
@@ -195,7 +200,7 @@ class HistoryStack:
         # Guide 4.7), taken as d^2. The allowance, 16(d^2 + d + r + 1)*u*s,
         # is at least twice their sum. It grows with |R|_F^2, so a candidate
         # whose gram overflows falls through to the search, which raises.
-        v, base, vv, trace = self._rayleigh_probe()
+        v, base, vv, trace, threshold = self._rayleigh_probe()
         rv = rows @ v
         flat = rows.ravel()
         if (base + rv @ rv) / vv + self._slack * (trace + flat @ flat) <= threshold:
@@ -211,14 +216,32 @@ class HistoryStack:
         self._refresh()
         return True
 
+    def first_unrejected(self, rows, frob) -> int:
+        """The index of the first of the offers rows (M, block_rows, row_dim)
+        that the certificate of `try_insert`, taken of all M in one pass,
+        cannot reject, or M; a stack that is not full rejects none. frob[i]
+        is |rows[i]|_F^2 summed in any order, or NaN for an offer that must
+        reach `try_insert` (a non-finite one)."""
+        if self._count < self.capacity:
+            return 0
+        v, base, vv, trace, threshold = self._rayleigh_probe()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rv = np.matmul(rows, v)
+            bound = (base + np.vecdot(rv, rv)) / vv + self._slack * (trace + frob)
+        kept = ~(bound <= threshold)
+        return int(kept.argmax()) if kept.any() else len(rows)
+
     def _rayleigh_probe(self):
         # what the certificate needs of a full stack, once per stack change:
         # the lambda_min eigenvector v of N (the LAPACK gufunc, as eigvalsh
-        # calls it), v'Nv - min_i v'G_i v, v'v and tr N
+        # calls it), v'Nv - min_i v'G_i v, v'v, tr N and the threshold
         if self._probe is None:
             v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
             base = v @ self._normal @ v - (self._grams @ v @ v).min()
-            self._probe = (v, float(base), float(v @ v), float(np.trace(self._normal)))
+            threshold = self._rank_metric * (1.0 + ADMISSION_MARGIN) \
+                if self._rank_metric > 0.0 else 0.0
+            self._probe = (v, float(base), float(v @ v), float(np.trace(self._normal)),
+                           threshold)
         return self._probe
 
     def clear(self) -> None:

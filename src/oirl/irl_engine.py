@@ -23,11 +23,15 @@ lane's queries and row blocks as arrays before it offers them: `queries`
 draws every query state at once, the same doubles and generator state as
 one draw per query, and `build_row_block` builds the rows of N samples,
 each bit for bit its rows from a one-sample call. Only the purges and the
-stack's admission step through the offers one at a time.
+stack's admission read the stack, and a run visits only the steps at which
+either may change it (`harness._walk`): `next_purge` finds the next purge
+by bisection, since the purge rule, once true, stays true until the stack
+changes.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,3 +164,18 @@ class RewardEstimator(ConcurrentLearner):
         self.last_purge = t
         self.purge_times.append(t)
         return True
+
+    def next_purge(self, clock: list, generations: np.ndarray, start: int) -> int:
+        """The first step k >= start at which `schedule_purge(clock[k],
+        generations[k])` would purge the stack as it stands, or
+        len(generations) if none. Neither the clock nor the generations
+        fall, so each half of the rule holds from its first step on; the
+        dwell half is found with the rule's own float expression."""
+        oldest = self.stack.oldest_tag()
+        if oldest is None:
+            return len(generations)
+        stale = int(np.searchsorted(generations, oldest, side="right"))
+        dwelt = bisect.bisect_left(
+            clock, True, start, len(generations),
+            key=lambda t: not (t - self.last_purge < self.cfg.dwell))
+        return max(start, stale, dwelt)

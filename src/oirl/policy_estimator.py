@@ -6,7 +6,7 @@ as (x^T, -u^T) rows, so that rows @ W_u ~= target as `rls.ConcurrentLearner`
 expects; the weight and gain updates are driven by the stacked normal
 equations so estimation keeps converging after the live trajectory stops
 being informative. A run offers the stack its samples straight from the
-demonstration's arrays (`harness._admit`).
+demonstration's arrays (`harness._walk`).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ are bit-identical; it only skips that function's argument dispatch, which
 dominates the cost on arrays of a few entries. `row_norms` takes it of every
 row of a table in one pass, bit for bit: `np.vecdot` and `ndarray.dot` run
 the same BLAS dot on each row. The run takes its error norms with it, and
-the zero-signal test of every stack's offers (`harness._admit`).
+`harness._walk` its sums for the zero-signal test of every stack's offers.
 """
 
 from __future__ import annotations

@@ -2,6 +2,9 @@
 3 divergence."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +271,43 @@ def test_an_offer_error_precedes_an_update_error_of_the_same_step(
             run(cfg)
         assert str(info.value) == f"purge check at t={step * cfg.dt:.6g}"
         assert info.value.last_record_index == step - 1
+
+
+def _diverging_stack_config() -> dict:
+    """A reference state of 1e160: finite, but the policy stack's gram of
+    its first sample overflows."""
+    data = json.loads(SHIPPED.read_text())
+    data["reference"]["x0"] = [1e160, 0.0]
+    data["simulation"]["duration"] = 5.0
+    return data
+
+
+def test_a_stack_divergence_exits_3_without_warnings(tmp_path):
+    """The overflow ends the run with its DivergenceError alone: exit 3, and
+    no numpy RuntimeWarning on stderr before the message."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "oirl.cli", "run", "--config",
+         _write(tmp_path, _diverging_stack_config()), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert "symmetric eigenvalues went non-finite" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_a_stack_divergence_raises_the_per_step_loops_error():
+    """In-process, where a RuntimeWarning is an error, the run raises the
+    DivergenceError of the per-step loop, at its step."""
+    cfg = config_from_dict(_diverging_stack_config())
+    with pytest.raises(DivergenceError) as info:
+        run_scenario(cfg)
+    got = info.value
+    # the per-step loop's zero-signal test overflows, quietly here only
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        per_step.run_lanes(cfg, (True,))
+    want = info.value
+    assert str(got) == str(want) == "symmetric eigenvalues went non-finite"
+    assert got.last_record_index == want.last_record_index == -1
 
 
 def test_policy_gain_that_overflows_resets_instead_of_diverging(tmp_path):

@@ -12,9 +12,10 @@ import pytest
 import per_step
 from oirl.errors import ConfigError, DivergenceError
 from oirl.irl_engine import RewardEstimator
-from oirl.harness import (CONFIG_TABLE, CSV_COLUMNS, FinalEstimates,
-                          MetricsRecord, RecordTable, ScenarioConfig, Tolerances,
-                          ablate, combined_weight_error, compare_to_oracle,
+from oirl.harness import (CONFIG_TABLE, CSV_BLOCK, CSV_COLUMNS,
+                          FinalEstimates, MetricsRecord, RecordTable,
+                          ScenarioConfig, Tolerances, ablate,
+                          combined_weight_error, compare_to_oracle,
                           config_from_dict, dump_stacks, emit_csv, load_config,
                           record_array, run_scenario, validate_config)
 
@@ -473,6 +474,15 @@ def test_emit_csv_equals_a_per_record_writer(two_input_cut, tmp_path):
         assert _csv_bytes(outcome[key], tmp_path / "m.csv") == _getattr_csv(records)
     flags = outcome["without_query"].records.table[:, -4:]
     assert flags[:, 0].sum() == 3 and flags[:, 3].sum() == 1
+    # the values "%.17g" spells apart, in a table that ends in a part block
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.797e308,
+               -1.797e308, 2.0 ** -1022, 0.1, 1.0 / 3.0, 1e16, 123456789.0]
+    rows = 3 * CSV_BLOCK + 5
+    table = np.resize(np.array(special), (rows, len(CSV_COLUMNS)))
+    table[:, -4:] = np.arange(4 * rows).reshape(rows, 4) % 2
+    records = RecordTable(table)
+    emit_csv(records, tmp_path / "special.csv")
+    assert (tmp_path / "special.csv").read_bytes() == _getattr_csv(records)
 
 
 def test_record_columns_hold_the_run_state(two_input_cut):

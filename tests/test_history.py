@@ -9,8 +9,9 @@ import pytest
 
 from oirl import history
 from oirl.errors import DimensionError, DivergenceError
-from oirl.harness import load_config, run_scenario
+from oirl.harness import _walk, load_config, run_scenario
 from oirl.history import ADMISSION_MARGIN, HistoryStack, all_finite, eigvalsh
+from oirl.rls import _norm
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
@@ -298,6 +299,50 @@ def test_certificate_decides_as_the_full_search():
     # counted on this seed; each case is reached on both sides of the rule
     for case in ("random", "rank-deficient", "tie", "rank_metric <= 0"):
         assert seen[case, True] >= 20 and seen[case, False] >= 20, seen
+
+
+def test_the_batched_walk_decides_as_the_full_search(monkeypatch):
+    """The random, rank-deficient and tied offers above, each sequence made
+    in one batch by `harness._walk`: it yields the steps at which the
+    certificate-free search changes its stack, each with the search's stack
+    bit for bit, while batched certificate passes keep many offers from
+    reaching try_insert."""
+    calls, insert = Counter(), HistoryStack.try_insert
+
+    def counted(self, *args, **kwargs):
+        calls["try_insert"] += 1
+        return insert(self, *args, **kwargs)
+    monkeypatch.setattr(HistoryStack, "try_insert", counted)
+    rng = np.random.default_rng(2024)
+    offered = accepted = 0
+    for r in (1, 2, 3):
+        for d in range(2, 7):
+            for scale in (1e-8, 1.0, 1e8):
+                cases = [(d + 3, _random_offers), (d + 1, _rank_deficient_offers)]
+                cases += [(2 * d - 1, _tied_offers)] * 8
+                for capacity, offers in cases:
+                    ref = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                    rows, targets, states = [], [], {}
+                    # offers are drawn as the search admits, so the tied
+                    # ones are sized on its stack
+                    for i, block in enumerate(offers(ref, rng, scale)):
+                        rows.append(block)
+                        targets.append(rng.normal(size=(r, 2)))
+                        if _norm(block) < 1e-12:
+                            continue
+                        if search_insert(ref, block, targets[i], t=0.1 * i, tag=i):
+                            states[i] = _state(ref)
+                    fast = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                    steps = range(len(rows))
+                    walk = _walk(fast, steps, np.array(rows), np.array(targets),
+                                 [0.1 * i for i in steps], steps, len(rows))
+                    assert {k: _state(fast) for k in walk} == states
+                    offered += len(rows)
+                    accepted += len(states)
+    # counted on this seed: 7,740 offers, 4,810 accepted, 1,412 rejected by
+    # the batched certificate alone
+    tried = calls["try_insert"]
+    assert offered - tried >= (offered - accepted) / 3, (offered, tried, accepted)
 
 
 @pytest.mark.parametrize("row", [[0.0, 1e200], [1e200, 0.0], [1e200, -1e200]])

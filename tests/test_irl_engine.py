@@ -5,9 +5,10 @@ import pytest
 
 from oirl.dynamics import LinearPlant, eval_dynamics
 from oirl.features import REWARDS, FeatureBasis
-from oirl.harness import _admit
+from oirl.harness import _walk
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
+from oirl.rls import _norm
 
 from bellman import inverse_bellman_error
 from conftest import step
@@ -166,9 +167,9 @@ def _bank(eng, x, u, generation):
     """Offer eng's stack the row blocks of samples (x, u), built from THETA,
     0.05 s apart, as a run offers its due samples."""
     steps = range(len(x))
-    offer = _admit(eng.stack, steps, *eng.row_blocks(x, u, THETA),
-                   [0.05 * k for k in steps], [generation] * len(x))
-    return [offer(k) for k in steps]
+    changed = set(_walk(eng.stack, steps, *eng.row_blocks(x, u, THETA),
+                        [0.05 * k for k in steps], [generation] * len(x), len(x)))
+    return [k in changed for k in steps]
 
 
 def test_degenerate_origin_sample_is_rejected():
@@ -262,3 +263,57 @@ def test_purge_requires_staleness_and_dwell():
     assert eng.purge_times == [2.5]
     # empty stack has nothing stale in it
     assert not eng.schedule_purge(9.0, theta_generation=2)
+
+
+def _per_step_lane(eng, due, rows, targets, clock, gens):
+    """The steps at which a loop over steps changes eng's stack: at each, the
+    purge rule, then the step's offer if one is due and has signal."""
+    offers = dict(zip(due, zip(rows, targets)))
+    changed = []
+    for k in range(len(gens)):
+        took = eng.schedule_purge(clock[k], gens[k])
+        if k in offers and not _norm(offers[k][0]) < 1e-12:
+            took |= eng.stack.try_insert(*offers[k], clock[k], tag=gens[k])
+        if took:
+            changed.append(k)
+    return changed
+
+
+# (dwell, first offer step, steps at which the generation advances, purge
+# times), with an offer every third step: a purge on a step with an offer,
+# which then lands in the emptied stack; t - last_purge exactly equal to the
+# dwell on steps without an offer, which purges; and a generation that
+# advances while the stack is empty, which purges nothing
+PURGE_CASES = {
+    "purge and offer on a step": (1.4, 0, [2, 12], [1.5, 3.0]),
+    "dwell met exactly": (1.0, 0, [1, 7], [1.0, 2.0]),
+    "stale while empty": (1.0, 10, [2, 30], [7.5]),
+}
+
+
+@pytest.mark.parametrize("case", PURGE_CASES)
+def test_walk_purges_as_the_per_step_rule(case):
+    """The walk visits only the steps where a lane's stack may change, yet
+    purges and admits as the per-step rule does on every step."""
+    dwell, first, advances, purge_times = PURGE_CASES[case]
+    n = 40
+    clock = [0.25 * k for k in range(n)]
+    gens = np.searchsorted(advances, np.arange(n), side="right")
+    cfg = IrlConfig(dwell=dwell, stack_size=5)
+    due = list(range(first, n, 3))
+    query = RewardEstimator(_basis(), _plant(), cfg, 3)
+    rows, targets = query.row_blocks(
+        *query.queries(np.repeat(K_EXACT.T[None], len(due), axis=0)), THETA)
+    walked, stepped = (RewardEstimator(_basis(), _plant(), cfg, 3) for _ in range(2))
+    changed = []
+    for k in _walk(walked.stack, due, rows, targets, clock, gens, n, walked):
+        changed.append(k)
+        if clock[k] in purge_times:     # and then the step's offer, if any
+            assert len(walked.stack) == (k in due)
+    assert changed == _per_step_lane(stepped, due, rows, targets, clock, gens)
+    assert walked.purge_times == stepped.purge_times == purge_times
+    assert walked.last_purge == stepped.last_purge
+    assert [(t, tag, row.tobytes(), target.tobytes())
+            for t, tag, row, target in walked.stack.dump_rows()] == [
+        (t, tag, row.tobytes(), target.tobytes())
+        for t, tag, row, target in stepped.stack.dump_rows()]

@@ -6,7 +6,7 @@ import pytest
 from oirl.dynamics import LinearPlant
 from oirl.errors import DivergenceError
 from oirl.features import FeatureBasis
-from oirl.harness import _admit
+from oirl.harness import _walk
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 
@@ -33,10 +33,9 @@ def _filled_estimator(n_samples=30, seed=2):
 def test_zero_state_samples_are_rejected():
     est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     states, inputs = np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([[0.0], [0.5]])
-    offer = _admit(est.stack, [0, 1], states, -inputs, [0.0, 0.0], [0, 0])
-    assert not offer(0)
-    assert len(est.stack) == 0
-    assert offer(1)
+    walk = _walk(est.stack, [0, 1], states, -inputs, [0.0, 0.05], [0, 0], 2)
+    assert list(walk) == [1]        # the offer of step 0 is not made
+    assert len(est.stack) == 1
 
 
 def test_banked_targets_follow_the_true_weights():
