@@ -16,7 +16,8 @@ class DimensionError(ValueError):
 class DivergenceError(RuntimeError):
     """The closed loop went non-finite: the plant state after a step (the
     precomputed exact zero-order-hold RK4 step; `t` and `state` are set), an
-    estimator's weights, or a step-path eigenvalue computation."""
+    estimator's weights, a row or target offered to a history stack, or a
+    step-path eigenvalue computation."""
 
     def __init__(self, message: str, t: float | None = None, state=None):
         super().__init__(message)

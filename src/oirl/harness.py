@@ -13,11 +13,12 @@ reward estimator with its own gate, clock, purges and records, reading each
 step's estimates from (2): `run_scenario` is one lane, `ablate` two. Every
 offer is built as arrays before its stage walks them (the theta windows by
 `window_pairs`, a lane's queries and row blocks by its estimator), each bit
-for bit a one-sample build. The walk (`_walk`) stops only where the stack
-may change: between two changes the admission certificate is taken of a
-window of offers in one pass (`HistoryStack.first_unrejected`) and a lane
-bisects for its next purge, so only offers the certificate cannot reject
-reach `HistoryStack.try_insert`, every decision that of a per-step loop.
+for bit a one-sample build. The walk (`_walk`) makes every stack change,
+and stops only where one may happen: between two changes the admission
+certificate is taken of a window of offers in one pass
+(`HistoryStack.first_unrejected`) and a lane bisects for its next purge, so
+only purges and offers the certificate cannot reject are visited, every
+decision that of a per-step loop.
 A span ends at a stack change (an accepted offer, a purge), at the gate's
 opening, at a gain reset (W kept, the step flagged) and at a box clip of
 theta_hat (Z = H W recomputed); a rejected offer ends none. Each lane's
@@ -629,14 +630,14 @@ def _clock(clock: list, period: float, steps) -> list:
 def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     """The steps below n at which `stack` changes, in order. At the i-th
     step k of `due` it is offered rows[i] and targets[i] tagged tags[k]; on a
-    lane's stack (`engine` given) the purge rule of `schedule_purge`, on
-    generations `tags`, comes first at every step. An offer whose rows have
+    lane's stack (`engine` given) a purge on generations `tags` comes first,
+    so the step's offer goes to the emptied stack. An offer whose rows have
     no signal (norm below 1e-12) cannot raise lambda_min, so it is not made.
 
-    The stack is fixed between changes, so the walk visits only the first
-    and last steps, the next purge (`next_purge`) and the next offer that
-    `first_unrejected` cannot reject, each as a per-step loop would. A
-    DivergenceError leaves with its step k, as last_record_index = k - 1.
+    The stack is fixed between changes, so the walk visits only the next
+    purge (`next_purge`) and the next offer that `first_unrejected` cannot
+    reject, each as a per-step loop would. A DivergenceError leaves with
+    its step k, as last_record_index = k - 1.
     """
     flat = rows.reshape(len(rows), stack.block_rows * stack.row_dim)
     flat_targets = targets.reshape(len(rows), stack.block_rows * stack.target_dim)
@@ -647,36 +648,38 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     finite = np.isfinite(flat).all(axis=1) & np.isfinite(flat_targets).all(axis=1)
     frob = np.where(finite, frob, np.nan)[made]
     rows = flat[made].reshape(len(frob), stack.block_rows, stack.row_dim)
-    targets, due = targets[made], np.asarray(due, dtype=int)[made].tolist()
+    targets, due = targets[made], np.asarray(due, dtype=int)[made].tolist() + [n]
 
     def next_offer(i):
         # offers from i on, in windows that double while all are rejected
         span = 16
-        while i < len(due):
+        while i < len(frob):
             j = stack.first_unrejected(rows[i:i + span], frob[i:i + span])
-            if i + j < min(i + span, len(due)):
+            if i + j < min(i + span, len(frob)):
                 return i + j
             i, span = i + span, 2 * span
-        return len(due)
+        return len(frob)
 
     i = k = 0
     while True:
-        try:
-            changed = engine is not None and engine.schedule_purge(clock[k], tags[k])
-            if i < len(due) and due[i] == k:
+        purge = n if engine is None else engine.next_purge(clock, tags, k)
+        k = min(due[next_offer(i)], purge)
+        if k >= n:
+            return
+        changed = k == purge
+        if changed:
+            engine.purge(clock[k])
+        i = bisect.bisect_left(due, k, i)       # the first offer due from k on
+        if due[i] == k:
+            try:
                 changed |= stack.try_insert(rows[i], targets[i], clock[k], tag=tags[k])
-                i += 1
-        except DivergenceError as err:
-            err.last_record_index = k - 1
-            raise
+            except DivergenceError as err:
+                err.last_record_index = k - 1
+                raise
+            i += 1
         if changed:
             yield k
-        if k >= n - 1:
-            return
-        j = next_offer(i)
-        k = min(due[j] if j < len(due) else n - 1,
-                n - 1 if engine is None else engine.next_purge(clock, tags, k + 1))
-        i = bisect.bisect_left(due, k, i)
+        k += 1
 
 
 def _stage(learner, dt, walk, start, n, errors, order, weights, gamma, reset,

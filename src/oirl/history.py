@@ -8,16 +8,15 @@ rows @ W ~= target for their weights W, which is why the policy
 -offsets. The informativity metric is lambda_min of the stacked normal
 matrix; admission maximizes it. Once the stack is full, an offer swaps in
 for the entry whose removal leaves the largest lambda_min, and only on a
-strict relative gain. Most offers are rejected, so an exact certificate (a
-Rayleigh quotient of every swap on the current lambda_min eigenvector, with
-a rounding allowance) rejects them before any swap is tried. It rejects only
-offers that the full search would reject too, so every decision, slot and
-cached sum is bit for bit the search's. Its inputs from the stack are fixed
-until the stack changes, so `first_unrejected` takes it of a batch of
-upcoming offers in one stacked pass; its allowance bounds the rounding of
-every sum whatever its order, so a batch rejection is one the search makes
-too. `clear` empties the stack; when to purge (staleness, dwell time) is the
-owner's rule.
+strict relative gain: `try_insert` appends, or tries every swap. Most
+offers are rejected, and an exact certificate (a Rayleigh quotient of every
+swap on the current lambda_min eigenvector, with a rounding allowance)
+rejects them with no swap tried. It reads the stack only through what is
+fixed until the stack changes, so `first_unrejected` takes it of a batch of
+upcoming offers in one pass; only the first offer it cannot reject needs
+`try_insert`, and every decision is bit for bit the search's. `clear`
+empties the stack; when to purge (staleness, dwell time) is the owner's
+rule.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ class HistoryStack:
         self._tags = np.zeros(capacity, dtype=int)
         self._grams = np.zeros((capacity, row_dim, row_dim))
         self._count = 0
-        # the certificate's rounding allowance per unit of tr N + |R|_F^2
-        self._slack = 8.0 * (row_dim * row_dim + row_dim + block_rows + 1) \
-            * np.finfo(float).eps
         self._refresh()
 
     # -- read side ----------------------------------------------------------
@@ -135,7 +131,7 @@ class HistoryStack:
                 f"target block must be ({self.block_rows}, {self.target_dim}), "
                 f"got shape {np.shape(target_block)}")
         if not (np.isfinite(rows).all() and np.isfinite(targets).all()):
-            raise ValueError("non-finite row or target offered to history stack")
+            raise DivergenceError("non-finite row or target offered to history stack")
         return rows, targets
 
     def _write_slot(self, i: int, rows, targets, t: float, tag: int) -> None:
@@ -161,6 +157,8 @@ class HistoryStack:
             self._cross = flat_rows.T @ flat_targets
             self._rank_metric = float(eigvalsh(self._normal)[0])
             self._oldest_tag = int(self._tags[:k].min())
+        # what a swap's lambda_min must beat to be taken
+        self._threshold = max(self._rank_metric * (1.0 + ADMISSION_MARGIN), 0.0)
         self._probe = None
         self._normal.flags.writeable = False
         self._cross.flags.writeable = False
@@ -171,8 +169,6 @@ class HistoryStack:
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal
         most improves lambda_min, and only on a strict relative improvement.
-        A certificate rejects most offers to a full stack without trying
-        the swaps, with the same result.
 
         Returns whether the stack changed.
         """
@@ -182,35 +178,12 @@ class HistoryStack:
             self._count += 1
             self._refresh()
             return True
-
-        # Certificate. The swap of entry i is T_i = N + g - G_i, with g = R'R
-        # the candidate's gram. For v the lambda_min eigenvector of N,
-        # lambda_min(T_i) <= v'T_i v / v'v <= U = (v'Nv + |Rv|^2 - min_i v'G_i v)
-        # / v'v in real arithmetic, so U + slack <= threshold rejects as the
-        # search would. Slack: N, g and each G_i are grams, so s = tr N +
-        # |R|_F^2 bounds the 2-norm of each and of its entrywise absolute
-        # value. With d = row_dim, r = block_rows and u = eps/2 (the unit
-        # roundoff), the roundings are at most, in units of u*s:
-        #   forming the float T_i from N, g and G_i ........... 3
-        #   |Rv|^2 for v'gv (the matmul R'R, then R@v) ....... d + 2r + 1
-        #   v'Nv and each v'G_i v, matmuls of length d ....... 4d
-        #   summing U's numerator, dividing by v'v, adding ... 2d + 8
-        # and eigvalsh's backward error moves each lambda by at most
-        # p(d)*u*|T_i| <= 2p(d)*u*s, p a low-degree polynomial (LAPACK Users'
-        # Guide 4.7), taken as d^2. The allowance, 16(d^2 + d + r + 1)*u*s,
-        # is at least twice their sum. It grows with |R|_F^2, so a candidate
-        # whose gram overflows falls through to the search, which raises.
-        v, base, vv, trace, threshold = self._rayleigh_probe()
-        rv = rows @ v
-        flat = rows.ravel()
-        if (base + rv @ rv) / vv + self._slack * (trace + flat @ flat) <= threshold:
-            return False
         cand_gram = rows.T @ rows
         # lambda_min of the normal matrix with entry i swapped for the candidate
         trial = (self._normal + cand_gram)[None, :, :] - self._grams
         lam = eigvalsh(trial)[:, 0]
         best = int(np.argmax(lam))
-        if not lam[best] > threshold:
+        if not lam[best] > self._threshold:
             return False
         self._write_slot(best, rows, targets, t, tag)
         self._refresh()
@@ -218,31 +191,45 @@ class HistoryStack:
 
     def first_unrejected(self, rows, frob) -> int:
         """The index of the first of the offers rows (M, block_rows, row_dim)
-        that the certificate of `try_insert`, taken of all M in one pass,
-        cannot reject, or M; a stack that is not full rejects none. frob[i]
-        is |rows[i]|_F^2 summed in any order, or NaN for an offer that must
-        reach `try_insert` (a non-finite one)."""
+        that the certificate, taken of all M in one pass, cannot reject, or
+        M; a stack that is not full rejects none. frob[i] is |rows[i]|_F^2
+        summed in any order, or NaN for an offer that must reach
+        `try_insert` (a non-finite one).
+
+        The swap of entry i is T_i = N + g - G_i, with g = R'R the offer's
+        gram. For v the lambda_min eigenvector of N, lambda_min(T_i) <=
+        v'T_i v / v'v <= U = (v'Nv + |Rv|^2 - min_i v'G_i v) / v'v in real
+        arithmetic, so U + slack <= threshold rejects as the search would.
+        Slack: N, g and each G_i are grams, so s = tr N + |R|_F^2 bounds the
+        2-norm of each and of its entrywise absolute value. With d = row_dim,
+        r = block_rows and u = eps/2 (the unit roundoff), the roundings are
+        at most, in units of u*s:
+          forming the float T_i from N, g and G_i ........... 3
+          |Rv|^2 for v'gv (the matmul R'R, then R@v) ....... d + 2r + 1
+          v'Nv and each v'G_i v, matmuls of length d ....... 4d
+          summing U's numerator, dividing by v'v, adding ... 2d + 8
+        and eigvalsh's backward error moves each lambda by at most
+        p(d)*u*|T_i| <= 2p(d)*u*s, p a low-degree polynomial (LAPACK Users'
+        Guide 4.7), taken as d^2. The allowance, 16(d^2 + d + r + 1)*u*s, is
+        at least twice their sum, whatever the order of each sum. It grows
+        with |R|_F^2, so an offer whose gram overflows is not rejected, and
+        the search raises on it.
+        """
         if self._count < self.capacity:
             return 0
-        v, base, vv, trace, threshold = self._rayleigh_probe()
+        if self._probe is None:     # what U reads of the stack, per change
+            # the LAPACK gufunc, as eigvalsh calls it
+            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
+            d, r, eps = self.row_dim, self.block_rows, np.finfo(float).eps
+            self._probe = (v, float(v @ self._normal @ v - (self._grams @ v @ v).min()),
+                           float(v @ v), 8.0 * (d * d + d + r + 1) * eps,
+                           float(np.trace(self._normal)))
+        v, base, vv, slack, trace = self._probe
         with np.errstate(over="ignore", invalid="ignore"):
             rv = np.matmul(rows, v)
-            bound = (base + np.vecdot(rv, rv)) / vv + self._slack * (trace + frob)
-        kept = ~(bound <= threshold)
+            bound = (base + np.vecdot(rv, rv)) / vv + slack * (trace + frob)
+        kept = ~(bound <= self._threshold)
         return int(kept.argmax()) if kept.any() else len(rows)
-
-    def _rayleigh_probe(self):
-        # what the certificate needs of a full stack, once per stack change:
-        # the lambda_min eigenvector v of N (the LAPACK gufunc, as eigvalsh
-        # calls it), v'Nv - min_i v'G_i v, v'v, tr N and the threshold
-        if self._probe is None:
-            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
-            base = v @ self._normal @ v - (self._grams @ v @ v).min()
-            threshold = self._rank_metric * (1.0 + ADMISSION_MARGIN) \
-                if self._rank_metric > 0.0 else 0.0
-            self._probe = (v, float(base), float(v @ v), float(np.trace(self._normal)),
-                           threshold)
-        return self._probe
 
     def clear(self) -> None:
         """Remove every entry."""

@@ -24,9 +24,9 @@ draws every query state at once, the same doubles and generator state as
 one draw per query, and `build_row_block` builds the rows of N samples,
 each bit for bit its rows from a one-sample call. Only the purges and the
 stack's admission read the stack, and a run visits only the steps at which
-either may change it (`harness._walk`): `next_purge` finds the next purge
-by bisection, since the purge rule, once true, stays true until the stack
-changes.
+either changes it (`harness._walk`): the purge rule, once true, stays true
+until the stack changes, so `next_purge` finds the next purge by bisection,
+and `purge` makes it.
 """
 
 from __future__ import annotations
@@ -153,24 +153,18 @@ class RewardEstimator(ConcurrentLearner):
 
     # -- purging ---------------------------------------------------------------
 
-    def schedule_purge(self, t: float, theta_generation: int) -> bool:
-        """Purge the stack when stale rows exist AND at least the dwell time
-        has passed since the last purge."""
-        oldest = self.stack.oldest_tag()
-        if (oldest is None or theta_generation <= oldest
-                or t - self.last_purge < self.cfg.dwell):
-            return False
+    def purge(self, t: float) -> None:
+        """Empty the stack at time t, and record the purge."""
         self.stack.clear()
         self.last_purge = t
         self.purge_times.append(t)
-        return True
 
     def next_purge(self, clock: list, generations: np.ndarray, start: int) -> int:
-        """The first step k >= start at which `schedule_purge(clock[k],
-        generations[k])` would purge the stack as it stands, or
-        len(generations) if none. Neither the clock nor the generations
-        fall, so each half of the rule holds from its first step on; the
-        dwell half is found with the rule's own float expression."""
+        """The first step k >= start at which the purge rule holds for the
+        stack as it stands, or len(generations) if none: a stored row is
+        stale (generations[k] > its tag) and not clock[k] - last_purge <
+        dwell. Neither the clock nor the generations fall, so each half of
+        the rule holds from its first step on."""
         oldest = self.stack.oldest_tag()
         if oldest is None:
             return len(generations)

@@ -9,7 +9,8 @@ policy and lane updates (each its learner's one-step `advance`, and
 on its own step, and its rows are built as a one-sample batch. It returns
 what `harness._run_lanes` returns, or raises the first DivergenceError with
 its `t` and `last_record_index`. `ThetaWindows.observe` is the theta
-estimator's per-sample window offer.
+estimator's per-sample window offer, and `purge_due` the purge rule as a
+lane checks it on every step.
 """
 
 from collections import deque
@@ -52,6 +53,15 @@ class ThetaWindows:
         if _norm(y) < 1e-12:
             return False
         return self.est.stack.try_insert(y, b, t, tag=self.est.generation)
+
+
+def purge_due(engine: RewardEstimator, t, generation) -> bool:
+    """Whether a lane purges its stack at time t: stale rows exist (older
+    than the generation) AND at least the dwell time has passed since the
+    last purge."""
+    oldest = engine.stack.oldest_tag()
+    return not (oldest is None or generation <= oldest
+                or t - engine.last_purge < engine.cfg.dwell)
 
 
 def run_lanes(cfg, modes):
@@ -100,7 +110,9 @@ def run_lanes(cfg, modes):
             generation = theta_est.generation
             for i, engine, query in lanes:
                 gates[i] = gate = generation >= 1 and (policy_ready or not query)
-                purged[i] = engine.schedule_purge(t, generation)
+                purged[i] = purge_due(engine, t, generation)
+                if purged[i]:
+                    engine.purge(t)
                 if gate and t - last_collect[i] >= ic.query_period - 1e-9:
                     x_i, u_i = (engine.queries(policy_est.weights[None]) if query
                                 else (e[None], mu[None]))

@@ -251,25 +251,34 @@ def test_diverging_policy_update_is_the_per_step_loops_error(
 
 def test_an_offer_error_precedes_an_update_error_of_the_same_step(
         monkeypatch, overflowing_policy_samples):
-    """Within a step the offers come before the updates: a lane's purge check
-    that fails on the step whose policy update diverges wins, in the staged
-    run as in the per-step loop."""
-    cfg = config_from_dict(_diverging_policy_config())
+    """Within a step the offers come before the updates: a lane's offer that
+    fails on the step whose policy update diverges wins, in the staged run
+    as in the per-step loop. The trajectory lane's gate opens at 0.37 s,
+    and its offers, due every 0.05 s, fall on that step at 0.47 s while
+    its stack still fills, so both runs reach try_insert there."""
+    data = _diverging_policy_config()
+    data["flags"]["querying"] = False
+    cfg = config_from_dict(data)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
         run_scenario(cfg)
     step = info.value.last_record_index + 1
-    purge = RewardEstimator.schedule_purge
+    init = RewardEstimator.__init__
 
-    def failing(self, t, generation):
-        if t >= step * cfg.dt:
-            raise DivergenceError(f"purge check at t={t:.6g}")
-        return purge(self, t, generation)
+    def failing(self, *args):
+        init(self, *args)
+        insert = self.stack.try_insert
 
-    monkeypatch.setattr(RewardEstimator, "schedule_purge", failing)
-    for run in (run_scenario, lambda c: per_step.run_lanes(c, (True,))):
+        def insert_or_raise(rows, targets, t, tag=0):
+            if t >= step * cfg.dt:
+                raise DivergenceError(f"lane offer at t={t:.6g}")
+            return insert(rows, targets, t, tag)
+        self.stack.try_insert = insert_or_raise
+
+    monkeypatch.setattr(RewardEstimator, "__init__", failing)
+    for run in (run_scenario, lambda c: per_step.run_lanes(c, (False,))):
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
             run(cfg)
-        assert str(info.value) == f"purge check at t={step * cfg.dt:.6g}"
+        assert str(info.value) == f"lane offer at t={step * cfg.dt:.6g}"
         assert info.value.last_record_index == step - 1
 
 
@@ -308,6 +317,45 @@ def test_a_stack_divergence_raises_the_per_step_loops_error():
     want = info.value
     assert str(got) == str(want) == "symmetric eigenvalues went non-finite"
     assert got.last_record_index == want.last_record_index == -1
+
+
+def _non_finite_query_config() -> dict:
+    """A query box of +-1e160: finite query states, but the inverse Bellman
+    rows built at them overflow to inf."""
+    data = json.loads(SHIPPED.read_text())
+    data["irl"]["query_box"] = [[-1e160, 1e160], [-1e160, 1e160]]
+    data["simulation"]["duration"] = 5.0
+    return data
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_non_finite_offer_exits_3_without_a_traceback(tmp_path, command):
+    """A non-finite row offered to a stack is a divergence: exit 3 with its
+    message alone, no traceback and no numpy RuntimeWarning."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "oirl.cli", command, "--config",
+         _write(tmp_path, _non_finite_query_config()), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert "non-finite row or target offered to history stack" in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+def test_a_non_finite_offer_raises_the_per_step_loops_error():
+    """The staged run raises the DivergenceError of the per-step loop, with
+    its message and last record."""
+    cfg = config_from_dict(_non_finite_query_config())
+    with pytest.raises(DivergenceError) as info:
+        run_scenario(cfg)
+    got = info.value
+    # the per-step loop builds each query's rows unguarded, so quietly here
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            per_step.run_lanes(cfg, (True,))
+    want = info.value
+    assert str(got) == str(want) == "non-finite row or target offered to history stack"
+    assert got.last_record_index == want.last_record_index > 0
 
 
 def test_policy_gain_that_overflows_resets_instead_of_diverging(tmp_path):

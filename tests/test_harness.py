@@ -542,23 +542,27 @@ def test_ablate_lanes_equal_stand_alone_runs(two_input_cut, tmp_path):
 
 
 def test_ablate_raises_the_querying_lanes_error_on_a_tie(monkeypatch):
-    """Both lanes' purge checks fail on the same step: the querying lane,
-    first in lane order, raises, as in the per-step loop."""
+    """Both lanes' first offers fail on the same step: the querying lane,
+    first in lane order, raises, as in the per-step loop. With a policy
+    rank threshold this small the policy is ready before the first theta
+    generation at 0.37 s, so both gates open then, on one query clock."""
     init, lanes = RewardEstimator.__init__, itertools.count()
 
-    def numbered(self, *args):
+    def failing(self, *args):
         init(self, *args)
-        self.lane = next(lanes) % 2         # ablate builds the query lane first
+        lane = next(lanes) % 2              # ablate builds the query lane first
 
-    def failing(self, t, generation):
-        raise DivergenceError(f"lane {self.lane} at t={t:.6g}")
+        def insert(rows, targets, t, tag=0):
+            raise DivergenceError(f"lane {lane} at t={t:.6g}")
+        self.stack.try_insert = insert
 
-    monkeypatch.setattr(RewardEstimator, "__init__", numbered)
-    monkeypatch.setattr(RewardEstimator, "schedule_purge", failing)
-    cfg = _short_cfg()
+    monkeypatch.setattr(RewardEstimator, "__init__", failing)
+    policy = dataclasses.replace(CFG.policy_estimator, rank_threshold=1e-12)
+    cfg = _short_cfg(policy_estimator=policy)
     got = _raised(ablate, cfg)
-    _assert_same_error(got, _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg))
-    assert str(got) == "lane 0 at t=0" and got.last_record_index == -1
+    want = _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg)
+    _assert_same_error(got, want)
+    assert str(got) == "lane 0 at t=0.37" and got.last_record_index == 73
 
 
 # the columns the pipeline must reproduce bit for bit, and the bound, relative

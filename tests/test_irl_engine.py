@@ -12,6 +12,7 @@ from oirl.rls import _norm
 
 from bellman import inverse_bellman_error
 from conftest import step
+from per_step import purge_due
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -249,20 +250,30 @@ def test_doubling_the_anchor_doubles_the_weights():
 
 
 def test_purge_requires_staleness_and_dwell():
+    """`next_purge` finds the first step with stale rows in the stack and at
+    least the dwell time passed since the last purge; `purge` empties the
+    stack there and records it."""
     eng = RewardEstimator(_basis(), _plant(), IrlConfig(dwell=2.0), 0)
     e = np.random.default_rng(4).uniform(-1, 1, (10, 2))
     _bank(eng, e, -(e @ K_EXACT.T), 0)
-    # same generation: never purge, regardless of elapsed time
-    assert not eng.schedule_purge(5.0, theta_generation=0)
-    # newer generation but dwell not yet satisfied (last_purge = 0)
-    assert not eng.schedule_purge(1.0, theta_generation=1)
     assert len(eng.stack) == 10
+    clock = [0.5 * k for k in range(12)]
+    # same generation: never purge, regardless of elapsed time
+    assert eng.next_purge(clock, np.zeros(12, dtype=int), 0) == 12
+    # newer generation from t = 0.5 on, but the dwell is met only at t = 2.0
+    gens = np.repeat([0, 1], [1, 11])
+    assert eng.next_purge(clock, gens, 0) == 4
     # stale and dwell satisfied
-    assert eng.schedule_purge(2.5, theta_generation=1)
+    assert eng.next_purge(clock, gens, 5) == 5
+    eng.purge(clock[5])
     assert len(eng.stack) == 0
-    assert eng.purge_times == [2.5]
+    assert eng.purge_times == [2.5] and eng.last_purge == 2.5
     # empty stack has nothing stale in it
-    assert not eng.schedule_purge(9.0, theta_generation=2)
+    assert eng.next_purge(clock, gens + 1, 0) == 12
+    # rows of generation 1 go stale at generation 2; the dwell now runs
+    # from the purge at 2.5
+    _bank(eng, e, -(e @ K_EXACT.T), 1)
+    assert eng.next_purge(clock, gens + 1, 6) == 9
 
 
 def _per_step_lane(eng, due, rows, targets, clock, gens):
@@ -271,7 +282,9 @@ def _per_step_lane(eng, due, rows, targets, clock, gens):
     offers = dict(zip(due, zip(rows, targets)))
     changed = []
     for k in range(len(gens)):
-        took = eng.schedule_purge(clock[k], gens[k])
+        took = purge_due(eng, clock[k], gens[k])
+        if took:
+            eng.purge(clock[k])
         if k in offers and not _norm(offers[k][0]) < 1e-12:
             took |= eng.stack.try_insert(*offers[k], clock[k], tag=gens[k])
         if took:
@@ -280,14 +293,17 @@ def _per_step_lane(eng, due, rows, targets, clock, gens):
 
 
 # (dwell, first offer step, steps at which the generation advances, purge
-# times), with an offer every third step: a purge on a step with an offer,
-# which then lands in the emptied stack; t - last_purge exactly equal to the
-# dwell on steps without an offer, which purges; and a generation that
-# advances while the stack is empty, which purges nothing
+# times), with an offer every third step over 40 steps: a purge on a step
+# with an offer, which then lands in the emptied stack; t - last_purge
+# exactly equal to the dwell on steps without an offer, which purges; a
+# generation that advances while the stack is empty, which purges nothing;
+# and a purge on the last step, whose offer the certificate rejects on the
+# full stack, so only the purge brings the walk there
 PURGE_CASES = {
     "purge and offer on a step": (1.4, 0, [2, 12], [1.5, 3.0]),
     "dwell met exactly": (1.0, 0, [1, 7], [1.0, 2.0]),
     "stale while empty": (1.0, 10, [2, 30], [7.5]),
+    "purge on the last step": (9.75, 0, [2, 38], [9.75]),
 }
 
 
