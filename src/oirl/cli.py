@@ -1,7 +1,7 @@
 """Command-line interface: run, ablate, oracle.
 
-Exit codes: 0 pass, 1 tolerance failure, 2 config error, 3 numerical
-divergence.
+Exit codes: 0 pass, 1 tolerance failure, 2 config error (a run too large
+for memory among them), 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as err:
+    except (ConfigError, OSError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:

@@ -17,17 +17,22 @@ for bit a one-sample build. The walk (`_walk`) makes every stack change,
 and stops only where one may happen: between two changes the admission
 certificate is taken of a window of offers in one pass
 (`HistoryStack.first_unrejected`) and a lane bisects for its next purge, so
-only purges and offers the certificate cannot reject are visited, every
-decision that of a per-step loop.
+only purges and offers the certificate cannot reject are visited: theta
+and policy decisions are a per-step loop's, and IRL decisions too given the
+same theta_hat and W_u rows, which the spans give to rounding (so an
+ill-conditioned IRL stack can admit differently).
 A span ends at a stack change (an accepted offer, a purge), at the gate's
 opening, at a gain reset (W kept, the step flagged) and at a box clip of
 theta_hat (Z = H W recomputed); a rejected offer ends none. Each lane's
 records are a `RecordTable`, a (steps + 1, 16) array in CSV column order
 written a span at a time, with the error norms taken after all stages
-(`rls.row_norms`). A DivergenceError is the one a per-step loop would raise
-first: the earliest step, and within it the offers, the updates, then the
-plant step, each in the order theta, policy, lanes. Reruns with the same
-(config, seed) are byte-identical.
+(`rls.row_norms`). Each `_stage` writes its own columns and returns its
+weight rows; the run's errors, (step, phase, error) with phases offer,
+update, plant, are its one stop signal. A stage runs to the step after the
+earliest listed and appends its own; the least (step, phase) is raised, a
+tie going to the first appended, so stage order theta, policy, lanes: the
+error a per-step loop raises first. Reruns with the same (config, seed) are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -125,6 +130,16 @@ def _step_count(span: float, dt: float) -> int | None:
     return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
 
 
+# the config values that must be positive, as dotted ScenarioConfig attributes
+POSITIVE = (
+    "dt", "irl.r1", "irl.dwell", "irl.query_period", "theta_estimator.window",
+    "theta_estimator.offer_period", "theta_estimator.revision_threshold",
+    "policy_estimator.offer_period", "policy_estimator.rank_threshold",
+    *(f"{group}.{gain}" for group in ("policy_estimator", "theta_estimator", "irl")
+      for gain in ("alpha", "beta", "gamma0")),
+    *(f"tolerances.{f.name}" for f in dataclasses.fields(Tolerances)))
+
+
 def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     """Build what a run of cfg and its scoring use, or raise ConfigError.
 
@@ -133,8 +148,9 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     and weight targets can all be built, and the demonstrator's RK4 step at
     dt is stable, so every config that loads can also run and be scored.
     """
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
+    for name in POSITIVE:
+        if not operator.attrgetter(name)(cfg) > 0:
+            raise ConfigError(f"{name} must be positive")
     if cfg.seed < 0:
         raise ConfigError(f"simulation.seed must be non-negative, got {cfg.seed}")
     if cfg.duration < 0:
@@ -143,29 +159,13 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
         raise ConfigError("duration must be at least the purge dwell time")
     if _step_count(cfg.duration, cfg.dt) is None:
         raise ConfigError("dt must divide the duration a whole number of times")
-    for group_name, group in (("policy_estimator", cfg.policy_estimator),
-                              ("theta_estimator", cfg.theta_estimator),
-                              ("irl", cfg.irl)):
-        if group.alpha <= 0 or group.beta <= 0 or group.gamma0 <= 0:
-            raise ConfigError(f"{group_name} gains must be positive")
+    for name in ("policy_estimator", "theta_estimator", "irl"):
+        group = getattr(cfg, name)
         if not group.gamma_floor < group.gamma0 < group.gamma_ceiling:
-            raise ConfigError(f"{group_name} needs gamma_floor < gamma0 "
-                              f"< gamma_ceiling")
-    if cfg.policy_estimator.rank_threshold <= 0:
-        raise ConfigError("policy_estimator.rank_threshold must be positive")
-    if cfg.irl.r1 <= 0:
-        raise ConfigError("r1 must be positive")
-    if cfg.irl.dwell <= 0:
-        raise ConfigError("dwell must be positive")
-    if cfg.theta_estimator.revision_threshold <= 0:
-        raise ConfigError("theta_estimator.revision_threshold must be positive")
-    if cfg.theta_estimator.window <= 0 or cfg.theta_estimator.offer_period <= 0:
-        raise ConfigError("theta estimator window and offer period must be positive")
+            raise ConfigError(f"{name} needs gamma_floor < gamma0 < gamma_ceiling")
     # theta windows are offered only when a sample lies exactly one window back
     if not _step_count(cfg.theta_estimator.window, cfg.dt):
         raise ConfigError("dt must divide the theta window a whole number of times")
-    if cfg.policy_estimator.offer_period <= 0 or cfg.irl.query_period <= 0:
-        raise ConfigError("offer/query periods must be positive")
     tb = cfg.theta_estimator.box
     if np.shape(tb) != (2,) or not tb[0] < tb[1]:
         raise ConfigError("theta box must be (lo, hi) with lo < hi")
@@ -518,14 +518,12 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     times = np.arange(rows) * dt
     clock = times.tolist()
     xs, es, mus, us, n = _demonstration(scn, sol.gain, cfg, rows - 1)
-    errors = []     # (step, phase, order, error): phases offer, update, plant
+    errors = []     # (step, phase, error): phases offer, update, plant
     if n < rows:
-        errors.append((n - 1, 2, 0, DivergenceError(
+        errors.append((n - 1, 2, DivergenceError(
             f"non-finite state after step at t={clock[n - 1]:.6g}",
             t=clock[n - 1], state=xs[n])))
     cols = [dict(zip(CSV_COLUMNS, table.T)) for table in tables]
-    theta_rows = np.zeros((rows,) + theta_est.weights.shape)
-    policy_rows = np.zeros((rows,) + policy_est.weights.shape)
 
     length = _step_count(cfg.theta_estimator.window, dt)
     ends = _clock(clock, cfg.theta_estimator.offer_period, range(length, n))
@@ -533,9 +531,7 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     walk = _walk(theta_est.stack, ends,
                  *window_pairs(scn.plant, times, xs, us, ends, length), clock,
                  range(rows), n)
-    col = cols[0]
-    n = _stage(theta_est, dt, walk, 0, n, errors, 0, theta_rows, np.empty(rows),
-               col["theta_gain_reset"], col["lambda_theta_stack"])
+    theta_rows = _stage(theta_est, dt, walk, 0, errors, cols[0], "theta")
     # revise takes its rows in order, so one call equals one per span
     generations = theta_est.revise(theta_rows[:n])
     gens = np.concatenate([[0], generations[:-1]])  # as each step's offers read it
@@ -543,19 +539,16 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
     due = _clock(clock, pc.offer_period, range(n))
     # the policy features are the state: rows e, targets -mu
     walk = _walk(policy_est.stack, due, es[due], -mus[due], clock, [0] * rows, n)
-    n = _stage(policy_est, dt, walk, 0, n, errors, 1, policy_rows,
-               col["lambda_gamma_policy"], col["policy_gain_reset"],
-               col["lambda_policy_stack"])
+    policy_rows = _stage(policy_est, dt, walk, 0, errors, cols[0], "policy")
     for table in tables[1:]:
         table[:] = tables[0]
 
-    ready = col["lambda_policy_stack"] > pc.rank_threshold
-    # a gate opens once: neither the generation nor the policy rank falls
-    gates = [(gens[:n] >= 1) & (ready[:n] | (not query)) for query in modes]
-    w_rows = [np.zeros((rows, engine.dim)) for engine in engines]
-    for order, (engine, query, lane, w, gate) in enumerate(
-            zip(engines, modes, cols, w_rows, gates), start=2):
-        due = _clock(clock, ic.query_period, np.flatnonzero(gate).tolist())
+    ready = cols[0]["lambda_policy_stack"][:n] > pc.rank_threshold
+    w_rows = []
+    for engine, query, lane in zip(engines, modes, cols):
+        # a gate opens once: neither the generation nor the policy rank falls
+        opened = np.flatnonzero((gens >= 1) & (ready | (not query))).tolist()
+        due = _clock(clock, ic.query_period, opened)
         # each due step reads the estimates of the step before it; step 0,
         # whose generation is 0, is never due
         prev = np.asarray(due, dtype=int) - 1
@@ -565,14 +558,13 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
                     else (es[due], mus[due]))
             walk = _walk(engine.stack, due, *engine.row_blocks(x, u, theta_rows[prev]),
                          clock, gens, n, engine)
-        lane["lambda_gamma_irl"][:] = ic.gamma0     # until the gate opens
-        _stage(engine, dt, walk, int(gate.argmax()) if gate.any() else n, n, errors,
-               order, w, lane["lambda_gamma_irl"], lane["irl_gain_reset"],
-               lane["lambda_irl_stack"])
+        w_rows.append(_stage(engine, dt, walk, opened[0] if opened else rows,
+                             errors, lane, "irl"))
         # a purge time is its step's clock value, so the search is exact
         lane["purge"][np.searchsorted(times, engine.purge_times)] = 1.0
     if errors:
-        step, phase, _, err = min(errors, key=lambda e: e[:3])
+        # the earliest step and phase; a tie goes to the stage that ran first
+        step, phase, err = min(errors, key=lambda e: e[:2])
         err.last_record_index = step if phase == 2 else step - 1
         raise err
 
@@ -637,7 +629,7 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     The stack is fixed between changes, so the walk visits only the next
     purge (`next_purge`) and the next offer that `first_unrejected` cannot
     reject, each as a per-step loop would. A DivergenceError leaves with
-    its step k, as last_record_index = k - 1.
+    its step k as `step`.
     """
     flat = rows.reshape(len(rows), stack.block_rows * stack.row_dim)
     flat_targets = targets.reshape(len(rows), stack.block_rows * stack.target_dim)
@@ -674,7 +666,7 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
             try:
                 changed |= stack.try_insert(rows[i], targets[i], clock[k], tag=tags[k])
             except DivergenceError as err:
-                err.last_record_index = k - 1
+                err.step = k
                 raise
             i += 1
         if changed:
@@ -682,38 +674,44 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
         k += 1
 
 
-def _stage(learner, dt, walk, start, n, errors, order, weights, gamma, reset,
-           rank) -> int:
-    """One estimator over the first n steps: its stack's changes from
-    `walk`, then the learner from `start` in spans between the changes,
-    writing each step's columns (`gamma` is Gamma's lambda_min). Appends
-    errors keyed (step, phase, order); returns how many steps the later
-    stages run."""
-    stack = learner.stack
-    changes = [(0, stack.normal_matrix(), stack.cross_matrix(), 0.0)]
-    stop = n
-    try:
-        for k in walk:
-            changes.append((k, stack.normal_matrix(), stack.cross_matrix(),
-                            stack.rank_metric))
-    except DivergenceError as err:
-        stop = err.last_record_index + 1
-        errors.append((stop, 0, order, err))
-    for (at, *_, value), (end, *_) in zip(changes, changes[1:] + [(len(rank),)]):
+def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
+    """One estimator: its stack's changes from `walk`, and its learner from
+    step `start` in spans between them, to the step after the earliest of
+    `errors` (whose offers come before its updates; a change the walk makes
+    past there goes unrecorded, as the run raises). Writes its columns of
+    `col`, lambda_<name>_stack, <name>_gain_reset and, where the CSV has
+    it, lambda_gamma_<name> (gamma0 before `start`); appends its own errors,
+    the walk's at their step; returns the learner's weights per step."""
+    stack, rank, reset = (learner.stack, col[f"lambda_{name}_stack"],
+                          col[f"{name}_gain_reset"])
+    weights = np.zeros((len(rank),) + learner.weights.shape)
+    gamma = col.get(f"lambda_gamma_{name}", np.empty(len(rank)))
+    gamma[:start] = learner.cfg.gamma0
+    stop = min([len(rank)] + [step + 1 for step, *_ in errors])
+    at, k = 0, start
+    while True:
+        normal, cross = stack.normal_matrix(), stack.cross_matrix()
+        value = stack.rank_metric
+        try:
+            end = min(next(walk, stop), stop)
+        except DivergenceError as err:
+            errors.append((err.step, 0, err))
+            end = stop = min(stop, err.step)
         rank[at:end] = value
-    k = start
-    try:
-        for (_, normal, cross, _), (end, *_) in zip(changes, changes[1:] + [(stop,)]):
-            while k < min(end, stop):
-                for w, g in learner.advance(dt, min(end, stop) - k, normal, cross):
+        try:
+            while k < end:
+                for w, g in learner.advance(dt, end - k, normal, cross):
                     span = slice(k, k + len(w))
                     weights[span] = w
                     gamma[span] = g[:, 0]
                     k += len(w)
                 reset[k - 1] = learner.last_gain_reset
-    except DivergenceError as err:
-        errors.append((k, 1, order, err))
-    return min([n] + [step + 1 for step, *_ in errors])
+        except DivergenceError as err:
+            errors.append((k, 1, err))
+            return weights
+        if end == stop:
+            return weights
+        at = end
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import per_step
+from oirl import harness
 from oirl.cli import main
 from oirl.errors import DivergenceError
 from oirl.harness import config_from_dict, run_scenario
@@ -94,7 +95,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
 # stabilizing reference, no closed-form policy or value weights, no
 # stabilizing Riccati solution, a rank test that can never pass, a gain that
 # starts outside its own reset limits, a revision test that fires on every
-# step, or a seed that starts no random stream.
+# step, a seed that starts no random stream, or a tolerance no error is below.
 UNBUILDABLE = {
     "unstable_reference": {("reference", "matrix"): [[0.0, 1.0], [-2.0, 1.0]],
                            ("reference", "feedforward"): [[-1.5, 1.5]]},
@@ -113,6 +114,7 @@ UNBUILDABLE = {
         ("theta_estimator", "revision_threshold"): -1.0},
     "pendulum_plant": {("plant", "family"): "pendulum"},
     "negative_seed": {("simulation", "seed"): -1},
+    "zero_theta_tolerance": {("tolerances", "theta"): 0.0},
 }
 UNBUILDABLE_CASES = [(command, case) for case in UNBUILDABLE
                      for command in ("run", "oracle")]
@@ -133,6 +135,25 @@ def test_unbuildable_config_exits_2(tmp_path, capsys, command, case):
     # a rejected feature basis names its key
     for section, key in UNBUILDABLE[case]:
         assert section != "features" or f"features.{key}" in err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    """A dt of 2**-30 s passes validation, but the shipped run's
+    107,374,182,401 records cannot be allocated: one config error line, no
+    traceback. The failure is injected, since a host that overcommits memory
+    may grant the allocation and start a run that does not end."""
+    def unallocatable(cfg, modes):
+        raise MemoryError("Unable to allocate 12.5 TiB for an array with shape "
+                          "(107374182401, 16) and data type float64")
+
+    monkeypatch.setattr(harness, "_run_lanes", unallocatable)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(SHIPPED), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate 12.5 TiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out.iterdir())
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):

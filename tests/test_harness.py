@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 import per_step
 from oirl.errors import ConfigError, DivergenceError
 from oirl.irl_engine import RewardEstimator
-from oirl.harness import (CONFIG_TABLE, CSV_BLOCK, CSV_COLUMNS,
+from oirl.param_estimator import ThetaEstimator
+from oirl.policy_estimator import PolicyEstimator
+from oirl.harness import (CONFIG_TABLE, CSV_BLOCK, CSV_COLUMNS, POSITIVE,
                           FinalEstimates, MetricsRecord, RecordTable,
                           ScenarioConfig, Tolerances, ablate,
                           combined_weight_error, compare_to_oracle,
@@ -131,11 +134,36 @@ def test_true_linear_system_assembles_the_plant():
     {"dt": 0.004},                                        # 62.5 steps per window
     {"duration": 2.003},                                  # 400.6 steps
     {"duration": 2.0024},                                 # 400.48 steps
+    {"duration": -2.0},
+    {"x0": (0.0, 0.0, 0.0)},
+    {"irl": dataclasses.replace(CFG.irl, query_box=((-1.0, 1.0),))},
+    {"policy_estimator": dataclasses.replace(CFG.policy_estimator, stack_size=1)},
+    {"theta_estimator": dataclasses.replace(CFG.theta_estimator, stack_size=2)},
+    {"q_true": ((1.0, 0.5), (0.5, 1.0))},                 # squares, off-diagonal
+    {"reference_matrix": ((0.0, 1.0, 0.0),)},             # not (n, n)
+    {"feedforward": ((0.5,),)},                           # not (m, n)
 ])
 def test_invalid_configs_are_rejected(overrides):
     cfg = dataclasses.replace(CFG, **overrides)
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+
+
+def _with_value(cfg, name, value):
+    """cfg with its dotted attribute `name` set to value."""
+    head, _, leaf = name.partition(".")
+    if leaf:
+        value = dataclasses.replace(getattr(cfg, head), **{leaf: value})
+    return dataclasses.replace(cfg, **{head: value})
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_a_value_that_must_be_positive_rejects_zero_by_name(name):
+    """A tolerance of 0 can never pass, since an error passes below it, and
+    a zero step, period, window, gain or threshold leaves nothing to run:
+    each is a config error that names its key."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be positive$"):
+        validate_config(_with_value(CFG, name, 0.0))
 
 
 @pytest.mark.parametrize("dt", [0.0025, 0.005, 0.01])
@@ -563,6 +591,37 @@ def test_ablate_raises_the_querying_lanes_error_on_a_tie(monkeypatch):
     want = _raised(lambda c: per_step.run_lanes(c, (True, False)), cfg)
     _assert_same_error(got, want)
     assert str(got) == "lane 0 at t=0.37" and got.last_record_index == 73
+
+
+def _fail_offers_from(monkeypatch, estimator, name, since):
+    """Make every offer to `estimator`'s stack from time `since` on raise."""
+    init = estimator.__init__
+
+    def failing(self, *args):
+        init(self, *args)
+        insert = self.stack.try_insert
+
+        def insert_or_raise(rows, targets, t, tag=0):
+            if t >= since:
+                raise DivergenceError(f"{name} offer at t={t:.6g}")
+            return insert(rows, targets, t, tag)
+        self.stack.try_insert = insert_or_raise
+
+    monkeypatch.setattr(estimator, "__init__", failing)
+
+
+def test_the_theta_offer_wins_a_tie_with_the_policy_offer(monkeypatch):
+    """The theta and policy stacks both fail their offers at step 50,
+    t = 0.25 s: the theta window's first offer, and a policy offer while
+    its stack still fills. The stages append errors in their order, and the
+    first of a tie is raised: theta's, as in the per-step loop."""
+    _fail_offers_from(monkeypatch, ThetaEstimator, "theta", 0.25 - 1e-9)
+    _fail_offers_from(monkeypatch, PolicyEstimator, "policy", 0.25 - 1e-9)
+    cfg = _short_cfg()
+    got = _raised(run_scenario, cfg)
+    want = _raised(lambda c: per_step.run_lanes(c, (True,)), cfg)
+    _assert_same_error(got, want)
+    assert str(got) == "theta offer at t=0.25" and got.last_record_index == 49
 
 
 # the columns the pipeline must reproduce bit for bit, and the bound, relative
