@@ -5,7 +5,8 @@ reference feedforward) and nothing an estimator does feeds back into the
 plant, so a run is a pipeline of stages in the loop's dependency order:
 (1) the demonstration, x, xd, e, mu and u of every step, by the exact
 zero-order-hold RK4 step of `rk4_transition`, with only the x recurrence
-and the autonomous xd recurrence stepped; (2) the theta, then the policy
+and the autonomous xd recurrence stepped, each product a bound
+`ndarray.dot` that runs `@`'s BLAS kernel; (2) the theta, then the policy
 estimator, each offering its stack everything due on its clock in order,
 then stepping its learner in closed form (`ConcurrentLearner.advance`) over
 each span between the stack's changes; (3) one lane per querying flag, a
@@ -26,7 +27,8 @@ opening, at a gain reset (W kept, the step flagged) and at a box clip of
 theta_hat (Z = H W recomputed); a rejected offer ends none. Each lane's
 records are a `RecordTable`, a (steps + 1, 16) array in CSV column order
 written a span at a time, with the error norms taken after all stages
-(`rls.row_norms`). Each `_stage` writes its own columns and returns its
+(`rls.row_norms`); `emit_csv` formats a column once per run of equal
+values. Each `_stage` writes its own columns and returns its
 weight rows; the run's errors, (step, phase, error) with phases offer,
 update, plant, are its one stop signal. A stage runs to the step after the
 earliest listed and appends its own; the least (step, phase) is raised, a
@@ -418,17 +420,28 @@ def emit_csv(records: RecordTable, path) -> None:
     """Write records deterministically: 17 significant digits, ',' separator.
 
     Rows are formatted CSV_BLOCK at a time, each block by one %-format
-    string over its values as Python floats, so no text copy of the whole
-    table is held; "%.17g" and "%d" give the same text as format(v, ".17g")
-    and str(int(v)).
+    string, so no text copy of the whole table is held; "%.17g" and "%d"
+    give the same text as format(v, ".17g") and str(int(v)). A column whose
+    block holds runs of bitwise-equal values (compared as int64, so 0.0 and
+    -0.0 keep their own text) is formatted once per run and enters the
+    block's string as that text; the others enter as Python floats.
     """
-    line = ",".join(["%.17g"] * _FIRST_FLAG
-                    + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG)) + "\n"
+    formats = ["%.17g"] * _FIRST_FLAG + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, len(records), CSV_BLOCK):
             block = records.table[start:start + CSV_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            bits = block.view(np.int64)
+            first = np.ones(block.shape, dtype=bool)    # the first of its run
+            np.not_equal(bits[1:], bits[:-1], out=first[1:])
+            cells, specs = block.astype(object), list(formats)
+            for j in np.flatnonzero(~first.all(axis=0)):
+                runs = block[first[:, j], j].tolist()
+                text = ((specs[j] + ",") * len(runs) % tuple(runs)).split(",")
+                cells[:, j] = np.array(text[:-1], dtype=object)[first[:, j].cumsum() - 1]
+                specs[j] = "%s"
+            line = ",".join(specs) + "\n"
+            fh.write(line * len(block) % tuple(cells.ravel().tolist()))
 
 
 def record_array(records: RecordTable, name: str) -> np.ndarray:
@@ -527,10 +540,11 @@ def _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables) -> None
 
     length = _step_count(cfg.theta_estimator.window, dt)
     ends = _clock(clock, cfg.theta_estimator.offer_period, range(length, n))
+    # built ahead of the walk, from states that may near overflow, so quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = window_pairs(scn.plant, times, xs, us, ends, length)
     # tagged by step until the generations are known
-    walk = _walk(theta_est.stack, ends,
-                 *window_pairs(scn.plant, times, xs, us, ends, length), clock,
-                 range(rows), n)
+    walk = _walk(theta_est.stack, ends, *pairs, clock, range(rows), n)
     theta_rows = _stage(theta_est, dt, walk, 0, errors, cols[0], "theta")
     # revise takes its rows in order, so one call equals one per span
     generations = theta_est.revise(theta_rows[:n])
@@ -589,18 +603,19 @@ def _demonstration(scn: TrackingScenario, gain: Matrix, cfg: ScenarioConfig,
     phi_d, _ = rk4_transition(scn.reference_matrix,
                               np.zeros((dyn.state_dim, 0)), cfg.dt)
     xs, xds = np.empty((2, steps + 1, dyn.state_dim))
-    xd = xds[0] = np.asarray(cfg.xd0, dtype=float)
-    x = np.asarray(cfg.x0, dtype=float)
+    xds[0], xs[0] = cfg.xd0, cfg.x0
     # an overflow ends the run with a DivergenceError, not a warning; each
-    # stacked product is bit for bit the product of one step
+    # stacked product is bit for bit the product of one step. The bound
+    # `dot`s reach the BLAS kernels `@` reaches, with less dispatch, and each
+    # row is written in place of the next, so x and xd are `@`'s bits
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):      # the reference is autonomous
-            xd = xds[k + 1] = phi_d @ xd
+        step_d = phi_d.dot
+        for xd, after in zip(xds, xds[1:]):     # the reference is autonomous
+            step_d(xd, out=after)
         feedforward = matvec(scn.feedforward_gain, xds)
-        for k in range(steps):
-            xs[k] = x
-            x = phi @ x + g_in @ (feedforward[k] - gain @ (x - xds[k]))
-        xs[steps] = x
+        phi_x, g_in_v, gain_e = phi.dot, g_in.dot, gain.dot
+        for x, xd, ff, after in zip(xs, xds, feedforward, xs[1:]):
+            after[...] = phi_x(x) + g_in_v(ff - gain_e(x - xd))
         es = xs - xds
         mus = -matvec(gain, es)
         us = feedforward + mus

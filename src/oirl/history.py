@@ -14,7 +14,10 @@ swap on the current lambda_min eigenvector, with a rounding allowance)
 rejects them with no swap tried. It reads the stack only through what is
 fixed until the stack changes, so `first_unrejected` takes it of a batch of
 upcoming offers in one pass; only the first offer it cannot reject needs
-`try_insert`, and every decision is bit for bit the search's. `clear`
+`try_insert`, and every decision is bit for bit the search's. The search
+itself decomposes only the swaps whose own bound (the certificate's term
+for that swap, with its slack) passes the threshold: a swap it prunes has
+lambda_min at most the threshold, so it can neither win nor tie. `clear`
 empties the stack; when to purge (staleness, dwell time) is the owner's
 rule.
 """
@@ -169,6 +172,9 @@ class HistoryStack:
     def try_insert(self, row_block, target_block, t: float, tag: int = 0) -> bool:
         """Append when not full; otherwise replace the entry whose removal
         most improves lambda_min, and only on a strict relative improvement.
+        Only the swaps that `first_unrejected`'s bound, taken per swap,
+        cannot reject are eigendecomposed; the decision and the slot are
+        those of a search of every swap.
 
         Returns whether the stack changed.
         """
@@ -178,14 +184,21 @@ class HistoryStack:
             self._count += 1
             self._refresh()
             return True
-        cand_gram = rows.T @ rows
+        # only the swaps whose own certificate bound passes the threshold
+        # can win (or tie the winner), so only they are decomposed
+        v, bases, _, vv, slack, trace = self._rayleigh()
+        rv, flat = rows @ v, rows.ravel()
+        bound = (bases + rv.dot(rv)) / vv + slack * (trace + flat.dot(flat))
+        live = np.flatnonzero(~(bound <= self._threshold))
+        if not len(live):
+            return False
         # lambda_min of the normal matrix with entry i swapped for the candidate
-        trial = (self._normal + cand_gram)[None, :, :] - self._grams
+        trial = (self._normal + rows.T @ rows)[None, :, :] - self._grams[live]
         lam = eigvalsh(trial)[:, 0]
         best = int(np.argmax(lam))
         if not lam[best] > self._threshold:
             return False
-        self._write_slot(best, rows, targets, t, tag)
+        self._write_slot(int(live[best]), rows, targets, t, tag)
         self._refresh()
         return True
 
@@ -217,19 +230,27 @@ class HistoryStack:
         """
         if self._count < self.capacity:
             return 0
-        if self._probe is None:     # what U reads of the stack, per change
-            # the LAPACK gufunc, as eigvalsh calls it
-            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
-            d, r, eps = self.row_dim, self.block_rows, np.finfo(float).eps
-            self._probe = (v, float(v @ self._normal @ v - (self._grams @ v @ v).min()),
-                           float(v @ v), 8.0 * (d * d + d + r + 1) * eps,
-                           float(np.trace(self._normal)))
-        v, base, vv, slack, trace = self._probe
+        v, _, base, vv, slack, trace = self._rayleigh()
         with np.errstate(over="ignore", invalid="ignore"):
             rv = np.matmul(rows, v)
             bound = (base + np.vecdot(rv, rv)) / vv + slack * (trace + frob)
         kept = ~(bound <= self._threshold)
         return int(kept.argmax()) if kept.any() else len(rows)
+
+    def _rayleigh(self) -> tuple:
+        """What the certificate reads of a full stack, cached until it
+        changes: (v, v'Nv - v'G_i v per entry i, the largest of those,
+        v'v, the slack per unit of s, tr N)."""
+        if self._probe is None:
+            # the LAPACK gufunc, as eigvalsh calls it
+            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
+            d, r, eps = self.row_dim, self.block_rows, np.finfo(float).eps
+            # rounding is monotone, so the largest is v'Nv - min_i v'G_i v
+            bases = v @ self._normal @ v - self._grams @ v @ v
+            self._probe = (v, bases, float(bases.max()), float(v @ v),
+                           8.0 * (d * d + d + r + 1) * eps,
+                           float(np.trace(self._normal)))
+        return self._probe
 
     def clear(self) -> None:
         """Remove every entry."""

@@ -8,6 +8,10 @@ H = Gamma^-1, they are least squares with exponential forgetting, and
 H_dot = -beta H + alpha S is linear. So with S and C held the flow is exact
 over any number of steps j of dt, H_j = a^j H_0 + (1 - a^j) (alpha / beta) S
 and the same for Z = H W, with a = exp(-beta dt); W_j = solve(H_j, Z_j).
+Once forgetting converges, H_j and Z_j repeat bit for bit from one row to
+the next, so `advance` hands LAPACK (eigvalsh, solve) only the rows that
+differ from the row before in some bit, and each other row takes the
+result of the row before it: equal input bits give equal output bits.
 The learner keeps (W, H), and resets H to I / gamma0, keeping W, when H goes
 non-finite or an eigenvalue leaves (1 / gamma_ceiling, 1 / gamma_floor):
 forgetting shrinks H along every direction the stack does not excite. The
@@ -52,6 +56,24 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
+def _fresh(a: np.ndarray) -> np.ndarray:
+    """Whether each a[i] differs from a[i - 1] in any bit (a[0] always
+    does): compared as int64, so 0.0 and -0.0 differ and equal NaNs match."""
+    bits = a.reshape(len(a), math.prod(a.shape[1:])).view(np.int64)
+    fresh = np.ones(len(a), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=fresh[1:])
+    return fresh
+
+
+def _per_fresh_row(f, fresh: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """f of the arrays, a row-wise LAPACK gufunc, called on the `fresh` rows
+    only; every other row repeats the one before it bit for bit, and so
+    takes that row's result."""
+    if fresh.all():
+        return f(*arrays)
+    return f(*(a[fresh] for a in arrays))[fresh.cumsum() - 1]
+
+
 class ConcurrentLearner:
     """Weights W and information matrix H = Gamma^-1 driven by a history
     stack of rows @ W ~= target.
@@ -78,9 +100,11 @@ class ConcurrentLearner:
         weights after each step, and Gamma's (lambda_min, lambda_max).
 
         Every row is the closed form from the state the call began in, so
-        the chunking changes no bit. The call ends early after a step that
-        resets H or whose weights `_amend` changes. A non-finite weight row
-        raises DivergenceError, the rows before it yielded and kept.
+        the chunking changes no bit; a row whose H (and Z) repeat the bits
+        of the row before takes that row's eigenvalues (and weights). The
+        call ends early after a step that resets H or whose weights `_amend`
+        changes. A non-finite weight row raises DivergenceError, the rows
+        before it yielded and kept.
         """
         cfg = self.cfg
         s = self.stack.normal_matrix() if normal is None else normal
@@ -95,12 +119,17 @@ class ConcurrentLearner:
             h = np.multiply.outer(aj, h0) + np.multiply.outer(bj, s)
             finite = np.isfinite(h).all(axis=(1, 2))
             rows = len(aj) if finite.all() else int(finite.argmin())
-            eigs = eigvalsh(h[:rows])
+            fresh = _fresh(h[:rows])
+            eigs = _per_fresh_row(eigvalsh, fresh, h[:rows])
             inside = ((eigs[:, 0] * cfg.gamma_ceiling > 1.0)
                       & (eigs[:, -1] * cfg.gamma_floor < 1.0))
             rows = rows if inside.all() else int(inside.argmin())
             z = np.multiply.outer(aj[:rows], z0) + np.multiply.outer(bj[:rows], c)
-            w = solve(h[:rows], z, signature="dd->d")
+            fresh = fresh[:rows]
+            if not fresh.all():     # a row repeats if its H and its Z both do
+                fresh = fresh | _fresh(z)
+            w = _per_fresh_row(lambda h, z: solve(h, z, signature="dd->d"),
+                               fresh, h[:rows], z)
             finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
             good = rows if finite.all() else int(finite.argmin())
             take = self._amend(w[:good])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,46 @@ def test_a_stack_divergence_raises_the_per_step_loops_error():
     # the per-step loop's zero-signal test overflows, quietly here only
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
         per_step.run_lanes(cfg, (True,))
+    want = info.value
+    assert str(got) == str(want) == "symmetric eigenvalues went non-finite"
+    assert got.last_record_index == want.last_record_index == -1
+
+
+def _diverging_state_config() -> dict:
+    """A plant state of 1e308: finite, but the theta windows' sums of
+    neighbouring states overflow, as does the policy stack's gram of its
+    first sample."""
+    data = json.loads(SHIPPED.read_text())
+    data["reference"]["x0"] = [1e308, 0.0]
+    data["simulation"]["duration"] = 5.0
+    return data
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_a_state_near_overflow_exits_3_without_warnings(tmp_path, command):
+    """Every offer is built quietly, the theta windows too: with every
+    warning an error, the run still ends in its DivergenceError, exit 3."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", _write(tmp_path, _diverging_state_config()),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("modes", [(True,), (True, False)])
+def test_a_state_near_overflow_raises_the_per_step_loops_error(modes):
+    """The staged run and ablate, with every warning an error, raise the
+    DivergenceError of the per-step loop, message and last record."""
+    cfg = config_from_dict(_diverging_state_config())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            harness._run_lanes(cfg, modes)
+    got = info.value
+    # the per-step loop's windows and zero-signal test overflow, quietly here
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as info:
+        per_step.run_lanes(cfg, modes)
     want = info.value
     assert str(got) == str(want) == "symmetric eigenvalues went non-finite"
     assert got.last_record_index == want.last_record_index == -1

@@ -511,6 +511,22 @@ def test_emit_csv_equals_a_per_record_writer(two_input_cut, tmp_path):
     records = RecordTable(table)
     emit_csv(records, tmp_path / "special.csv")
     assert (tmp_path / "special.csv").read_bytes() == _getattr_csv(records)
+    # columns of runs, each value formatted once per run: runs of random
+    # length over the same values, 0.0 next to -0.0 and NaN next to NaN, a
+    # run across a block boundary, and the one-row table
+    rng = np.random.default_rng(5)
+    picks = rng.integers(0, len(special), size=(len(CSV_COLUMNS), rows))
+    lengths = rng.integers(1, 40, size=(len(CSV_COLUMNS), rows))
+    table = np.array([np.repeat(np.array(special)[p], n)[:rows]
+                      for p, n in zip(picks, lengths)]).T
+    table[:6, 1] = table[6:12, 2] = [0.0, 0.0, -0.0, -0.0, 0.0, np.nan]
+    table[CSV_BLOCK - 9:CSV_BLOCK + 9, 3] = 1.0 / 3.0
+    table[:, -4:] = np.repeat(rng.integers(0, 2, size=(rows // 8 + 1, 4)), 8,
+                              axis=0)[:rows]
+    table[:3, -1] = [0.0, -0.0, 1.0]
+    for records in (RecordTable(table), RecordTable(table[:1])):
+        emit_csv(records, tmp_path / "runs.csv")
+        assert (tmp_path / "runs.csv").read_bytes() == _getattr_csv(records)
 
 
 def test_record_columns_hold_the_run_state(two_input_cut):

@@ -2,14 +2,16 @@
 closed form on a frozen stack, the certificate, and the reset guard."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from types import SimpleNamespace
 
+from oirl import rls
 from oirl.errors import DivergenceError
-from oirl.history import HistoryStack
+from oirl.history import HistoryStack, eigvalsh
 from oirl.rls import CHUNK, ConcurrentLearner, _norm, row_norms
 
 from conftest import step
@@ -340,3 +342,60 @@ def test_finite_gain_beyond_its_squared_norm_steps_without_a_warning():
     np.testing.assert_array_equal(learner.information, a * 1e200 * np.eye(2))
     _advance(learner, 10)
     assert learner.gain_resets == 0
+
+
+def _counting(fn, counts, name):
+    def counted(a, *args, **kwargs):
+        counts[name] += len(a)
+        return fn(a, *args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("beta, gamma_ceiling, resets", [(20.0, 1e7, 0),
+                                                         (2.0, 10.0, 3)])
+def test_repeated_rows_take_the_lapack_results_of_the_row_before(
+        monkeypatch, vector, beta, gamma_ceiling, resets):
+    """Once forgetting converges, H and Z repeat bit for bit from row to
+    row, and `advance` hands LAPACK only the first of each run. Spans over
+    3 * CHUNK + 5 steps, driven as a stage drives them, equal the same spans
+    with every row decomposed and solved: weights, Gamma's range, reset
+    flags, gamma_eig_range and gain_resets, bit for bit, for vector and
+    matrix weights. At beta = 20 H reaches its fixed point near row 420 and
+    keeps it across two CHUNK boundaries, and LAPACK sees a fraction of the
+    rows; Z, from weights of 1e6, reaches its own over a hundred rows
+    later, so some rows repeat H and not Z. With a low gamma ceiling the weakly excited direction resets H
+    every 230 steps or so, and no row repeats."""
+    real = rls._umath_linalg
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(4, 3)) * np.array([1.0, 1.0, 0.05])
+    targets = rng.normal(size=(4, 1))
+
+    def drive(every_row):
+        counts = Counter()
+        monkeypatch.setattr(rls, "eigvalsh", _counting(eigvalsh, counts, "eigvalsh"))
+        monkeypatch.setattr(rls, "_umath_linalg", SimpleNamespace(
+            solve=_counting(real.solve, counts, "solve"),
+            solve1=_counting(real.solve1, counts, "solve")))
+        if every_row:
+            monkeypatch.setattr(rls, "_fresh", lambda a: np.ones(len(a), dtype=bool))
+        learner = _learner(rows, targets, weights=np.full((3, 1), 1e6), beta=beta,
+                           gamma_ceiling=gamma_ceiling)
+        if vector:
+            learner.weights = learner.weights[:, 0]
+        out, left = [], 3 * CHUNK + 5
+        while left:
+            for w, g in learner.advance(DT, left):
+                out += [w.tobytes(), g.tobytes()]
+                left -= len(w)
+            out.append((learner.last_gain_reset, learner.gamma_eig_range))
+        monkeypatch.undo()
+        return out + [learner.gain_resets, learner.information.tobytes()], counts
+
+    (got, fewer), (want, every) = drive(False), drive(True)
+    assert got == want and got[-2] == resets
+    if resets:      # no row between resets repeats the one before it
+        assert fewer == every
+    else:           # counted: 426 and 549 of 773 rows
+        assert every == {"eigvalsh": 3 * CHUNK + 5, "solve": 3 * CHUNK + 5}
+        assert fewer["eigvalsh"] < fewer["solve"] < 0.8 * every["solve"], fewer
