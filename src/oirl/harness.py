@@ -1,40 +1,30 @@
 """Scenario configuration, the closed-loop simulation, and metrics output.
 
-The demonstrator acts under its true optimal policy (LQR feedback around the
-reference feedforward) and nothing an estimator does feeds back into the
-plant, so a run is a pipeline of stages in the loop's dependency order:
-(1) the demonstration, x, xd, e, mu and u of every step, by the exact
-zero-order-hold RK4 step of `rk4_transition`, with only the x recurrence
-and the autonomous xd recurrence stepped, each product a bound
-`ndarray.dot` that runs `@`'s BLAS kernel; (2) the theta, then the policy
-estimator, each offering its stack everything due on its clock in order,
-then stepping its learner in closed form (`ConcurrentLearner.advance`) over
-each span between the stack's changes; (3) one lane per querying flag, a
-reward estimator with its own gate, clock, purges and records, reading each
-step's estimates from (2): `run_scenario` is one lane, `ablate` two. Every
-offer is built as arrays before its stage walks them (the theta windows by
-`window_pairs`, a lane's queries and row blocks by its estimator), each bit
-for bit a one-sample build. The walk (`_walk`) makes every stack change,
-and stops only where one may happen: between two changes the admission
-certificate is taken of a window of offers in one pass
-(`HistoryStack.first_unrejected`) and a lane bisects for its next purge, so
-only purges and offers the certificate cannot reject are visited: theta
-and policy decisions are a per-step loop's, and IRL decisions too given the
-same theta_hat and W_u rows, which the spans give to rounding (so an
-ill-conditioned IRL stack can admit differently).
-A span ends at a stack change (an accepted offer, a purge), at the gate's
-opening, at a gain reset (W kept, the step flagged) and at a box clip of
-theta_hat (Z = H W recomputed); a rejected offer ends none. Each lane's
-records are a `RecordTable`, a (steps + 1, 16) array in CSV column order
-written a span at a time, with the error norms taken after all stages
-(`rls.row_norms`); `emit_csv` formats a column once per run of equal
-values. Each `_stage` writes its own columns and returns its
-weight rows; the run's errors, (step, phase, error) with phases offer,
-update, plant, are its one stop signal. A stage runs to the step after the
-earliest listed and appends its own; the least (step, phase) is raised, a
-tie going to the first appended, so stage order theta, policy, lanes: the
-error a per-step loop raises first. Reruns with the same (config, seed) are
-byte-identical.
+The demonstrator acts under its true optimal policy and nothing an
+estimator does feeds back into the plant, so a run is a pipeline of stages
+in the loop's dependency order: (1) the demonstration, x, xd, e, mu and u
+of every step, by the exact zero-order-hold RK4 step of `rk4_transition`,
+each product a bound `ndarray.dot` that runs `@`'s BLAS kernel; (2) the
+theta, then the policy estimator; (3) one lane per querying flag, a reward
+estimator with its own gate, clock, purges and records, reading each step's
+estimates from (2): `run_scenario` is one lane, `ablate` two. Every offer
+is built as arrays first, each bit for bit a one-sample build. Each
+estimator is one `_stage`. Its walk (`_walk`) makes every stack change and
+visits only purges and the offers that the admission certificate, taken of
+a window of offers in one pass, cannot reject; then its learner steps over
+all the spans between the changes in one `ConcurrentLearner.advance` call.
+A span ends at a stack change and at the gate's opening; a gain reset (W
+kept, the step flagged) and a box clip of theta_hat restart the closed form
+inside one. Theta and policy decisions are a per-step loop's, and IRL
+decisions too given the same theta_hat and W_u rows, which the learners
+give to rounding (so an ill-conditioned IRL stack can admit differently).
+Each lane's records are a `RecordTable`, a (steps + 1, 16) array in CSV
+column order, its error norms taken after all stages (`rls.row_norms`).
+The run's errors, (step, phase, error) with phases offer, update, plant,
+are its one stop signal: a stage runs to the step after the earliest listed
+and appends its own, and the least (step, phase) is raised, a tie going to
+the first appended (stage order theta, policy, lanes): the error a per-step
+loop raises first. Reruns with the same (config, seed) are byte-identical.
 """
 
 from __future__ import annotations
@@ -690,12 +680,12 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
 
 
 def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
-    """One estimator: its stack's changes from `walk`, and its learner from
-    step `start` in spans between them, to the step after the earliest of
-    `errors` (whose offers come before its updates; a change the walk makes
-    past there goes unrecorded, as the run raises). Writes its columns of
-    `col`, lambda_<name>_stack, <name>_gain_reset and, where the CSV has
-    it, lambda_gamma_<name> (gamma0 before `start`); appends its own errors,
+    """One estimator: its stack's changes from `walk`, then its learner
+    from step `start` over the spans between them, to the step after the
+    earliest of `errors` (offers come before updates; what comes later goes
+    unrecorded, as the run raises). Writes its columns of `col`,
+    lambda_<name>_stack, <name>_gain_reset and, where the CSV has it,
+    lambda_gamma_<name> (gamma0 before `start`); appends its own errors,
     the walk's at their step; returns the learner's weights per step."""
     stack, rank, reset = (learner.stack, col[f"lambda_{name}_stack"],
                           col[f"{name}_gain_reset"])
@@ -703,8 +693,8 @@ def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
     gamma = col.get(f"lambda_gamma_{name}", np.empty(len(rank)))
     gamma[:start] = learner.cfg.gamma0
     stop = min([len(rank)] + [step + 1 for step, *_ in errors])
-    at, k = 0, start
-    while True:
+    spans, at = [], 0       # (steps, S, C) per span from `start` on
+    while at < stop:
         normal, cross = stack.normal_matrix(), stack.cross_matrix()
         value = stack.rank_metric
         try:
@@ -713,20 +703,18 @@ def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
             errors.append((err.step, 0, err))
             end = stop = min(stop, err.step)
         rank[at:end] = value
-        try:
-            while k < end:
-                for w, g in learner.advance(dt, end - k, normal, cross):
-                    span = slice(k, k + len(w))
-                    weights[span] = w
-                    gamma[span] = g[:, 0]
-                    k += len(w)
-                reset[k - 1] = learner.last_gain_reset
-        except DivergenceError as err:
-            errors.append((k, 1, err))
-            return weights
-        if end == stop:
-            return weights
+        spans.append((max(end - max(at, start), 0), normal, cross))
         at = end
+    k = start
+    try:
+        for w, g in learner.advance(dt, spans):
+            weights[k:k + len(w)] = w
+            gamma[k:k + len(w)] = g[:, 0]
+            k += len(w)
+            reset[k - 1] = learner.last_gain_reset
+    except DivergenceError as err:
+        errors.append((k, 1, err))
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared fixtures. A full-length reference run still takes most of a
-second: its learners step a span at a time, but the stacks' 6,000 offers
+second: its learners step in chunks of rows, but the stacks' 6,000 offers
 (each a certificate, and a few a batched trial eigendecomposition) and the
 20,001-step demonstration loop are interpreter-bound, and `ablate` adds a
 lane's offers on top. So each is computed once per session and reused by
@@ -22,7 +22,7 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 def step(learner, dt):
     """One exact step of a learner's laws with its stack held, and for a
     theta estimator the generation of the new estimate."""
-    for w, _ in learner.advance(dt, 1):
+    for w, _ in learner.advance(dt, per_step.one_span(learner, 1)):
         if isinstance(learner, ThetaEstimator):
             learner.revise(w)
 

@@ -13,6 +13,7 @@ estimator's per-sample window offer, and `purge_due` the purge rule as a
 lane checks it on every step.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -24,7 +25,21 @@ from oirl.harness import (_RAW_COLUMNS, CSV_COLUMNS, FinalEstimates,
 from oirl.irl_engine import RewardEstimator
 from oirl.param_estimator import ThetaEstimator, window_pairs
 from oirl.policy_estimator import PolicyEstimator
-from oirl.rls import _norm, row_norms
+from oirl.rls import row_norms
+
+
+def one_span(learner, steps):
+    """`steps` steps on the learner's stack as it stands, as the one span
+    that `ConcurrentLearner.advance` takes."""
+    return [(steps, learner.stack.normal_matrix(), learner.stack.cross_matrix())]
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a real float array, bit for bit, without its
+    dispatch: sqrt(v . v) on v = a.ravel(order="K"). `rls.row_norms` takes
+    it of every row of a table in one pass."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 class ThetaWindows:
@@ -122,13 +137,13 @@ def run_lanes(cfg, modes):
                         engine.stack.try_insert(block, target, t, tag=generation)
                     last_collect[i] = t
 
-            for w, _ in theta_est.advance(dt, 1):
+            for w, _ in theta_est.advance(dt, one_span(theta_est, 1)):
                 theta_est.revise(w)
-            for _ in policy_est.advance(dt, 1):
+            for _ in policy_est.advance(dt, one_span(policy_est, 1)):
                 pass
             for i, engine, _ in lanes:
                 if gates[i]:
-                    for _ in engine.advance(dt, 1):
+                    for _ in engine.advance(dt, one_span(engine, 1)):
                         pass
 
             e_rows[k] = e

@@ -28,6 +28,7 @@ from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 from oirl.errors import RiccatiConvergenceError, UnstabilizableError
 
 from bellman import inverse_bellman_error
+from per_step import one_span
 
 POLICY_FLOOR = 1e-12     # below this, policy error is rounding noise
 
@@ -165,7 +166,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
         x = rng.uniform(-1.0, 1.0, 2)
         u = -(k_true @ x) + 0.01 * rng.normal(size=1)
         pol.stack.try_insert(x, -u, t=0.05 * i)
-    for _ in pol.advance(dt, 40000):    # 40,000 exact steps, in spans
+    for _ in pol.advance(dt, one_span(pol, 40000)):    # in chunks
         pass
     s = pol.stack.normal_matrix()
     batch_w = np.linalg.solve(s, pol.stack.cross_matrix())
@@ -183,7 +184,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
                                    theta)
     for i, (block, target) in enumerate(zip(rows, targets)):
         eng.stack.try_insert(block, target, t=0.05 * i, tag=1)
-    for _ in eng.advance(dt, 80000):
+    for _ in eng.advance(dt, one_span(eng, 80000)):
         pass
     s_irl = eng.stack.normal_matrix()
     batch_irl = np.linalg.solve(s_irl, eng.stack.cross_matrix()[:, 0])

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from oirl import history
 from oirl.errors import DimensionError, DivergenceError
 from oirl.harness import _walk, load_config, run_scenario
 from oirl.history import ADMISSION_MARGIN, HistoryStack, all_finite, eigvalsh
-from oirl.rls import _norm
+
+from per_step import _norm
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
@@ -171,6 +173,40 @@ def test_eigvalsh_matches_numpy_bit_for_bit():
     for k in (3, 5):
         stack = _symmetric(rng, 50, k, k)
         np.testing.assert_array_equal(eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+
+def _spd(rng, *shape):
+    a = rng.normal(size=shape)
+    return a @ np.swapaxes(a, -1, -2) + shape[-1] * np.eye(shape[-1])
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_private_gufuncs_match_numpy_bit_for_bit(k):
+    """The learners and the stacks call numpy's private LAPACK gufuncs
+    (`numpy.linalg._umath_linalg`) without the public functions' dispatch.
+    Each returns exactly what its public function does, on single and on
+    stacked SPD matrices of every size a config reaches: `solve1` and `solve`
+    as `np.linalg.solve` with a vector and a matrix right-hand side,
+    `eigh_lo` as `np.linalg.eigh`, and `eigvalsh_lo` as `np.linalg.eigvalsh`.
+    A numpy whose private names or results move fails here."""
+    rng = np.random.default_rng(k)
+    gufuncs = _umath_linalg
+    for a in (_spd(rng, k, k), _spd(rng, 50, k, k)):
+        vectors = rng.normal(size=a.shape[:-1])
+        got = gufuncs.solve1(a, vectors, signature="dd->d")
+        want = (np.linalg.solve(a, vectors) if a.ndim == 2
+                else [np.linalg.solve(m, v) for m, v in zip(a, vectors)])
+        np.testing.assert_array_equal(got, want)
+        matrices = rng.normal(size=a.shape[:-1] + (3,))
+        np.testing.assert_array_equal(
+            gufuncs.solve(a, matrices, signature="dd->d"),
+            np.linalg.solve(a, matrices))
+        values, vectors = gufuncs.eigh_lo(a, signature="d->dd")
+        want = np.linalg.eigh(a)
+        np.testing.assert_array_equal(values, want.eigenvalues)
+        np.testing.assert_array_equal(vectors, want.eigenvectors)
+        np.testing.assert_array_equal(gufuncs.eigvalsh_lo(a, signature="d->d"),
+                                      np.linalg.eigvalsh(a))
 
 
 def test_eigvalsh_raises_divergence_on_non_finite_input():

@@ -8,11 +8,10 @@ from oirl.features import REWARDS, FeatureBasis
 from oirl.harness import _walk
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
-from oirl.rls import _norm
 
 from bellman import inverse_bellman_error
 from conftest import step
-from per_step import purge_due
+from per_step import _norm, one_span, purge_due
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -228,7 +227,7 @@ def test_anchored_truth_is_a_fixed_point():
 
 def test_weights_converge_to_anchored_truth_on_frozen_stack():
     eng = _engine_with_optimal_queries()
-    for _ in eng.advance(0.005, 60000):  # 60,000 exact steps, in spans
+    for _ in eng.advance(0.005, one_span(eng, 60000)):     # in chunks
         pass
     w_true = _anchored_truth()
     assert np.max(np.abs(eng.weights - w_true)) < 1e-8
@@ -240,9 +239,9 @@ def test_weights_converge_to_anchored_truth_on_frozen_stack():
 def test_doubling_the_anchor_doubles_the_weights():
     eng1 = _engine_with_optimal_queries(r1=10.0)
     eng2 = _engine_with_optimal_queries(r1=20.0)
-    for _ in eng1.advance(0.005, 5000):
+    for _ in eng1.advance(0.005, one_span(eng1, 5000)):
         pass
-    for _ in eng2.advance(0.005, 5000):
+    for _ in eng2.advance(0.005, one_span(eng2, 5000)):
         pass
     # rows are anchor-free and offsets are linear in r1, so the trajectories
     # match to the bit, not merely to rounding

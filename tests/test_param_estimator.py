@@ -10,7 +10,7 @@ from oirl.param_estimator import (ThetaEstimator, ThetaEstimatorConfig,
                                   window_pairs)
 
 from conftest import step
-from per_step import ThetaWindows
+from per_step import ThetaWindows, one_span
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))
@@ -93,7 +93,7 @@ def test_estimate_converges_on_frozen_stack():
     windows = ThetaWindows(est)
     for t, x, u in rollout:
         windows.observe(t, x, u)
-    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+    for _ in est.advance(0.005, one_span(est, 40000)):     # in chunks
         pass
     s = est.stack.normal_matrix()
     c = est.stack.cross_matrix()

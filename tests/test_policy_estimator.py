@@ -11,6 +11,7 @@ from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.policy_estimator import PolicyEstimator, PolicyEstimatorConfig
 
 from conftest import step
+from per_step import one_span
 
 K_TRUE = np.array([[0.0916079783099616, 0.2302163765760962]])
 THETA = np.array([[0.0, -0.5], [0.0, -0.5], [0.0, 1.0]])
@@ -55,7 +56,7 @@ def test_batch_solution_is_a_fixed_point():
 
 def test_weights_converge_to_the_batch_solution():
     est = _filled_estimator()
-    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+    for _ in est.advance(0.005, one_span(est, 40000)):     # in chunks
         pass
     assert np.max(np.abs(est.weights - K_TRUE.T)) < 1e-8
 
@@ -63,7 +64,7 @@ def test_weights_converge_to_the_batch_solution():
 def test_gain_converges_to_forgetting_scaled_inverse_normal():
     """H = Gamma^-1 flows to (alpha / beta) S, so Gamma to (beta / alpha) S^-1."""
     est = _filled_estimator()
-    for _ in est.advance(0.005, 40000):  # 40,000 exact steps, in spans
+    for _ in est.advance(0.005, one_span(est, 40000)):     # in chunks
         pass
     s = est.stack.normal_matrix()
     assert np.max(np.abs(est.information - (est.cfg.alpha / est.cfg.beta) * s)) < 1e-12

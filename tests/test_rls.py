@@ -11,10 +11,11 @@ from types import SimpleNamespace
 
 from oirl import rls
 from oirl.errors import DivergenceError
-from oirl.history import HistoryStack, eigvalsh
-from oirl.rls import CHUNK, ConcurrentLearner, _norm, row_norms
+from oirl.history import HistoryStack
+from oirl.rls import CHUNK, ConcurrentLearner, row_norms
 
 from conftest import step
+from per_step import _norm, one_span
 
 DT = 0.005
 
@@ -70,6 +71,28 @@ def test_row_norms_equal_per_row_norm_bit_for_bit():
     blocks = rng.normal(size=(50, 5, 3))
     assert row_norms(blocks).tolist() == [_norm(block) for block in blocks]
     assert row_norms(np.zeros((4, 0))).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("beta, dt", [(2.0, 0.005), (2.0, 0.01),
+                                      (20.0, 0.0025), (100.0, 0.01)])
+def test_array_powers_do_not_depend_on_the_position(beta, dt):
+    """A chunk takes a^j for all its rows from one array power, over
+    exponents that restart at each span it crosses. Each power has the bits
+    of the same exponent anywhere in an array, as in one power of 1..N, in
+    any order and from any offset, so a row's bits do not depend on where
+    its span falls in a chunk. (Python's scalar a ** j differs from the
+    array power in some bits, so no row takes it.)"""
+    a = math.exp(-beta * dt)
+    exponents = np.arange(1, 4 * CHUNK + 1)
+    powers = a ** exponents
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        mixed = rng.permutation(exponents)[:rng.integers(1, len(exponents))]
+        assert (a ** mixed).tobytes() == powers[mixed - 1].tobytes()
+    for start in range(1, 40):
+        for n in (1, 7, 8, 9, 17, CHUNK - 1, CHUNK):
+            got = a ** np.arange(start, start + n)
+            assert got.tobytes() == powers[start - 1:start - 1 + n].tobytes()
 
 
 def test_learner_weights_that_overflow_raise_divergence():
@@ -238,9 +261,9 @@ def test_reset_survives_non_finite_step():
     np.testing.assert_array_equal(learner.weights, np.zeros((2, 1)))
 
 
-def _advance(learner, steps, **kwargs):
-    """The rows of one `advance` call, its chunks joined."""
-    chunks = list(learner.advance(DT, steps, **kwargs))
+def _advance(learner, steps):
+    """The rows of one `advance` call over one span, its chunks joined."""
+    chunks = list(learner.advance(DT, one_span(learner, steps)))
     return (np.concatenate([w for w, _ in chunks]),
             np.concatenate([g for _, g in chunks]))
 
@@ -301,9 +324,10 @@ def test_advance_holds_the_certificate_on_every_row():
 
 def test_bound_violation_inside_a_span_resets_at_that_row():
     """Forgetting takes lambda_min(H) below 1 / gamma_ceiling at row 300 of
-    a span, past a chunk boundary: the span ends there with H reset to
-    I / gamma0, W kept from row 299, and the row flagged, exactly where
-    single steps reset."""
+    a span, past a chunk boundary: H resets there to I / gamma0, W is kept
+    from row 299, and the row ends its chunk flagged, exactly where single
+    steps reset. The span goes on from that state, bit for bit a span
+    started there."""
     a, _ = _flow(_cfg())
     first = 300                 # the first row whose lambda_min is too low
 
@@ -315,19 +339,117 @@ def test_bound_violation_inside_a_span_resets_at_that_row():
         return out
 
     span, stepped = learner(), learner()
-    w, gamma = _advance(span, 1000)
-    assert len(w) == first + 1
-    assert span.last_gain_reset and span.gain_resets == 1
+    chunks, flags = [], []
+    for w, g in span.advance(DT, one_span(span, 1000)):
+        chunks.append((w, g))
+        flags.append((len(w), span.last_gain_reset))
+    ends = np.cumsum([n for n, _ in flags]).tolist()
+    assert ends[:2] == [CHUNK, first + 1] and ends[-1] == 1000
+    assert [end for end, (_, reset) in zip(ends, flags) if reset] == [first + 1]
+    w, gamma = (np.concatenate(c) for c in zip(*chunks))
+    assert span.gain_resets == 1
     np.testing.assert_array_equal(w[first], w[first - 1])
-    np.testing.assert_array_equal(span.weights, w[first - 1])
     assert w[first - 1, 1, 0] != w[0, 1, 0]           # W did move
-    np.testing.assert_array_equal(span.information, 0.5 * np.eye(2))
-    assert tuple(gamma[first]) == span.gamma_eig_range == (2.0, 2.0)
+    assert tuple(gamma[first]) == (2.0, 2.0)
     assert (gamma[:first, 1] < 1e7).all()
-    for j in range(first + 1):
+    restarted = learner()
+    restarted.information = 0.5 * np.eye(2)
+    restarted.weights = w[first - 1]
+    rest, rest_gamma = _advance(restarted, 1000 - first - 1)
+    np.testing.assert_array_equal(w[first + 1:], rest)
+    np.testing.assert_array_equal(gamma[first + 1:], rest_gamma)
+    np.testing.assert_array_equal(span.information, restarted.information)
+    for j in range(1000):
         step(stepped, DT)
         assert stepped.last_gain_reset is (j == first)
-    np.testing.assert_allclose(stepped.weights, span.weights, rtol=1e-13)
+        assert np.abs(stepped.weights - w[j]).max() < 1e-13 * np.abs(w[j]).max()
+
+
+def test_rows_past_a_reset_raise_nothing(monkeypatch):
+    """S = c^2 [[1, 1], [1, 1]] with c^2 = 2e305 puts lambda_min(H) below
+    1 / gamma_ceiling by rounding on every step, so single steps reset H on
+    every row. A 300-step span does the same, bit for bit: the first chunk
+    ends at its first row, and its rows past that, whose eigenvalues
+    overflow from row 229 on, are dropped without raising. A chunk cut
+    short is followed by one of at most twice the rows it kept, so LAPACK
+    takes 2 rows, not CHUNK, for each later reset."""
+    c = math.sqrt(2e305)
+    overrides = {"alpha": 1e3, "gamma_floor": 5e-324}
+    span, stepped = (_learner([[c, c]], [1.0], **overrides) for _ in range(2))
+    counts, real = Counter(), rls._umath_linalg
+    monkeypatch.setattr(rls, "_umath_linalg", SimpleNamespace(
+        eigvalsh_lo=_counting(real.eigvalsh_lo, counts, "eigvalsh"),
+        solve=real.solve, solve1=real.solve1))
+    got = [(w.tobytes(), g.tobytes(), span.last_gain_reset)
+           for w, g in span.advance(DT, one_span(span, 300))]
+    monkeypatch.undo()
+    assert counts["eigvalsh"] == CHUNK + 2 * 298 + 1     # the last has 1 row left
+    want = []
+    for _ in range(300):
+        step(stepped, DT)
+        want.append((stepped.weights[None].tobytes(),
+                     np.array([stepped.gamma_eig_range]).tobytes(),
+                     stepped.last_gain_reset))
+    assert got == want
+    assert span.gain_resets == stepped.gain_resets == 300
+    np.testing.assert_array_equal(span.information, stepped.information)
+
+
+def test_a_kept_rows_non_finite_eigenvalues_raise_at_that_row():
+    """H stays finite while its largest eigenvalue overflows from row 91 of
+    a span on, with no reset before it: the span yields rows 0 to 90 and
+    raises at row 91, where single steps raise."""
+    s = math.sqrt(6e305)
+    d = 1e-6 * s
+    rows = [[(s + d) / 2, (s - d) / 2], [(s - d) / 2, (s + d) / 2]]
+    overrides = {"alpha": 1e3, "gamma_floor": 5e-324}
+    span, stepped = (_learner(rows, [1.0, 2.0], **overrides) for _ in range(2))
+    got = []
+    with pytest.raises(DivergenceError, match="eigenvalues went non-finite"):
+        for w, _ in span.advance(DT, one_span(span, 300)):
+            got.append(w)
+    w = np.concatenate(got)
+    assert len(w) == 91 and span.gain_resets == 0
+    np.testing.assert_array_equal(span.weights, w[-1])
+    with pytest.raises(DivergenceError, match="eigenvalues went non-finite"):
+        for j in range(300):
+            step(stepped, DT)
+    assert j == 91 and stepped.gain_resets == 0
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("gamma_ceiling, resets", [(1e7, 0), (30.0, 7)])
+def test_one_call_over_many_spans_equals_a_call_per_span(vector, gamma_ceiling,
+                                                          resets):
+    """Chunks that run across span ends change no bit: one `advance` over
+    40 spans of 1 to 120 steps, each on its own S and C (an empty stack
+    among them), yields the rows, Gamma's ranges and reset flags of one call
+    per span, and leaves the same state. With a low gamma ceiling H resets
+    seven times inside spans."""
+    rng = np.random.default_rng(13)
+    spans = []
+    for n in rng.integers(1, 121, size=40):
+        rows = rng.normal(size=(int(rng.integers(0, 4)), 3)) * [1.0, 1.0, 0.1]
+        spans.append((int(n), rows.T @ rows, rows.T @ rng.normal(size=(len(rows), 1))))
+
+    def drive(groups):
+        learner = _learner(np.zeros((0, 3)), weights=np.full((3, 1), 0.5),
+                           alpha=4.0, gamma_ceiling=gamma_ceiling)
+        if vector:
+            learner.weights = learner.weights[:, 0]
+        out = []
+        for group in groups:
+            for w, g in learner.advance(DT, group):
+                flags = np.zeros(len(w), dtype=bool)
+                flags[-1] = learner.last_gain_reset
+                out.append((w, g, flags))
+        w, g, flags = (np.concatenate(c) for c in zip(*out))
+        return (w.tobytes(), g.tobytes(), flags.tobytes(), learner.gain_resets,
+                learner.information.tobytes(), learner.weights.tobytes())
+
+    whole = drive([spans])
+    assert whole == drive([[span] for span in spans])
+    assert whole[3] == resets
 
 
 def test_finite_gain_beyond_its_squared_norm_steps_without_a_warning():
@@ -357,15 +479,15 @@ def _counting(fn, counts, name):
 def test_repeated_rows_take_the_lapack_results_of_the_row_before(
         monkeypatch, vector, beta, gamma_ceiling, resets):
     """Once forgetting converges, H and Z repeat bit for bit from row to
-    row, and `advance` hands LAPACK only the first of each run. Spans over
-    3 * CHUNK + 5 steps, driven as a stage drives them, equal the same spans
-    with every row decomposed and solved: weights, Gamma's range, reset
-    flags, gamma_eig_range and gain_resets, bit for bit, for vector and
-    matrix weights. At beta = 20 H reaches its fixed point near row 420 and
-    keeps it across two CHUNK boundaries, and LAPACK sees a fraction of the
-    rows; Z, from weights of 1e6, reaches its own over a hundred rows
-    later, so some rows repeat H and not Z. With a low gamma ceiling the weakly excited direction resets H
-    every 230 steps or so, and no row repeats."""
+    row, and `advance` hands LAPACK only the first of each run. A span of
+    3 * CHUNK + 5 steps equals the same span with every row decomposed and
+    solved: weights, Gamma's range, reset flags, gamma_eig_range and
+    gain_resets, chunk by chunk and bit for bit, for vector and matrix
+    weights. At beta = 20 H reaches its fixed point near row 420 and keeps
+    it across two CHUNK boundaries, and LAPACK sees a fraction of the rows;
+    Z, from weights of 1e6, reaches its own over a hundred rows later, so
+    some rows repeat H and not Z. With a low gamma ceiling the weakly
+    excited direction resets H every 230 steps or so, and no row repeats."""
     real = rls._umath_linalg
     rng = np.random.default_rng(9)
     rows = rng.normal(size=(4, 3)) * np.array([1.0, 1.0, 0.05])
@@ -373,8 +495,8 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
 
     def drive(every_row):
         counts = Counter()
-        monkeypatch.setattr(rls, "eigvalsh", _counting(eigvalsh, counts, "eigvalsh"))
         monkeypatch.setattr(rls, "_umath_linalg", SimpleNamespace(
+            eigvalsh_lo=_counting(real.eigvalsh_lo, counts, "eigvalsh"),
             solve=_counting(real.solve, counts, "solve"),
             solve1=_counting(real.solve1, counts, "solve")))
         if every_row:
@@ -383,12 +505,10 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
                            gamma_ceiling=gamma_ceiling)
         if vector:
             learner.weights = learner.weights[:, 0]
-        out, left = [], 3 * CHUNK + 5
-        while left:
-            for w, g in learner.advance(DT, left):
-                out += [w.tobytes(), g.tobytes()]
-                left -= len(w)
-            out.append((learner.last_gain_reset, learner.gamma_eig_range))
+        out = []
+        for w, g in learner.advance(DT, one_span(learner, 3 * CHUNK + 5)):
+            out += [w.tobytes(), g.tobytes(), learner.last_gain_reset,
+                    learner.gamma_eig_range]
         monkeypatch.undo()
         return out + [learner.gain_resets, learner.information.tobytes()], counts
 
