@@ -1,30 +1,40 @@
 """Scenario configuration, the closed-loop simulation, and metrics output.
 
-The demonstrator acts under its true optimal policy and nothing an
-estimator does feeds back into the plant, so a run is a pipeline of stages
-in the loop's dependency order: (1) the demonstration, x, xd, e, mu and u
-of every step, by the exact zero-order-hold RK4 step of `rk4_transition`,
-each product a bound `ndarray.dot` that runs `@`'s BLAS kernel; (2) the
-theta, then the policy estimator; (3) one lane per querying flag, a reward
-estimator with its own gate, clock, purges and records, reading each step's
-estimates from (2): `run_scenario` is one lane, `ablate` two. Every offer
-is built as arrays first, each bit for bit a one-sample build. Each
-estimator is one `_stage`. Its walk (`_walk`) makes every stack change and
-visits only purges and the offers that the admission certificate, taken of
-a window of offers in one pass, cannot reject; then its learner steps over
-all the spans between the changes in one `ConcurrentLearner.advance` call.
-A span ends at a stack change and at the gate's opening; a gain reset (W
-kept, the step flagged) and a box clip of theta_hat restart the closed form
-inside one. Theta and policy decisions are a per-step loop's, and IRL
-decisions too given the same theta_hat and W_u rows, which the learners
-give to rounding (so an ill-conditioned IRL stack can admit differently).
-Each lane's records are a `RecordTable`, a (steps + 1, 16) array in CSV
-column order, its error norms taken after all stages (`rls.row_norms`).
-The run's errors, (step, phase, error) with phases offer, update, plant,
-are its one stop signal: a stage runs to the step after the earliest listed
-and appends its own, and the least (step, phase) is raised, a tie going to
-the first appended (stage order theta, policy, lanes): the error a per-step
-loop raises first. Reruns with the same (config, seed) are byte-identical.
+The demonstrator acts under its true optimal policy (LQR feedback around the
+reference feedforward) and nothing an estimator does feeds back into the
+plant, so a run is a pipeline of stages in the loop's dependency order:
+(1) the demonstration, x, xd, e, mu and u of every step, by the exact
+zero-order-hold RK4 step of `rk4_transition`, with only the x recurrence
+and the autonomous xd recurrence stepped, each product a bound
+`ndarray.dot` that runs `@`'s BLAS kernel; (2) the theta, then the policy
+estimator, each offering its stack everything due on its clock in order,
+then stepping its learner in closed form over all the spans between the
+stack's changes in one `ConcurrentLearner.advance` call; (3) one lane per
+querying flag, a reward estimator with its own gate, clock, purges and
+records, reading each step's estimates from (2): `run_scenario` is one
+lane, `ablate` two. Every offer is built as arrays before its stage walks
+them (the theta windows by `window_pairs`, a lane's queries and row blocks
+by its estimator), each bit for bit a one-sample build. The walk (`_walk`) makes every stack change,
+and stops only where one may happen: between two changes the admission
+certificate is taken of a window of offers in one pass
+(`HistoryStack.first_unrejected`) and a lane bisects for its next purge, so
+only purges and offers the certificate cannot reject are visited: theta
+and policy decisions are a per-step loop's, and IRL decisions too given the
+same theta_hat and W_u rows, which the spans give to rounding (so an
+ill-conditioned IRL stack can admit differently).
+A span ends at a stack change (an accepted offer, a purge) and at the
+gate's opening; a rejected offer ends none. A gain reset (W kept, the step
+flagged) and a box clip of theta_hat (Z = H W recomputed) restart the
+closed form inside a span. Each lane's records are a `RecordTable`, a
+(steps + 1, 16) array in CSV column order, with the error norms taken
+after all stages (`rls.row_norms`); `emit_csv` formats a column once per
+run of equal values. Each `_stage` writes its own columns and returns its
+weight rows; the run's errors, (step, phase, error) with phases offer,
+update, plant, are its one stop signal. A stage runs to the step after the
+earliest listed and appends its own; the least (step, phase) is raised, a
+tie going to the first appended, so stage order theta, policy, lanes: the
+error a per-step loop raises first. Reruns with the same (config, seed) are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -680,13 +690,14 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
 
 
 def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
-    """One estimator: its stack's changes from `walk`, then its learner
-    from step `start` over the spans between them, to the step after the
-    earliest of `errors` (offers come before updates; what comes later goes
-    unrecorded, as the run raises). Writes its columns of `col`,
-    lambda_<name>_stack, <name>_gain_reset and, where the CSV has it,
-    lambda_gamma_<name> (gamma0 before `start`); appends its own errors,
-    the walk's at their step; returns the learner's weights per step."""
+    """One estimator: its stack's changes from `walk`, and its learner from
+    step `start` over the spans between them in one call, to the step after
+    the earliest of `errors` (whose offers come before its updates; a change
+    the walk makes past there goes unrecorded, as the run raises). Writes
+    its columns of `col`, lambda_<name>_stack, <name>_gain_reset and, where
+    the CSV has it, lambda_gamma_<name> (gamma0 before `start`); appends its
+    own errors, the walk's at their step; returns the learner's weights per
+    step."""
     stack, rank, reset = (learner.stack, col[f"lambda_{name}_stack"],
                           col[f"{name}_gain_reset"])
     weights = np.zeros((len(rank),) + learner.weights.shape)

@@ -2,19 +2,24 @@
 
 A stack holds up to `capacity` entries, each a small block of regressor rows
 with matching targets, a timestamp, and an integer tag identifying which
-parameter-estimate generation produced it; owners bank rows so that
-rows @ W ~= target for their weights W. The informativity metric is
-lambda_min of the stacked normal matrix, and admission maximizes it. Once
-the stack is full, an offer swaps in for the entry whose removal leaves the
-largest lambda_min, and only on a strict relative gain. Most offers are
-rejected, and an exact certificate (a Rayleigh quotient of every swap on the
-current lambda_min eigenvector, with a rounding allowance) rejects them with
-no swap tried. It reads only what is fixed until the stack changes, so
-`first_unrejected` takes it of a batch of upcoming offers in one pass; only
-the first offer it cannot reject needs `try_insert`, whose search decomposes
-only the swaps that the certificate's own term cannot prune, and every
-decision is bit for bit a full search's. `clear` empties the stack; when to
-purge (staleness, dwell time) is the owner's rule.
+parameter-estimate generation produced it. Owners bank rows so that
+rows @ W ~= target for their weights W, which is why the policy
+(u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0) bank
+-offsets. The informativity metric is lambda_min of the stacked normal
+matrix; admission maximizes it. Once the stack is full, an offer swaps in
+for the entry whose removal leaves the largest lambda_min, and only on a
+strict relative gain: `try_insert` appends, or tries every swap. Most
+offers are rejected, and an exact certificate (a Rayleigh quotient of every
+swap on the current lambda_min eigenvector, with a rounding allowance)
+rejects them with no swap tried. It reads the stack only through what is
+fixed until the stack changes, so `first_unrejected` takes it of a batch of
+upcoming offers in one pass; only the first offer it cannot reject needs
+`try_insert`, and every decision is bit for bit the search's. The search
+itself decomposes only the swaps whose own bound (the certificate's term
+for that swap, with its slack) passes the threshold: a swap it prunes has
+lambda_min at most the threshold, so it can neither win nor tie. `clear`
+empties the stack; when to purge (staleness, dwell time) is the owner's
+rule.
 """
 
 from __future__ import annotations

@@ -110,14 +110,14 @@ class ThetaEstimator(ConcurrentLearner):
         return self.weights
 
     def _amend(self, w: Matrix) -> int:
-        """Clip the first row that leaves the box; the span ends there."""
+        """Clip the first row that leaves the box, and return its index."""
         lo, hi = self.cfg.box
         out = ((w < lo) | (w > hi)).any(axis=(1, 2))
         if not out.any():
             return len(w)
         i = int(out.argmax())
         clip(w[i], lo, hi, out=w[i])
-        return i + 1
+        return i
 
     def revise(self, w: np.ndarray) -> np.ndarray:
         """The generation after each of the consecutive estimates w: one

@@ -8,18 +8,28 @@ H = Gamma^-1, they are least squares with exponential forgetting, and
 H_dot = -beta H + alpha S is linear. So with S and C held the flow is exact
 over any number of steps j of dt, H_j = a^j H_0 + (1 - a^j) (alpha / beta) S
 and the same for Z = H W, with a = exp(-beta dt); W_j = solve(H_j, Z_j).
-`advance` takes a stage's spans in chunks that run across span ends, one
-eigvalsh and one solve each, on the rows that differ from the row before in
-some bit (H_j and Z_j repeat once forgetting converges). The learner keeps
-(W, H), and resets H to I / gamma0, keeping W, when H goes non-finite or an
-eigenvalue leaves (1 / gamma_ceiling, 1 / gamma_floor): forgetting shrinks H
-along every direction the stack does not excite. The policy
-(u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0) bank
--offsets; negation is exact, so their cross matrices are bit for bit the
-negated ones.
+Once forgetting converges, H_j and Z_j repeat bit for bit from one row to
+the next, so `advance` hands LAPACK (eigvalsh, solve) only the rows that
+differ from the row before in some bit, and each other row takes the
+result of the row before it: equal input bits give equal output bits.
+It takes a stage's spans, each with its own S and C, in chunks of rows
+that run across span ends: a span starts from H on the row before it and
+Z = H W, W solved on that row.
+The learner keeps (W, H), and resets H to I / gamma0, keeping W, when H goes
+non-finite or an eigenvalue leaves (1 / gamma_ceiling, 1 / gamma_floor):
+forgetting shrinks H along every direction the stack does not excite. The
+policy (u = -W^T sigma) banks -u and the reward rows (rows @ W + offsets = 0)
+bank -offsets to fit the convention; negation is exact, so their cross
+matrices are bit for bit the negated ones.
 
-`row_norms` is np.linalg.norm of every row of a table, bit for bit, in one
-`np.vecdot` pass: the run's error norms, and `harness._walk`'s sums.
+`_norm` is the Frobenius/2-norm of one array, the per-sample reference
+for `row_norms`. It computes exactly what `np.linalg.norm(a)` computes for a
+real array with ord=None, sqrt(v . v) on v = a.ravel(order="K"), so results
+are bit-identical; it only skips that function's argument dispatch, which
+dominates the cost on arrays of a few entries. `row_norms` takes it of every
+row of a table in one pass, bit for bit: `np.vecdot` and `ndarray.dot` run
+the same BLAS dot on each row. The run takes its error norms with it, and
+`harness._walk` its sums for the zero-signal test of every stack's offers.
 """
 
 from __future__ import annotations
@@ -39,9 +49,14 @@ Matrix = np.ndarray
 CHUNK = 256     # learner steps computed in one batch
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a) for a real float array, without its dispatch."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(rows[i]) for each i, shape (len(rows),): sqrt(v . v)
-    on each row flattened, the same BLAS dot as `ndarray.dot`."""
+    """`_norm` of each rows[i], shape (len(rows),), as one array pass."""
     d = rows.reshape(len(rows), math.prod(rows.shape[1:]))
     return np.sqrt(np.vecdot(d, d))
 
@@ -88,11 +103,13 @@ def _rows(a, cfg, r, n, begins, h0, z0, spans, solve):
 
 class ConcurrentLearner:
     """Weights W and information matrix H = Gamma^-1 driven by a history
-    stack of rows @ W ~= target, with the `alpha`, `beta`, `gamma0`,
-    `gamma_floor` and `gamma_ceiling` of its owner's config group `cfg`.
-    `gain_resets` counts resets of H, `last_gain_reset` flags one on the
-    latest step, and `gamma_eig_range` is Gamma's (lambda_min, lambda_max)
-    after it, (1 / lambda_max(H), 1 / lambda_min(H)).
+    stack of rows @ W ~= target.
+
+    `cfg` is the owner's config group; the learner reads its `alpha`, `beta`,
+    `gamma0`, `gamma_floor` and `gamma_ceiling`. `gain_resets` counts resets
+    of H, `last_gain_reset` flags one on the latest step and
+    `gamma_eig_range` is Gamma's (lambda_min, lambda_max) after it, that is
+    (1 / lambda_max(H), 1 / lambda_min(H)).
     """
 
     def __init__(self, cfg, stack: HistoryStack, weights: Matrix):
@@ -108,10 +125,10 @@ class ConcurrentLearner:
         """Exact steps over `spans`, (steps, S, C) each in order; yields
         per chunk of at most CHUNK rows the weights and Gamma's (lambda_min,
         lambda_max) after each step. A row is the closed form from its
-        span's first row, or from the row after a reset or an `_amend`,
-        which ends its chunk: the chunking changes no bit. Non-finite
-        weights or eigenvalues raise DivergenceError at the first row that
-        would be kept, after the rows before it."""
+        span's first row, or from the row after a reset or one that
+        `_amend` changes, which ends its chunk: the chunking changes no
+        bit. Non-finite weights or eigenvalues raise DivergenceError at the
+        first row that would be kept, after the rows before it."""
         cfg = self.cfg
         spans = [span for span in spans if span[0]]
         ends = list(itertools.accumulate((n for n, _, _ in spans), initial=0))
@@ -144,7 +161,8 @@ class ConcurrentLearner:
                                fresh, h[:stop], z[:stop])
             finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
             good = stop if finite.all() else int(finite.argmin())
-            take = self._amend(w[:good])
+            amended = self._amend(w[:good])
+            take = min(amended + 1, good)
             gamma = 1.0 / eigs[:take, [-1, 0]]
             # row `stop` resets H and keeps W, unless its eigenvalues diverged
             self.last_gain_reset = reset = bool(
@@ -162,7 +180,7 @@ class ConcurrentLearner:
             if take:
                 yield w[:take], gamma
             r += take
-            if reset or take < good:
+            if reset or amended < good:
                 restart = r
             elif take < n:
                 raise DivergenceError(
@@ -171,7 +189,7 @@ class ConcurrentLearner:
             size = min(CHUNK, 2 * take)     # a cut drops rows LAPACK took
 
     def _amend(self, w: Matrix) -> int:
-        """How many of the consecutive weight rows w to keep: an owner that
-        projects its weights amends, in place, the first row that needs it,
-        and keeps the rows up to it."""
+        """The index of the first of the consecutive weight rows w that an
+        owner projecting its weights amends, in place, or len(w) if none
+        needs it; the rows after it are dropped."""
         return len(w)

@@ -13,7 +13,6 @@ estimator's per-sample window offer, and `purge_due` the purge rule as a
 lane checks it on every step.
 """
 
-import math
 from collections import deque
 
 import numpy as np
@@ -25,21 +24,13 @@ from oirl.harness import (_RAW_COLUMNS, CSV_COLUMNS, FinalEstimates,
 from oirl.irl_engine import RewardEstimator
 from oirl.param_estimator import ThetaEstimator, window_pairs
 from oirl.policy_estimator import PolicyEstimator
-from oirl.rls import row_norms
+from oirl.rls import _norm, row_norms
 
 
 def one_span(learner, steps):
     """`steps` steps on the learner's stack as it stands, as the one span
     that `ConcurrentLearner.advance` takes."""
     return [(steps, learner.stack.normal_matrix(), learner.stack.cross_matrix())]
-
-
-def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a) of a real float array, bit for bit, without its
-    dispatch: sqrt(v . v) on v = a.ravel(order="K"). `rls.row_norms` takes
-    it of every row of a table in one pass."""
-    v = a.ravel(order="K")
-    return math.sqrt(v.dot(v))
 
 
 class ThetaWindows:

@@ -12,8 +12,7 @@ from oirl import history
 from oirl.errors import DimensionError, DivergenceError
 from oirl.harness import _walk, load_config, run_scenario
 from oirl.history import ADMISSION_MARGIN, HistoryStack, all_finite, eigvalsh
-
-from per_step import _norm
+from oirl.rls import _norm
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 

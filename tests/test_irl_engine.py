@@ -8,10 +8,11 @@ from oirl.features import REWARDS, FeatureBasis
 from oirl.harness import _walk
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
 from oirl.oracle import solve_are
+from oirl.rls import _norm
 
 from bellman import inverse_bellman_error
 from conftest import step
-from per_step import _norm, one_span, purge_due
+from per_step import one_span, purge_due
 
 A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B0 = np.zeros((2, 1))

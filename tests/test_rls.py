@@ -12,10 +12,10 @@ from types import SimpleNamespace
 from oirl import rls
 from oirl.errors import DivergenceError
 from oirl.history import HistoryStack
-from oirl.rls import CHUNK, ConcurrentLearner, row_norms
+from oirl.rls import CHUNK, ConcurrentLearner, _norm, row_norms
 
 from conftest import step
-from per_step import _norm, one_span
+from per_step import one_span
 
 DT = 0.005
 
@@ -450,6 +450,49 @@ def test_one_call_over_many_spans_equals_a_call_per_span(vector, gamma_ceiling,
     whole = drive([spans])
     assert whole == drive([[span] for span in spans])
     assert whole[3] == resets
+
+
+class _ClipsOnRows(ConcurrentLearner):
+    """Clips W into [-0.1, 0.1] on the given rows of its steps, as a theta
+    estimator clips theta_hat into its box, counting the rows it keeps."""
+
+    def __init__(self, learner, rows):
+        super().__init__(learner.cfg, learner.stack, learner.weights)
+        self.rows, self.row = rows, 0
+
+    def _amend(self, w):
+        i = min([j - self.row for j in self.rows if 0 <= j - self.row < len(w)],
+                default=len(w))
+        if i < len(w):
+            np.clip(w[i], -0.1, 0.1, out=w[i])
+        self.row += min(i + 1, len(w))
+        return i
+
+
+def test_a_clip_on_a_chunks_last_row_restarts_the_closed_form():
+    """A chunk cut short at a clip after t rows is followed by one of 2t
+    rows, so clips at rows 0, 2, 6, ..., 126 each fall on their chunk's
+    last row, and the one at 200 inside a chunk. Each restarts the closed
+    form from H W with W clipped: the rows are bit for bit those of one
+    call per stretch ending at a clip, and single steps to 1e-13."""
+    clips = [0, 2, 6, 14, 30, 62, 126, 200]
+
+    def learner():
+        return _ClipsOnRows(_learner([[1.0, 0.0], [0.5, 1.0]], [2.0, -3.0],
+                                     weights=np.full((2, 1), 0.5), alpha=20.0),
+                            clips)
+
+    whole, split, stepped = learner(), learner(), learner()
+    w, gamma = _advance(whole, 300)
+    lengths = np.diff([-1] + clips + [299])
+    parts = [_advance(split, int(n)) for n in lengths]
+    assert w.tobytes() == np.concatenate([p for p, _ in parts]).tobytes()
+    assert gamma.tobytes() == np.concatenate([g for _, g in parts]).tobytes()
+    assert (np.abs(w[clips]) == 0.1).all()
+    assert (np.abs(w[[j + 1 for j in clips]]) > 0.1).any(axis=(1, 2)).all()
+    for j in range(300):
+        step(stepped, DT)
+        assert np.abs(stepped.weights - w[j]).max() < 1e-13 * np.abs(w[j]).max()
 
 
 def test_finite_gain_beyond_its_squared_norm_steps_without_a_warning():
