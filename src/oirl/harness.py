@@ -417,7 +417,14 @@ CSV_BLOCK = 1024    # rows formatted by one %-format string
 
 
 def emit_csv(records: RecordTable, path) -> None:
-    """Write records deterministically: 17 significant digits, ',' separator.
+    """Write a run's records with `_write_csv`, the flags as integers."""
+    _write_csv(path, CSV_COLUMNS, records.table, CSV_COLUMNS[_FIRST_FLAG:])
+
+
+def _write_csv(path, columns, table: np.ndarray, int_columns) -> None:
+    """Write a float64 table under a header of `columns` deterministically:
+    ',' separator, 17 significant digits, and the columns named in
+    `int_columns` as integers. Every CSV the CLI writes is this text.
 
     Rows are formatted CSV_BLOCK at a time, each block by one %-format
     string, so no text copy of the whole table is held; "%.17g" and "%d"
@@ -426,11 +433,11 @@ def emit_csv(records: RecordTable, path) -> None:
     -0.0 keep their own text) is formatted once per run and enters the
     block's string as that text; the others enter as Python floats.
     """
-    formats = ["%.17g"] * _FIRST_FLAG + ["%d"] * (len(CSV_COLUMNS) - _FIRST_FLAG)
+    formats = ["%d" if name in int_columns else "%.17g" for name in columns]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for start in range(0, len(records), CSV_BLOCK):
-            block = records.table[start:start + CSV_BLOCK]
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start:start + CSV_BLOCK]
             bits = block.view(np.int64)
             first = np.ones(block.shape, dtype=bool)    # the first of its run
             np.not_equal(bits[1:], bits[:-1], out=first[1:])
@@ -807,15 +814,8 @@ def ablate(cfg: ScenarioConfig) -> dict:
 
 def dump_stacks(result: RunResult, out_dir) -> None:
     """Write each stack's final contents to <out_dir>/<name>_stack.csv."""
-    out_dir = Path(out_dir)
     for name, stack in result.stacks.items():
-        lines = ["t,tag," + ",".join(
-            [f"r{i}" for i in range(stack.row_dim)]
-            + [f"target{i}" for i in range(stack.target_dim)])]
-        for t, tag, row, target in stack.dump_rows():
-            vals = [format(t, ".17g"), str(tag)]
-            vals += [format(v, ".17g") for v in row]
-            vals += [format(v, ".17g") for v in target]
-            lines.append(",".join(vals))
-        with open(out_dir / f"{name}_stack.csv", "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = (["t", "tag"] + [f"r{i}" for i in range(stack.row_dim)]
+                   + [f"target{i}" for i in range(stack.target_dim)])
+        path = Path(out_dir) / f"{name}_stack.csv"
+        _write_csv(path, columns, stack.contents(), ["tag"])

@@ -20,11 +20,18 @@ for that swap, with its slack) passes the threshold: a swap it prunes has
 lambda_min at most the threshold, so it can neither win nor tie. `clear`
 empties the stack; when to purge (staleness, dwell time) is the owner's
 rule.
+
+This module is the one owner of numpy's private entry points: it alone
+imports the LAPACK gufuncs and the clip ufunc, each bound once below with
+its float64 signature, and `rls` and `param_estimator` call those names.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+from numpy._core import umath
 from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, DivergenceError
@@ -33,6 +40,15 @@ Matrix = np.ndarray
 
 ADMISSION_MARGIN = 1e-6     # a full stack's least relative lambda_min gain
 
+# each gives the bits of its public function (np.linalg.eigvalsh, eigh and
+# solve over stacks of matrices, np.clip) without that function's dispatch
+# and `errstate`, which cost more than LAPACK at these sizes; a gufunc
+# returns NaN where numpy would raise `LinAlgError`
+eigvalsh_lo = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
+eigh_lo = partial(_umath_linalg.eigh_lo, signature="d->dd")
+solve = partial(_umath_linalg.solve, signature="dd->d")
+clip = partial(umath.clip, signature="ddd->d")
+
 
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of a is finite."""
@@ -40,14 +56,9 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def eigvalsh(a: Matrix) -> np.ndarray:
-    """Ascending eigenvalues of float64 symmetric a, shape (..., k, k).
-
-    The LAPACK gufunc behind `np.linalg.eigvalsh`, called directly: bit for
-    bit the same result without that function's dispatch and `errstate`,
-    which cost more than the solve at these sizes. The gufunc returns NaN
-    where numpy would raise `LinAlgError`, so a non-finite result raises
-    DivergenceError."""
-    w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
+    """Ascending eigenvalues of float64 symmetric a, shape (..., k, k), from
+    `eigvalsh_lo`; a non-finite result raises DivergenceError."""
+    w = eigvalsh_lo(a)
     if not all_finite(w):
         raise DivergenceError("symmetric eigenvalues went non-finite")
     return w
@@ -105,6 +116,14 @@ class HistoryStack:
     def targets(self) -> Matrix:
         """All stored targets stacked, shape (count*block_rows, target_dim)."""
         return self._targets[:self._count].reshape(-1, self.target_dim).copy()
+
+    def contents(self) -> Matrix:
+        """Every stored row as (timestamp, tag, row, target), shape
+        (count*block_rows, 2 + row_dim + target_dim), for CSV dumps."""
+        k, r = self._count, self.block_rows
+        return np.column_stack([np.repeat(self._times[:k], r),
+                                np.repeat(self._tags[:k], r),
+                                self.regressor(), self.targets()])
 
     def oldest_tag(self) -> int | None:
         """The least tag among stored entries (None when empty), cached."""
@@ -241,8 +260,7 @@ class HistoryStack:
         changes: (v, v'Nv - v'G_i v per entry i, the largest of those,
         v'v, the slack per unit of s, tr N)."""
         if self._probe is None:
-            # the LAPACK gufunc, as eigvalsh calls it
-            v = _umath_linalg.eigh_lo(self._normal, signature="d->dd")[1][:, 0]
+            v = eigh_lo(self._normal)[1][:, 0]
             d, r, eps = self.row_dim, self.block_rows, np.finfo(float).eps
             # rounding is monotone, so the largest is v'Nv - min_i v'G_i v
             bases = v @ self._normal @ v - self._grams @ v @ v
@@ -262,12 +280,3 @@ class HistoryStack:
         k = self._count
         self._tags[:k] = np.asarray(tags)[self._tags[:k]]
         self._oldest_tag = int(self._tags[:k].min()) if k else None
-
-    # -- debugging -----------------------------------------------------------
-
-    def dump_rows(self):
-        """Yield (timestamp, tag, row, target) per stored row, for CSV dumps."""
-        for i in range(self._count):
-            for j in range(self.block_rows):
-                yield (float(self._times[i]), int(self._tags[i]),
-                       self._rows[i, j].copy(), self._targets[i, j].copy())

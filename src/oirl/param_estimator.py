@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core.umath import clip   # the ufunc np.clip ends in, undispatched
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import LinearPlant, matvec
-from .history import HistoryStack
+from .history import HistoryStack, clip
 from .rls import CHUNK, ConcurrentLearner, row_norms
 
 Matrix = np.ndarray

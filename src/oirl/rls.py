@@ -9,9 +9,10 @@ H_dot = -beta H + alpha S is linear. So with S and C held the flow is exact
 over any number of steps j of dt, H_j = a^j H_0 + (1 - a^j) (alpha / beta) S
 and the same for Z = H W, with a = exp(-beta dt); W_j = solve(H_j, Z_j).
 Once forgetting converges, H_j and Z_j repeat bit for bit from one row to
-the next, so `advance` hands LAPACK (eigvalsh, solve) only the rows that
-differ from the row before in some bit, and each other row takes the
-result of the row before it: equal input bits give equal output bits.
+the next, so `advance` hands LAPACK (`eigvalsh_lo`, `solve`, the gufuncs
+`history` binds) only the rows that differ from the row before in some bit,
+and each other row takes the result of the row before it: equal input bits
+give equal output bits.
 It takes a stage's spans, each with its own S and C, in chunks of rows
 that run across span ends: a span starts from H on the row before it and
 Z = H W, W solved on that row.
@@ -39,10 +40,9 @@ import itertools
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DivergenceError
-from .history import HistoryStack
+from .history import HistoryStack, eigvalsh_lo, solve
 
 Matrix = np.ndarray
 
@@ -82,10 +82,11 @@ def _per_fresh_row(f, fresh: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
 # the chain also runs on past rows that a reset or a clip drops, whose H may
 # be singular and whose Z may overflow, so it is quiet
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _rows(a, cfg, r, n, begins, h0, z0, spans, solve):
+def _rows(a, cfg, r, n, begins, h0, z0, spans):
     """H and Z of rows r to r + n - 1, and the last piece's start: spans[p]
     holds from row begins[p], piece p's segment start, on. Piece 0 starts
-    from (h0, z0), each later one from H on the row before and Z = H W."""
+    from (h0, z0), each later one from H on the row before and Z = H W.
+    Z has the shape of the cross matrices, (k, n), as `solve` takes it."""
     cuts = [b - r for b in begins[1:]] + [n]       # where each piece ends
     # one array power: its bits do not depend on a power's place in it
     aj = a ** (np.arange(r + 1, r + n + 1) - np.repeat(begins, np.diff([0] + cuts)))
@@ -94,10 +95,9 @@ def _rows(a, cfg, r, n, begins, h0, z0, spans, solve):
     for lo, hi, (_, s, c) in zip([0] + cuts, cuts, spans):
         if hs:
             h0 = hs[-1][-1]
-            z0 = h0 @ solve(h0, zs[-1][-1], signature="dd->d")
+            z0 = h0 @ solve(h0, zs[-1][-1])
         hs.append(np.multiply.outer(aj[lo:hi], h0) + np.multiply.outer(bj[lo:hi], s))
-        zs.append(np.multiply.outer(aj[lo:hi], z0)
-                  + np.multiply.outer(bj[lo:hi], c.reshape(z0.shape)))
+        zs.append(np.multiply.outer(aj[lo:hi], z0) + np.multiply.outer(bj[lo:hi], c))
     return np.concatenate(hs), np.concatenate(zs), h0, z0
 
 
@@ -133,32 +133,32 @@ class ConcurrentLearner:
         spans = [span for span in spans if span[0]]
         ends = list(itertools.accumulate((n for n, _, _ in spans), initial=0))
         a = math.exp(-cfg.beta * dt)
-        solve = (_umath_linalg.solve1 if self.weights.ndim == 1
-                 else _umath_linalg.solve)
         r, restart, size = 0, 0, CHUNK  # next row, latest restart, chunk rows
         while r < ends[-1]:     # spans[i] holds rows ends[i] to ends[i + 1] - 1
             i = bisect.bisect_right(ends, r) - 1
             begin = max(restart, ends[i])       # row r's segment starts there
             if begin == r:
-                h0, z0 = self.information, self.information @ self.weights
+                h0 = self.information
+                z0 = h0 @ self.weights.reshape(len(h0), -1)
             n = min(size, ends[-1] - r)
             q = bisect.bisect_left(ends, r + n) - 1     # the last row's span
             h, z, h0, z0 = _rows(a, cfg, r, n, [begin] + ends[i + 1:q + 1], h0,
-                                 z0, spans[i:q + 1], solve)
+                                 z0, spans[i:q + 1])
             finite = np.isfinite(h).all(axis=(1, 2))
             rows = n if finite.all() else int(finite.argmin())
             fresh = _fresh(h[:rows])
-            eigs = _per_fresh_row(lambda h: _umath_linalg.eigvalsh_lo(
-                h, signature="d->d"), fresh, h[:rows])
+            eigs = _per_fresh_row(eigvalsh_lo, fresh, h[:rows])
             sound = np.isfinite(eigs).all(axis=1)
-            inside = (sound & (eigs[:, 0] * cfg.gamma_ceiling > 1.0)
-                      & (eigs[:, -1] * cfg.gamma_floor < 1.0))
+            # a product that overflows to inf compares as the exact one
+            with np.errstate(over="ignore"):
+                inside = (sound & (eigs[:, 0] * cfg.gamma_ceiling > 1.0)
+                          & (eigs[:, -1] * cfg.gamma_floor < 1.0))
             stop = rows if inside.all() else int(inside.argmin())
             fresh = fresh[:stop]
             if not fresh.all():     # a row repeats if its H and its Z both do
                 fresh = fresh | _fresh(z[:stop])
-            w = _per_fresh_row(lambda h, z: solve(h, z, signature="dd->d"),
-                               fresh, h[:stop], z[:stop])
+            w = _per_fresh_row(solve, fresh, h[:stop], z[:stop]).reshape(
+                (stop,) + self.weights.shape)
             finite = np.isfinite(w).all(axis=tuple(range(1, w.ndim)))
             good = stop if finite.all() else int(finite.argmin())
             amended = self._amend(w[:good])

@@ -27,6 +27,21 @@ def step(learner, dt):
             learner.revise(w)
 
 
+def per_value_stack_csv(stack) -> bytes:
+    """The per-value stack writer `harness.dump_stacks` replaced, kept as its
+    reference: each stored row's time, tag, row and target, formatted one
+    value at a time."""
+    lines = ["t,tag," + ",".join([f"r{i}" for i in range(stack.row_dim)]
+                                 + [f"target{i}" for i in range(stack.target_dim)])]
+    for i in range(len(stack)):
+        for j in range(stack.block_rows):
+            vals = [format(float(stack._times[i]), ".17g"), str(int(stack._tags[i]))]
+            vals += [format(v, ".17g") for v in stack._rows[i, j]]
+            vals += [format(v, ".17g") for v in stack._targets[i, j]]
+            lines.append(",".join(vals))
+    return ("\n".join(lines) + "\n").encode()
+
+
 @pytest.fixture(scope="session")
 def tracking_cfg():
     return load_config(SHIPPED)

@@ -2,6 +2,7 @@
 3 divergence."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import per_step
+from conftest import per_value_stack_csv
 from oirl import harness
 from oirl.cli import main
 from oirl.errors import DivergenceError
@@ -212,6 +214,56 @@ def test_short_run_missing_its_tolerances_exits_1(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is False
     assert (out / "metrics.csv").exists()
+
+
+def _shipped_for(tmp_path, duration=4.0) -> str:
+    data = json.loads(SHIPPED.read_text())
+    data["simulation"]["duration"] = duration
+    return _write(tmp_path, data)
+
+
+@pytest.mark.parametrize("min_ratio, plateau_limit", [
+    (0.0, math.inf), (math.inf, harness.ABLATION_PLATEAU_LIMIT)])
+def test_ablate_writes_the_lanes_of_run_and_its_report(
+        tmp_path, monkeypatch, capsys, min_ratio, plateau_limit):
+    """`oirl ablate` on the shipped config cut to 4 s, with its verdict
+    made to pass and to fail: it exits 0 on a passing report and 1 on a
+    failing one, writes `ablate`'s report as ablation.json, and its lane
+    CSVs are the bytes of `oirl run` and `oirl run --no-query`."""
+    monkeypatch.setattr(harness, "ABLATION_MIN_RATIO", min_ratio)
+    monkeypatch.setattr(harness, "ABLATION_PLATEAU_LIMIT", plateau_limit)
+    config = _shipped_for(tmp_path)
+    report = harness.ablate(harness.load_config(config))["report"]
+    assert report["pass"] is (min_ratio == 0.0)
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", config, "--out", str(out)]) == (
+        0 if report["pass"] else 1)
+    assert ("ablation PASS" if report["pass"] else "ablation FAIL") in capsys.readouterr().out
+    assert json.loads((out / "ablation.json").read_text()) == report
+    for flags, lane in (([], "metrics_query.csv"), (["--no-query"], "metrics_noquery.csv")):
+        run_out = tmp_path / lane
+        main(["run", *flags, "--config", config, "--out", str(run_out)])
+        assert (out / lane).read_bytes() == (run_out / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, querying", [([], True), (["--no-query"], False)])
+def test_run_dump_stacks_writes_each_stack_as_the_per_value_writer(
+        tmp_path, flags, querying):
+    """`oirl run --dump-stacks` writes the final theta, policy and IRL stacks
+    of the run its flags ask for, each the bytes of the per-value writer
+    (the no-query IRL stack, purged on the last step, as a header alone);
+    without the flag it writes none."""
+    config = _shipped_for(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", "--dump-stacks", *flags, "--config", config,
+                 "--out", str(out)]) in (0, 1)
+    result = run_scenario(harness.load_config(config), querying=querying)
+    assert sorted(p.name for p in out.glob("*_stack.csv")) == [
+        "irl_stack.csv", "policy_stack.csv", "theta_stack.csv"]
+    for name, stack in result.stacks.items():
+        assert (out / f"{name}_stack.csv").read_bytes() == per_value_stack_csv(stack)
+    main(["run", *flags, "--config", config, "--out", str(tmp_path / "plain")])
+    assert not list((tmp_path / "plain").glob("*_stack.csv"))
 
 
 def test_oracle_exits_0(capsys):

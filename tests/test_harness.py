@@ -6,12 +6,15 @@ import itertools
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import per_step
+from conftest import per_value_stack_csv
 from oirl.errors import ConfigError, DivergenceError
+from oirl.history import HistoryStack
 from oirl.irl_engine import RewardEstimator
 from oirl.param_estimator import ThetaEstimator
 from oirl.policy_estimator import PolicyEstimator
@@ -400,6 +403,28 @@ def test_dump_stacks_writes_one_file_per_stack(tmp_path):
         assert 1 <= len(lines) - 1 <= 50
 
 
+def test_dump_stacks_equals_a_per_value_writer(tmp_path):
+    """Written by `emit_csv`'s block writer, a stack's CSV has the bytes of
+    the per-value writer, over more rows than one block: runs of equal
+    values across a block boundary, signed zeros, subnormals, large values,
+    block rows sharing a time and tag, and an empty stack."""
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 0.1, 1.0 / 3.0]
+    stack = HistoryStack(capacity=CSV_BLOCK + 100, row_dim=3, block_rows=2,
+                         target_dim=2)
+    for i in range(stack.capacity):
+        rows = rng.choice(special, size=(2, 3)) if i % 3 else np.full((2, 3), 0.1)
+        rows[0, 0] = 1.0 + i        # the stack is never full: each is appended
+        assert stack.try_insert(rows, rng.choice(special, size=(2, 2)),
+                                t=0.005 * (i // 7), tag=i // 50)
+    empty = HistoryStack(capacity=2, row_dim=1)
+    result = SimpleNamespace(stacks={"full": stack, "empty": empty})
+    dump_stacks(result, tmp_path)
+    assert (tmp_path / "full_stack.csv").read_bytes() == per_value_stack_csv(stack)
+    assert (tmp_path / "empty_stack.csv").read_bytes() == per_value_stack_csv(empty)
+    assert per_value_stack_csv(empty) == b"t,tag,r0,target0\n"
+
+
 # -- scoring ------------------------------------------------------------------
 
 ORACLE = validate_config(CFG).oracle
@@ -493,8 +518,7 @@ def _csv_bytes(result, path):
 
 
 def _stack_rows(stack):
-    return [(t, tag, row.tolist(), target.tolist())
-            for t, tag, row, target in stack.dump_rows()]
+    return stack.contents().tolist()
 
 
 @pytest.fixture(scope="module")

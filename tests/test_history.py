@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.linalg import _umath_linalg
 
 from oirl import history
 from oirl.errors import DimensionError, DivergenceError
@@ -100,7 +99,7 @@ def test_tags_and_oldest_tag():
     assert stack.oldest_tag() == 1
     # the orthogonal row evicts the nearly collinear one, and its tag with it
     assert stack.try_insert(np.array([0.0, 1.0]), 0.0, t=2.0, tag=5)
-    assert sorted(tag for _, tag, _, _ in stack.dump_rows()) == [3, 5]
+    assert sorted(stack.contents()[:, 1]) == [3, 5]
     assert stack.oldest_tag() == 3
     stack.clear()
     assert stack.oldest_tag() is None
@@ -145,15 +144,30 @@ def test_wrong_row_dimension_is_rejected():
         stack.try_insert(np.array([1.0, 0.0, 0.0]), 0.0, t=0.0)
 
 
-def test_dump_rows_roundtrip():
-    stack = HistoryStack(capacity=3, row_dim=2, target_dim=1)
-    stack.try_insert(np.array([1.0, 2.0]), 5.0, t=0.3, tag=2)
-    dumped = list(stack.dump_rows())
-    assert len(dumped) == 1
-    t, tag, row, target = dumped[0]
-    assert (t, tag) == (0.3, 2)
-    np.testing.assert_allclose(row, [1.0, 2.0])
-    np.testing.assert_allclose(target, [5.0])
+def test_wrong_target_shape_is_rejected():
+    stack = HistoryStack(capacity=2, row_dim=2, block_rows=2, target_dim=1)
+    with pytest.raises(DimensionError, match="target block"):
+        stack.try_insert(np.eye(2), np.zeros(3), t=0.0)
+    assert len(stack) == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (2, 2, 0), (2, 2, 1, 0)])
+def test_a_stack_of_no_entries_or_dimensions_is_refused(shape):
+    with pytest.raises(ValueError, match="must be positive"):
+        HistoryStack(*shape)
+
+
+def test_contents_roundtrip():
+    """One row per stored row, (t, tag, row, target), a block's rows
+    sharing its time and tag; an empty stack has none."""
+    stack = HistoryStack(capacity=3, row_dim=2, block_rows=2, target_dim=1)
+    assert stack.contents().shape == (0, 5)
+    stack.try_insert(np.array([[1.0, 2.0], [3.0, 4.0]]), [5.0, 6.0], t=0.3, tag=2)
+    stack.try_insert(np.array([[0.0, 1.0], [1.0, 0.0]]), [7.0, 8.0], t=0.5, tag=4)
+    np.testing.assert_array_equal(stack.contents(), [[0.3, 2, 1.0, 2.0, 5.0],
+                                                     [0.3, 2, 3.0, 4.0, 6.0],
+                                                     [0.5, 4, 0.0, 1.0, 7.0],
+                                                     [0.5, 4, 1.0, 0.0, 8.0]])
 
 
 def _symmetric(rng, *shape):
@@ -181,31 +195,41 @@ def _spd(rng, *shape):
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_private_gufuncs_match_numpy_bit_for_bit(k):
-    """The learners and the stacks call numpy's private LAPACK gufuncs
-    (`numpy.linalg._umath_linalg`) without the public functions' dispatch.
-    Each returns exactly what its public function does, on single and on
-    stacked SPD matrices of every size a config reaches: `solve1` and `solve`
-    as `np.linalg.solve` with a vector and a matrix right-hand side,
-    `eigh_lo` as `np.linalg.eigh`, and `eigvalsh_lo` as `np.linalg.eigvalsh`.
-    A numpy whose private names or results move fails here."""
+    """The learners and the stacks call numpy's private entry points, which
+    `history` binds, without the public functions' dispatch. Each returns
+    exactly what its public function does, on single and on stacked SPD
+    matrices of every size a config reaches: `solve` as `np.linalg.solve`
+    with a matrix right-hand side and with a vector one as a column (how a
+    learner with vector weights calls it), `eigh_lo` as `np.linalg.eigh`
+    and `eigvalsh_lo` as `np.linalg.eigvalsh`; and `clip`, in place as the
+    theta box takes it, as `np.clip` on k x k values with NaN, infinities
+    and signed zeros among them. A numpy whose private names or results
+    move fails here."""
     rng = np.random.default_rng(k)
-    gufuncs = _umath_linalg
     for a in (_spd(rng, k, k), _spd(rng, 50, k, k)):
         vectors = rng.normal(size=a.shape[:-1])
-        got = gufuncs.solve1(a, vectors, signature="dd->d")
+        got = history.solve(a, vectors[..., None])[..., 0]
         want = (np.linalg.solve(a, vectors) if a.ndim == 2
                 else [np.linalg.solve(m, v) for m, v in zip(a, vectors)])
         np.testing.assert_array_equal(got, want)
         matrices = rng.normal(size=a.shape[:-1] + (3,))
-        np.testing.assert_array_equal(
-            gufuncs.solve(a, matrices, signature="dd->d"),
-            np.linalg.solve(a, matrices))
-        values, vectors = gufuncs.eigh_lo(a, signature="d->dd")
+        np.testing.assert_array_equal(history.solve(a, matrices),
+                                      np.linalg.solve(a, matrices))
+        values, vectors = history.eigh_lo(a)
         want = np.linalg.eigh(a)
         np.testing.assert_array_equal(values, want.eigenvalues)
         np.testing.assert_array_equal(vectors, want.eigenvectors)
-        np.testing.assert_array_equal(gufuncs.eigvalsh_lo(a, signature="d->d"),
+        np.testing.assert_array_equal(history.eigvalsh_lo(a),
                                       np.linalg.eigvalsh(a))
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1.797e308]
+    w = rng.normal(scale=3.0, size=(k, k))
+    w.flat[rng.choice(k * k, size=min(k * k, 8), replace=False)] = special[:k * k]
+    for lo, hi in ((-2.0, 2.0), (-0.0, 0.0), (0.0, 1e-300)):
+        want = np.clip(w, lo, hi).tobytes()
+        assert history.clip(w, lo, hi).tobytes() == want
+        got = w.copy()
+        history.clip(got, lo, hi, out=got)
+        assert got.tobytes() == want
 
 
 def test_eigvalsh_raises_divergence_on_non_finite_input():
@@ -281,7 +305,7 @@ def _tied_offers(stack, rng, scale, spread=1e-8):
 def _state(stack):
     """What a caller can read of a stack, bit for bit."""
     return (stack.regressor().tobytes(), stack.targets().tobytes(),
-            [(t, tag) for t, tag, _, _ in stack.dump_rows()],
+            stack.contents()[:, :2].tobytes(),
             stack.normal_matrix().tobytes(), stack.cross_matrix().tobytes(),
             stack.rank_metric.hex())
 

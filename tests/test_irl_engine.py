@@ -329,7 +329,4 @@ def test_walk_purges_as_the_per_step_rule(case):
     assert changed == _per_step_lane(stepped, due, rows, targets, clock, gens)
     assert walked.purge_times == stepped.purge_times == purge_times
     assert walked.last_purge == stepped.last_purge
-    assert [(t, tag, row.tobytes(), target.tobytes())
-            for t, tag, row, target in walked.stack.dump_rows()] == [
-        (t, tag, row.tobytes(), target.tobytes())
-        for t, tag, row, target in stepped.stack.dump_rows()]
+    assert walked.stack.contents().tobytes() == stepped.stack.contents().tobytes()

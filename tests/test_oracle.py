@@ -102,6 +102,20 @@ def test_unstabilizable_pair_is_rejected():
         solve_are(a, b, np.eye(2), np.eye(1))
 
 
+def test_a_pair_with_no_stable_hamiltonian_eigenvalue_is_rejected():
+    """A = B = Q = 0: the Hamiltonian's eigenvalues are all 0, none stable."""
+    with pytest.raises(UnstabilizableError,
+                       match="Hamiltonian has 0 stable eigenvalues, need 1"):
+        solve_are([[0.0]], [[0.0]], [[0.0]], [[1.0]])
+
+
+def test_a_residual_above_the_tolerance_is_refused():
+    """a = 1e7, b = 1e-2: P = 2e11, and the ARE's terms 2aP and P^2 b^2, each
+    4e18, cancel to a residual of about 1e3, above ARE_TOL * |P| = 200."""
+    with pytest.raises(RiccatiConvergenceError, match="Riccati residual"):
+        solve_are([[1e7]], [[1e-2]], [[1.0]], [[1.0]])
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_are(A_SCN, B_SCN, np.array([[1.0, 0.5], [0.0, 1.0]]), R_SCN)

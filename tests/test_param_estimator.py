@@ -30,6 +30,12 @@ def _scalar_pair(times, states):
     return y, b
 
 
+@pytest.mark.parametrize("box", [(1.0, 1.0), (2.0, -2.0)])
+def test_an_empty_projection_box_is_refused(box):
+    with pytest.raises(ValueError, match="lo < hi"):
+        ThetaEstimator(_plant(), ThetaEstimatorConfig(box=box))
+
+
 def test_window_regression_on_scalar_exponential():
     """xdot = theta * x with zero nominal: b / integral(x) recovers theta."""
     theta = -0.5

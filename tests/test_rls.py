@@ -2,6 +2,7 @@
 closed form on a frozen stack, the certificate, and the reset guard."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -376,10 +377,9 @@ def test_rows_past_a_reset_raise_nothing(monkeypatch):
     c = math.sqrt(2e305)
     overrides = {"alpha": 1e3, "gamma_floor": 5e-324}
     span, stepped = (_learner([[c, c]], [1.0], **overrides) for _ in range(2))
-    counts, real = Counter(), rls._umath_linalg
-    monkeypatch.setattr(rls, "_umath_linalg", SimpleNamespace(
-        eigvalsh_lo=_counting(real.eigvalsh_lo, counts, "eigvalsh"),
-        solve=real.solve, solve1=real.solve1))
+    counts = Counter()
+    monkeypatch.setattr(rls, "eigvalsh_lo",
+                        _counting(rls.eigvalsh_lo, counts, "eigvalsh"))
     got = [(w.tobytes(), g.tobytes(), span.last_gain_reset)
            for w, g in span.advance(DT, one_span(span, 300))]
     monkeypatch.undo()
@@ -393,6 +393,34 @@ def test_rows_past_a_reset_raise_nothing(monkeypatch):
     assert got == want
     assert span.gain_resets == stepped.gain_resets == 300
     np.testing.assert_array_equal(span.information, stepped.information)
+
+
+def test_a_huge_finite_information_matrix_steps_without_a_warning():
+    """lambda_min(H) passes 1.8e308 / gamma_ceiling from row 6 of an
+    80-step span on, while every eigenvalue stays finite: the gain-bound
+    product overflows to inf, which compares as the exact product, so
+    neither the span nor single steps warn, and neither resets. The span's
+    closed form and the single steps' recurrence round apart, by about
+    eps * cond(H) with cond(H) = s^2 / d^2 = 1e6, so they are compared to
+    ten times that."""
+    s = math.sqrt(6e305)
+    d = 1e-3 * s
+    rows = [[(s + d) / 2, (s - d) / 2], [(s - d) / 2, (s + d) / 2]]
+    overrides = {"alpha": 1e3, "gamma_floor": 5e-324}
+    span, stepped = (_learner(rows, [1.0, 2.0], **overrides) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, g = map(np.concatenate, zip(*span.advance(DT, one_span(span, 80))))
+        want_w, want_g = [], []
+        for _ in range(80):
+            step(stepped, DT)
+            want_w.append(stepped.weights)
+            want_g.append(stepped.gamma_eig_range)
+    assert span.gain_resets == stepped.gain_resets == 0
+    bound = 10 * np.finfo(float).eps * (s / d) ** 2
+    assert np.all(np.abs(w - want_w).max(axis=1) <= bound * np.abs(want_w).max(axis=1))
+    assert np.all(np.abs(g - want_g) <= bound * np.abs(want_g))
+    assert np.linalg.eigvalsh(span.information)[0] > np.finfo(float).max / 1e7
 
 
 def test_a_kept_rows_non_finite_eigenvalues_raise_at_that_row():
@@ -531,17 +559,15 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
     Z, from weights of 1e6, reaches its own over a hundred rows later, so
     some rows repeat H and not Z. With a low gamma ceiling the weakly
     excited direction resets H every 230 steps or so, and no row repeats."""
-    real = rls._umath_linalg
+    real = rls.eigvalsh_lo, rls.solve
     rng = np.random.default_rng(9)
     rows = rng.normal(size=(4, 3)) * np.array([1.0, 1.0, 0.05])
     targets = rng.normal(size=(4, 1))
 
     def drive(every_row):
         counts = Counter()
-        monkeypatch.setattr(rls, "_umath_linalg", SimpleNamespace(
-            eigvalsh_lo=_counting(real.eigvalsh_lo, counts, "eigvalsh"),
-            solve=_counting(real.solve, counts, "solve"),
-            solve1=_counting(real.solve1, counts, "solve")))
+        monkeypatch.setattr(rls, "eigvalsh_lo", _counting(real[0], counts, "eigvalsh"))
+        monkeypatch.setattr(rls, "solve", _counting(real[1], counts, "solve"))
         if every_row:
             monkeypatch.setattr(rls, "_fresh", lambda a: np.ones(len(a), dtype=bool))
         learner = _learner(rows, targets, weights=np.full((3, 1), 1e6), beta=beta,
