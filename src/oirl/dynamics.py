@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-Vector = np.ndarray
 Matrix = np.ndarray
 
 
@@ -141,9 +140,6 @@ class TrackingScenario:
             raise ValueError("reference generator is exponentially unstable")
         object.__setattr__(self, "reference_matrix", a_d)
         object.__setattr__(self, "feedforward_gain", f_gain)
-
-    def desired_control(self, x_d: Vector) -> Vector:
-        return self.feedforward_gain @ x_d
 
     def step_radii(self, gain: Matrix, dt: float) -> tuple[float, float]:
         """Spectral radii of the RK4 steps at dt (`rk4_transition`) of the

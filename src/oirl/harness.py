@@ -44,6 +44,7 @@ import dataclasses
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -307,9 +308,10 @@ def _read(kind: str | tuple, value, where: str):
             raise ConfigError(f"{where} must be one of {list(kind)}, got {value!r}")
         return value
     types, expected = _KINDS[kind]
-    # bool subclasses int, but true and false are never numbers
+    # bool subclasses int, but true and false are never numbers; an int past
+    # the float range is no finite number either
     if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
-            or kind == "float" and not math.isfinite(value)):
+            or kind == "float" and not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
     return float(value) if kind == "float" else value
 
@@ -500,12 +502,17 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     """One run per querying flag in `modes`, over one shared demonstration:
     lane i is exactly a stand-alone run with querying=modes[i]."""
     valid = validate_config(cfg)
-    theta_est = ThetaEstimator(valid.scenario.plant, cfg.theta_estimator)
-    policy_est = PolicyEstimator(valid.basis, cfg.policy_estimator)
-    engines = [RewardEstimator(valid.basis, valid.scenario.plant, cfg.irl, cfg.seed)
-               for _ in modes]
     rows = _step_count(cfg.duration, cfg.dt) + 1 if cfg.duration else 0
-    tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
+    # numpy refuses a size it cannot address with a ValueError, before it
+    # allocates anything: a run too large for memory, as a MemoryError is
+    try:
+        theta_est = ThetaEstimator(valid.scenario.plant, cfg.theta_estimator)
+        policy_est = PolicyEstimator(valid.basis, cfg.policy_estimator)
+        engines = [RewardEstimator(valid.basis, valid.scenario.plant, cfg.irl, cfg.seed)
+                   for _ in modes]
+        tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
+    except ValueError as err:
+        raise ConfigError(f"run too large for memory: {err}") from err
     if rows:
         _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables)
     # every lane shares the policy stack, so the first lane's column does
@@ -647,6 +654,10 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     lane's stack (`engine` given) a purge on generations `tags` comes first,
     so the step's offer goes to the emptied stack. An offer whose rows have
     no signal (norm below 1e-12) cannot raise lambda_min, so it is not made.
+    rows and targets hold each offer's block entries in row order, as
+    blocks or, for one-row blocks, as (N, row_dim) and (N, target_dim), and
+    for one target column as (N, block_rows); the walk alone shapes them
+    into the blocks that `try_insert` takes.
 
     The stack is fixed between changes, so the walk visits only the next
     purge (`next_purge`) and the next offer that `first_unrejected` cannot
@@ -662,7 +673,8 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     finite = np.isfinite(flat).all(axis=1) & np.isfinite(flat_targets).all(axis=1)
     frob = np.where(finite, frob, np.nan)[made]
     rows = flat[made].reshape(len(frob), stack.block_rows, stack.row_dim)
-    targets, due = targets[made], np.asarray(due, dtype=int)[made].tolist() + [n]
+    targets = flat_targets[made].reshape(len(frob), stack.block_rows, stack.target_dim)
+    due = np.asarray(due, dtype=int)[made].tolist() + [n]
 
     def next_offer(i):
         # offers from i on, in windows that double while all are rejected

@@ -21,6 +21,11 @@ lambda_min at most the threshold, so it can neither win nor tie. `clear`
 empties the stack; when to purge (staleness, dwell time) is the owner's
 rule.
 
+An offer is exactly one block: rows of shape (block_rows, row_dim) and
+targets of shape (block_rows, target_dim). `try_insert` reshapes nothing,
+and any other shape, a 1-D row or target among them, is a DimensionError;
+`harness._walk` shapes every offer of a run into blocks.
+
 This module is the one owner of numpy's private entry points: it alone
 imports the LAPACK gufuncs and the clip ufunc, each bound once below with
 its float64 signature, and `rls` and `param_estimator` call those names.
@@ -50,16 +55,11 @@ solve = partial(_umath_linalg.solve, signature="dd->d")
 clip = partial(umath.clip, signature="ddd->d")
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite."""
-    return bool(np.isfinite(a).all())
-
-
 def eigvalsh(a: Matrix) -> np.ndarray:
     """Ascending eigenvalues of float64 symmetric a, shape (..., k, k), from
     `eigvalsh_lo`; a non-finite result raises DivergenceError."""
     w = eigvalsh_lo(a)
-    if not all_finite(w):
+    if not np.isfinite(w).all():
         raise DivergenceError("symmetric eigenvalues went non-finite")
     return w
 
@@ -133,24 +133,15 @@ class HistoryStack:
 
     def _coerce(self, row_block, target_block):
         rows = np.asarray(row_block, dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        targets = np.asarray(target_block, dtype=float)
         if rows.shape != (self.block_rows, self.row_dim):
             raise DimensionError(
                 f"row block must be ({self.block_rows}, {self.row_dim}), "
                 f"got {rows.shape}")
-        targets = np.asarray(target_block, dtype=float)
-        if targets.ndim == 0:
-            targets = targets.reshape(1, 1)
-        elif targets.ndim == 1:
-            if self.target_dim == 1 and targets.shape == (self.block_rows,):
-                targets = targets.reshape(-1, 1)
-            elif self.block_rows == 1 and targets.shape == (self.target_dim,):
-                targets = targets.reshape(1, -1)
         if targets.shape != (self.block_rows, self.target_dim):
             raise DimensionError(
                 f"target block must be ({self.block_rows}, {self.target_dim}), "
-                f"got shape {np.shape(target_block)}")
+                f"got {targets.shape}")
         if not (np.isfinite(rows).all() and np.isfinite(targets).all()):
             raise DivergenceError("non-finite row or target offered to history stack")
         return rows, targets

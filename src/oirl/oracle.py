@@ -46,13 +46,22 @@ def riccati_residual(a: Matrix, b: Matrix, q: Matrix, r: Matrix, p: Matrix) -> f
     return float(np.linalg.norm(a.T @ p + p @ a - p @ br @ p + q))
 
 
+def _lyapunov_operator(a_c: Matrix) -> Matrix:
+    """The Kronecker matrix of X -> a_c^T X + X a_c on row-major vec(X)."""
+    eye = np.eye(a_c.shape[0])
+    return np.kron(eye, a_c.T) + np.kron(a_c.T, eye)
+
+
 def _lyapunov(a_c: Matrix, m: Matrix) -> Matrix:
-    """Solve a_c^T P + P a_c = -m via the Kronecker system."""
-    n = a_c.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(eye, a_c.T) + np.kron(a_c.T, eye)
-    p = np.linalg.solve(lhs, -m.reshape(-1))
-    p = p.reshape(n, n)
+    """Solve a_c^T P + P a_c = -m via the Kronecker system. A closed loop
+    that is stable in exact arithmetic can still give an operator singular
+    to working precision, which raises RiccatiConvergenceError."""
+    try:
+        p = np.linalg.solve(_lyapunov_operator(a_c), -m.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiConvergenceError(
+            "singular Lyapunov operator of the closed loop A - B K") from exc
+    p = p.reshape(a_c.shape)
     return 0.5 * (p + p.T)
 
 
@@ -63,10 +72,7 @@ def _lyapunov_separation(a_c: Matrix) -> float:
     solution: a residual of size rho certifies a solution error of roughly
     rho / sep.
     """
-    n = a_c.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(eye, a_c.T) + np.kron(a_c.T, eye)
-    return float(np.linalg.svd(lhs, compute_uv=False)[-1])
+    return float(np.linalg.svd(_lyapunov_operator(a_c), compute_uv=False)[-1])
 
 
 def quadratic_value_weights(p: Matrix) -> np.ndarray:

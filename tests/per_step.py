@@ -53,8 +53,8 @@ class ThetaWindows:
         if not spans or t - self.last_offer < cfg.offer_period - 1e-9:
             return False
         times, states, controls = map(np.array, zip(*self.buffer))
-        (y,), (b,) = window_pairs(self.est.dyn, times, states, controls,
-                                  [len(times) - 1], len(times) - 1)
+        y, b = window_pairs(self.est.dyn, times, states, controls,
+                            [len(times) - 1], len(times) - 1)
         self.last_offer = t
         if _norm(y) < 1e-12:
             return False
@@ -104,12 +104,12 @@ def run_lanes(cfg, modes):
             t = k * dt
             e = x - xd
             mu = -(sol.gain @ e)
-            u = scn.desired_control(xd) + mu
+            u = scn.feedforward_gain @ xd + mu
 
             windows.observe(t, x, u)
             if t - last_policy_offer >= pc.offer_period - 1e-9:
                 if not _norm(e) < 1e-12:
-                    policy_est.stack.try_insert(e, -mu, t)
+                    policy_est.stack.try_insert(e[None], -mu[None], t)
                 last_policy_offer = t
 
             policy_ready = policy_est.stack.rank_metric > pc.rank_threshold
@@ -125,7 +125,8 @@ def run_lanes(cfg, modes):
                     (block,), (target,) = engine.row_blocks(
                         x_i, u_i, theta_est.weights[None])
                     if not _norm(block) < 1e-12:
-                        engine.stack.try_insert(block, target, t, tag=generation)
+                        engine.stack.try_insert(block, target[:, None], t,
+                                                tag=generation)
                     last_collect[i] = t
 
             for w, _ in theta_est.advance(dt, one_span(theta_est, 1)):

@@ -165,7 +165,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
     for i in range(40):
         x = rng.uniform(-1.0, 1.0, 2)
         u = -(k_true @ x) + 0.01 * rng.normal(size=1)
-        pol.stack.try_insert(x, -u, t=0.05 * i)
+        pol.stack.try_insert(x[None], -u[None], t=0.05 * i)
     for _ in pol.advance(dt, one_span(pol, 40000)):    # in chunks
         pass
     s = pol.stack.normal_matrix()
@@ -183,7 +183,7 @@ def test_criterion_6_recursive_matches_batch(capsys):
     rows, targets = eng.row_blocks(*eng.queries(np.repeat(policy[None], 40, axis=0)),
                                    theta)
     for i, (block, target) in enumerate(zip(rows, targets)):
-        eng.stack.try_insert(block, target, t=0.05 * i, tag=1)
+        eng.stack.try_insert(block, target[:, None], t=0.05 * i, tag=1)
     for _ in eng.advance(dt, one_span(eng, 80000)):
         pass
     s_irl = eng.stack.normal_matrix()

@@ -159,6 +159,39 @@ def test_a_run_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, comma
     assert not list(out.iterdir())
 
 
+# Numbers that read as numbers but lie out of range: an int past the float
+# range, and sizes numpy refuses before it allocates anything, a run of
+# 2**-50 s steps (1.1e17 records) and an IRL stack of 2**62 entries
+OUT_OF_RANGE = {
+    "dt_past_the_float_range": (("simulation", "dt"), 10 ** 400,
+                                "simulation.dt must be a finite number"),
+    "dt_of_2**-50": (("simulation", "dt"), 2.0 ** -50, "run too large for memory"),
+    "irl_stack_of_2**62": (("irl", "stack_size"), 2 ** 62, "run too large for memory"),
+}
+OUT_OF_RANGE_CASES = [("oracle", "dt_past_the_float_range"),
+                      ("run", "dt_past_the_float_range")]
+OUT_OF_RANGE_CASES += [(command, case) for case in ("dt_of_2**-50", "irl_stack_of_2**62")
+                       for command in ("run", "ablate")]
+
+
+@pytest.mark.parametrize("command, case", OUT_OF_RANGE_CASES,
+                         ids=[f"{c}-{k}" for c, k in OUT_OF_RANGE_CASES])
+def test_an_out_of_range_number_exits_2_with_one_line(tmp_path, capsys, command, case):
+    """One config error line, no traceback, and nothing written."""
+    (section, key), value, message = OUT_OF_RANGE[case]
+    data = json.loads(SHIPPED.read_text())
+    data[section][key] = value
+    argv = [command, "--config", _write(tmp_path, data)]
+    out = tmp_path / "out"
+    if command != "oracle":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_negative_seed_override_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(SHIPPED), "--seed", "-3",
@@ -268,6 +301,28 @@ def test_run_dump_stacks_writes_each_stack_as_the_per_value_writer(
 
 def test_oracle_exits_0(capsys):
     assert main(["oracle", "--config", str(SHIPPED)]) == 0
+    assert "K =" in capsys.readouterr().out
+
+
+# The reward basis is the one feature choice left, and the plant family, the
+# value and policy features and irl.rank_threshold are checked but set
+# nothing, so a config may leave those four keys out
+ORACLE_VARIANTS = {
+    "quadratic_reward": {("features", "reward"): "quadratic"},
+    "no_unstored_keys": {("plant", "family"): None, ("features", "value"): None,
+                         ("features", "policy"): None, ("irl", "rank_threshold"): None},
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_VARIANTS)
+def test_oracle_on_a_variant_of_the_shipped_config_exits_0(tmp_path, capsys, case):
+    data = json.loads(SHIPPED.read_text())
+    for (section, key), value in ORACLE_VARIANTS[case].items():
+        if value is None:
+            del data[section][key]
+        else:
+            data[section][key] = value
+    assert main(["oracle", "--config", _write(tmp_path, data)]) == 0
     assert "K =" in capsys.readouterr().out
 
 

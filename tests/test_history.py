@@ -10,7 +10,7 @@ import pytest
 from oirl import history
 from oirl.errors import DimensionError, DivergenceError
 from oirl.harness import _walk, load_config, run_scenario
-from oirl.history import ADMISSION_MARGIN, HistoryStack, all_finite, eigvalsh
+from oirl.history import ADMISSION_MARGIN, HistoryStack, eigvalsh
 from oirl.rls import _norm
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
@@ -18,29 +18,29 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "tracking.json"
 
 def test_empty_stack_accepts_any_finite_row():
     stack = HistoryStack(capacity=3, row_dim=2)
-    assert stack.try_insert(np.array([1e-30, 0.0]), 0.0, t=0.0)
+    assert stack.try_insert(np.array([[1e-30, 0.0]]), [[0.0]], t=0.0)
     assert len(stack) == 1
 
 
 def test_fills_to_capacity_then_becomes_selective():
     stack = HistoryStack(capacity=2, row_dim=2)
-    assert stack.try_insert(np.array([1.0, 0.0]), 1.0, t=0.0)
-    assert stack.try_insert(np.array([1.0, 1e-6]), 2.0, t=1.0)
+    assert stack.try_insert(np.array([[1.0, 0.0]]), [[1.0]], t=0.0)
+    assert stack.try_insert(np.array([[1.0, 1e-6]]), [[2.0]], t=1.0)
     assert len(stack) == 2
     # nearly collinear contents leave lambda_min tiny
     assert stack.rank_metric < 1e-10
     # an orthogonal direction is a strict improvement and must be taken
-    assert stack.try_insert(np.array([0.0, 1.0]), 3.0, t=2.0)
+    assert stack.try_insert(np.array([[0.0, 1.0]]), [[3.0]], t=2.0)
     assert len(stack) == 2
     assert stack.rank_metric > 0.99
 
 
 def test_duplicate_of_existing_row_is_rejected_when_full():
     stack = HistoryStack(capacity=2, row_dim=2)
-    stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0)
-    stack.try_insert(np.array([0.0, 1.0]), 0.0, t=1.0)
+    stack.try_insert(np.array([[1.0, 0.0]]), [[0.0]], t=0.0)
+    stack.try_insert(np.array([[0.0, 1.0]]), [[0.0]], t=1.0)
     before = stack.rank_metric
-    assert not stack.try_insert(np.array([1.0, 0.0]), 0.0, t=2.0)
+    assert not stack.try_insert(np.array([[1.0, 0.0]]), [[0.0]], t=2.0)
     assert stack.rank_metric == before
 
 
@@ -48,10 +48,10 @@ def test_rank_metric_never_decreases_once_full():
     rng = np.random.default_rng(5)
     stack = HistoryStack(capacity=4, row_dim=3)
     for i in range(4):
-        stack.try_insert(rng.normal(size=3), 0.0, t=float(i))
+        stack.try_insert(rng.normal(size=(1, 3)), [[0.0]], t=float(i))
     metric = stack.rank_metric
     for i in range(200):
-        stack.try_insert(rng.normal(size=3), 0.0, t=float(4 + i))
+        stack.try_insert(rng.normal(size=(1, 3)), [[0.0]], t=float(4 + i))
         assert stack.rank_metric >= metric * (1.0 - 1e-12)
         metric = stack.rank_metric
 
@@ -61,7 +61,7 @@ def test_normal_and_cross_match_contents():
     rows = [np.array([1.0, 2.0]), np.array([0.5, -1.0])]
     targets = [np.array([1.0, 0.0]), np.array([0.0, 3.0])]
     for i, (row, tgt) in enumerate(zip(rows, targets)):
-        stack.try_insert(row, tgt, t=float(i))
+        stack.try_insert(row[None], tgt[None], t=float(i))
     reg = np.vstack(rows)
     np.testing.assert_allclose(stack.normal_matrix(), reg.T @ reg)
     np.testing.assert_allclose(stack.cross_matrix(), reg.T @ np.vstack(targets))
@@ -70,7 +70,7 @@ def test_normal_and_cross_match_contents():
 def test_block_rows_are_inserted_and_counted_together():
     stack = HistoryStack(capacity=2, row_dim=3, block_rows=2, target_dim=1)
     block = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert stack.try_insert(block, np.array([1.0, 2.0]), t=0.0)
+    assert stack.try_insert(block, np.array([[1.0], [2.0]]), t=0.0)
     assert len(stack) == 1
     np.testing.assert_allclose(stack.normal_matrix(), block.T @ block)
 
@@ -82,7 +82,7 @@ def test_insert_replays_deterministically():
     def run():
         stack = HistoryStack(capacity=5, row_dim=3)
         for i, row in enumerate(offers):
-            stack.try_insert(row, float(i), t=0.05 * i)
+            stack.try_insert(row[None], [[float(i)]], t=0.05 * i)
         return stack.regressor().copy(), stack.rank_metric
 
     reg1, m1 = run()
@@ -94,11 +94,11 @@ def test_insert_replays_deterministically():
 def test_tags_and_oldest_tag():
     stack = HistoryStack(capacity=2, row_dim=2)
     assert stack.oldest_tag() is None
-    stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0, tag=3)
-    stack.try_insert(np.array([1.0, 1e-6]), 0.0, t=1.0, tag=1)
+    stack.try_insert(np.array([[1.0, 0.0]]), [[0.0]], t=0.0, tag=3)
+    stack.try_insert(np.array([[1.0, 1e-6]]), [[0.0]], t=1.0, tag=1)
     assert stack.oldest_tag() == 1
     # the orthogonal row evicts the nearly collinear one, and its tag with it
-    assert stack.try_insert(np.array([0.0, 1.0]), 0.0, t=2.0, tag=5)
+    assert stack.try_insert(np.array([[0.0, 1.0]]), [[0.0]], t=2.0, tag=5)
     assert sorted(stack.contents()[:, 1]) == [3, 5]
     assert stack.oldest_tag() == 3
     stack.clear()
@@ -107,12 +107,12 @@ def test_tags_and_oldest_tag():
 
 def test_cached_sums_are_read_only_and_replaced_on_change():
     stack = HistoryStack(capacity=3, row_dim=2)
-    stack.try_insert(np.array([1.0, 2.0]), 3.0, t=0.0)
+    stack.try_insert(np.array([[1.0, 2.0]]), [[3.0]], t=0.0)
     normal, cross = stack.normal_matrix(), stack.cross_matrix()
     for cached in (normal, cross):
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
-    stack.try_insert(np.array([0.0, 1.0]), 1.0, t=1.0)
+    stack.try_insert(np.array([[0.0, 1.0]]), [[1.0]], t=1.0)
     np.testing.assert_array_equal(normal, [[1.0, 2.0], [2.0, 4.0]])
     np.testing.assert_array_equal(cross, [[3.0], [6.0]])
     np.testing.assert_array_equal(stack.normal_matrix(), [[1.0, 2.0], [2.0, 5.0]])
@@ -120,8 +120,8 @@ def test_cached_sums_are_read_only_and_replaced_on_change():
 
 def test_clear_empties_the_stack():
     stack = HistoryStack(capacity=2, row_dim=2)
-    stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0)
-    stack.try_insert(np.array([0.0, 1.0]), 0.0, t=0.1)
+    stack.try_insert(np.array([[1.0, 0.0]]), [[0.0]], t=0.0)
+    stack.try_insert(np.array([[0.0, 1.0]]), [[0.0]], t=0.1)
     stack.clear()
     assert len(stack) == 0
     assert stack.rank_metric == 0.0
@@ -132,22 +132,37 @@ def test_non_finite_rows_are_rejected():
     """A non-finite row or target is a divergence of the run that built it."""
     stack = HistoryStack(capacity=2, row_dim=2)
     with pytest.raises(DivergenceError):
-        stack.try_insert(np.array([np.inf, 0.0]), 0.0, t=0.0)
+        stack.try_insert(np.array([[np.inf, 0.0]]), [[0.0]], t=0.0)
     with pytest.raises(DivergenceError):
-        stack.try_insert(np.array([1.0, 0.0]), np.nan, t=0.0)
+        stack.try_insert(np.array([[1.0, 0.0]]), [[np.nan]], t=0.0)
     assert len(stack) == 0
 
 
 def test_wrong_row_dimension_is_rejected():
     stack = HistoryStack(capacity=2, row_dim=2)
     with pytest.raises(DimensionError):
-        stack.try_insert(np.array([1.0, 0.0, 0.0]), 0.0, t=0.0)
+        stack.try_insert(np.array([[1.0, 0.0, 0.0]]), [[0.0]], t=0.0)
 
 
 def test_wrong_target_shape_is_rejected():
     stack = HistoryStack(capacity=2, row_dim=2, block_rows=2, target_dim=1)
     with pytest.raises(DimensionError, match="target block"):
         stack.try_insert(np.eye(2), np.zeros(3), t=0.0)
+    assert len(stack) == 0
+
+
+@pytest.mark.parametrize("block_rows, rows, targets, message", [
+    (1, np.array([1.0, 0.0]), np.zeros((1, 1)), "row block"),
+    (1, np.array([[1.0, 0.0]]), np.zeros(1), "target block"),
+    (1, np.array([[1.0, 0.0]]), 0.0, "target block"),
+    (2, np.eye(2), np.zeros(2), "target block"),
+], ids=["1-D row", "1-D target of one row", "scalar target", "1-D target of two rows"])
+def test_an_offer_that_is_not_a_block_is_rejected(block_rows, rows, targets, message):
+    """An offer is a (block_rows, row_dim) row block and a (block_rows,
+    target_dim) target block; a stack reshapes no other shape into them."""
+    stack = HistoryStack(capacity=2, row_dim=2, block_rows=block_rows)
+    with pytest.raises(DimensionError, match=message):
+        stack.try_insert(rows, targets, t=0.0)
     assert len(stack) == 0
 
 
@@ -162,8 +177,8 @@ def test_contents_roundtrip():
     sharing its time and tag; an empty stack has none."""
     stack = HistoryStack(capacity=3, row_dim=2, block_rows=2, target_dim=1)
     assert stack.contents().shape == (0, 5)
-    stack.try_insert(np.array([[1.0, 2.0], [3.0, 4.0]]), [5.0, 6.0], t=0.3, tag=2)
-    stack.try_insert(np.array([[0.0, 1.0], [1.0, 0.0]]), [7.0, 8.0], t=0.5, tag=4)
+    stack.try_insert(np.array([[1.0, 2.0], [3.0, 4.0]]), [[5.0], [6.0]], t=0.3, tag=2)
+    stack.try_insert(np.array([[0.0, 1.0], [1.0, 0.0]]), [[7.0], [8.0]], t=0.5, tag=4)
     np.testing.assert_array_equal(stack.contents(), [[0.3, 2, 1.0, 2.0, 5.0],
                                                      [0.3, 2, 3.0, 4.0, 6.0],
                                                      [0.5, 4, 0.0, 1.0, 7.0],
@@ -245,24 +260,6 @@ def test_eigvalsh_raises_divergence_on_non_finite_input():
                 eigvalsh(a)
 
 
-@pytest.mark.parametrize("a", [
-    np.zeros(0),
-    np.zeros((0, 3)),
-    np.array([1.0, -2.0, 3.0]),
-    np.array([1e308, -1e308, 1e308]),             # squares overflow, all finite
-    np.full((2, 2), 1e200),
-    np.array([1e308, np.inf]),
-    np.array([0.0, -np.inf, 1.0]),
-    np.array([np.nan, 1.0]),
-    np.array([[1e308, 0.0], [0.0, np.nan]]),
-    (np.arange(12.0).reshape(3, 4) / 7.0).T,      # non-contiguous view
-    np.where(np.eye(4) > 0, np.inf, 1.0)[:, ::2],  # strided, holding inf
-])
-def test_all_finite_equals_numpy(a):
-    with np.errstate(over="ignore"):    # the squares of 1e200 overflow
-        assert all_finite(a) is bool(np.isfinite(a).all())
-
-
 def _random_offers(stack, rng, scale):
     r, d = stack.block_rows, stack.row_dim
     for _ in range(stack.capacity + 40):
@@ -317,9 +314,12 @@ def test_the_batched_walk_decides_as_the_full_search():
     every offer, changes a second stack, each with that stack bit for bit,
     while batched certificate passes keep many offers from reaching
     try_insert. The counts show that each case the certificate must get
-    right was reached on both sides of the rule."""
+    right was reached on both sides of the rule. The walk is handed the
+    offers in each layout the pipeline passes: blocks, (N, row_dim) rows and
+    (N, target_dim) targets for one-row blocks (theta, policy), and
+    (N, block_rows) targets for one target column (IRL)."""
     rng = np.random.default_rng(2024)
-    seen, calls = Counter(), Counter()
+    seen, calls, layouts = Counter(), Counter(), Counter()
     offered = accepted = 0
     for r in (1, 2, 3):
         for d in range(2, 7):
@@ -327,14 +327,16 @@ def test_the_batched_walk_decides_as_the_full_search():
                 cases = [("random", d + 3, _random_offers),
                          ("rank-deficient", d + 1, _rank_deficient_offers)]
                 cases += [("tie", 2 * d - 1, _tied_offers)] * 8
-                for kind, capacity, offers in cases:
-                    ref = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                for j, (kind, capacity, offers) in enumerate(cases):
+                    # every other case has one target column
+                    c = 1 + j % 2
+                    ref = HistoryStack(capacity, d, block_rows=r, target_dim=c)
                     rows, targets, states = [], [], {}
                     # offers are drawn as the search admits, so the tied
                     # ones are sized on its stack
                     for i, block in enumerate(offers(ref, rng, scale)):
                         rows.append(block)
-                        targets.append(rng.normal(size=(r, 2)))
+                        targets.append(rng.normal(size=(r, 2))[:, :c])
                         if _norm(block) < 1e-12:
                             continue
                         case = kind if len(ref) == capacity else "filling"
@@ -344,14 +346,24 @@ def test_the_batched_walk_decides_as_the_full_search():
                         if took:
                             states[i] = _state(ref)
                         seen[case, took] += 1
-                    fast = HistoryStack(capacity, d, block_rows=r, target_dim=2)
+                    fast = HistoryStack(capacity, d, block_rows=r, target_dim=c)
 
                     def counted(*args, insert=fast.try_insert, **kwargs):
                         calls["try_insert"] += 1
                         return insert(*args, **kwargs)
                     fast.try_insert = counted
                     steps = range(len(rows))
-                    walk = _walk(fast, steps, np.array(rows), np.array(targets),
+                    row_blocks, blocks = np.array(rows), np.array(targets)
+                    # in every other case a one-row block (its rows too) or
+                    # a one-column target block is passed in the 2-D layout
+                    layout = "blocks"
+                    if j % 4 < 2 and (r == 1 or c == 1):
+                        layout = "one-row" if r == 1 else "one-column"
+                        blocks = blocks.reshape(len(rows), r * c)
+                        if r == 1:
+                            row_blocks = row_blocks.reshape(len(rows), d)
+                    layouts[layout] += 1
+                    walk = _walk(fast, steps, row_blocks, blocks,
                                  [0.1 * i for i in steps], steps, len(rows))
                     assert {k: _state(fast) for k in walk} == states
                     offered += len(rows)
@@ -360,6 +372,7 @@ def test_the_batched_walk_decides_as_the_full_search():
     # sides of the rule
     for case in ("random", "rank-deficient", "tie", "rank_metric <= 0"):
         assert seen[case, True] >= 20 and seen[case, False] >= 20, seen
+    assert min(layouts[k] for k in ("blocks", "one-row", "one-column")) >= 20, layouts
     # counted on this seed: 7,740 offers, 4,810 accepted, 1,465 rejected by
     # the batched certificate alone
     tried = calls["try_insert"]
@@ -441,14 +454,14 @@ def test_an_overflowing_candidate_still_diverges(row):
     quotient reads 0), is not rejected by the certificate, and the search
     raises on it."""
     stack = HistoryStack(capacity=2, row_dim=2)
-    stack.try_insert(np.array([1.0, 0.0]), 0.0, t=0.0)
-    stack.try_insert(np.array([0.0, 2.0]), 0.0, t=1.0)
+    stack.try_insert(np.array([[1.0, 0.0]]), [[0.0]], t=0.0)
+    stack.try_insert(np.array([[0.0, 2.0]]), [[0.0]], t=1.0)
     rows = np.array([[row]])
     with np.errstate(over="ignore"):
         frob = np.vecdot(rows[0], rows[0])
     assert stack.first_unrejected(rows, frob) == 0
     with pytest.raises(DivergenceError):
-        stack.try_insert(np.array(row), 0.0, t=2.0)
+        stack.try_insert(rows[0], [[0.0]], t=2.0)
 
 
 # Full searches (batched eigvalsh calls) per stack on the first 20 s of the

@@ -286,7 +286,8 @@ def _per_step_lane(eng, due, rows, targets, clock, gens):
         if took:
             eng.purge(clock[k])
         if k in offers and not _norm(offers[k][0]) < 1e-12:
-            took |= eng.stack.try_insert(*offers[k], clock[k], tag=gens[k])
+            block, target = offers[k]
+            took |= eng.stack.try_insert(block, target[:, None], clock[k], tag=gens[k])
         if took:
             changed.append(k)
     return changed

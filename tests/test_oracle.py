@@ -116,6 +116,21 @@ def test_a_residual_above_the_tolerance_is_refused():
         solve_are([[1e7]], [[1e-2]], [[1.0]], [[1.0]])
 
 
+def test_a_singular_lyapunov_operator_is_refused():
+    """A near 1e-9 and B near 1e7, from a random scan: the Kleinman step's
+    Kronecker solve meets an operator singular to working precision, which
+    is a RiccatiConvergenceError, not numpy's bare LinAlgError."""
+    a = [[1.4898238185947477e-09, -1.98756733768467e-09, 7.038656893211204e-10],
+         [2.1422234782803067e-09, -1.1230300160880713e-09, -6.275691305502507e-10],
+         [-6.973518213645308e-10, 3.5556814453610494e-09, 2.108313405614176e-09]]
+    b = [[-84165972.10541688, -95478447.3847844],
+         [40816373.07345408, -13379406.330626596],
+         [33436884.726298165, 16681349.340286793]]
+    with pytest.raises(RiccatiConvergenceError,
+                       match="singular Lyapunov operator of the closed loop A - B K"):
+        solve_are(a, b, np.eye(3), np.eye(2))
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_are(A_SCN, B_SCN, np.array([[1.0, 0.5], [0.0, 1.0]]), R_SCN)

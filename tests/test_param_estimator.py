@@ -126,7 +126,7 @@ def test_estimate_respects_projection_box():
     for i in range(3):
         row = np.zeros(3)
         row[i] = 1.0
-        est.stack.try_insert(row, 10.0 * np.ones(2), t=float(i))
+        est.stack.try_insert(row[None], 10.0 * np.ones((1, 2)), t=float(i))
     for _ in range(5000):
         step(est, 0.005)
     assert np.max(est.theta_hat) <= 2.0 + 1e-12
@@ -139,9 +139,9 @@ def test_non_finite_update_raises():
     overflows once forgetting has shrunk H."""
     est = ThetaEstimator(_plant(), ThetaEstimatorConfig(beta=100.0,
                                                          gamma_ceiling=1e300))
-    est.stack.try_insert(np.array([1e-10, 0.0, 0.0]), np.full(2, 1e300), t=0.0)
-    est.stack.try_insert(np.array([0.0, 1.0, 0.0]), np.zeros(2), t=0.0)
-    est.stack.try_insert(np.array([0.0, 0.0, 1.0]), np.zeros(2), t=0.0)
+    est.stack.try_insert(np.array([[1e-10, 0.0, 0.0]]), np.full((1, 2), 1e300), t=0.0)
+    est.stack.try_insert(np.array([[0.0, 1.0, 0.0]]), np.zeros((1, 2)), t=0.0)
+    est.stack.try_insert(np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 2)), t=0.0)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
             for _ in range(200):
@@ -225,7 +225,7 @@ def test_observe_banks_exactly_the_reference_window_integral():
         window = [[s[k] for s in windows.buffer] for k in range(3)]
         ref_y, ref_b = _loop_window(lambda x, u: a0 @ x + b0 @ u,
                                     lambda x, u: np.concatenate([x, u]), *window)
-        equal = np.array_equal(y, ref_y) and np.array_equal(b, ref_b)
+        equal = np.array_equal(y, [ref_y]) and np.array_equal(b, [ref_b])
         offered.append((equal, len(window[0])))
         return False
 

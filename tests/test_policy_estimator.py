@@ -27,7 +27,7 @@ def _filled_estimator(n_samples=30, seed=2):
     est = PolicyEstimator(_basis(), PolicyEstimatorConfig())
     for i in range(n_samples):
         x = rng.uniform(-1.0, 1.0, 2)
-        est.stack.try_insert(x, K_TRUE @ x, t=0.05 * i)     # rows x, targets -u
+        est.stack.try_insert(x[None], (K_TRUE @ x)[None], t=0.05 * i)  # rows x, targets -u
     return est
 
 
@@ -99,7 +99,7 @@ def test_query_is_linear_in_the_state():
     x, u_hat = eng.queries(np.repeat(est.weights[None], 5, axis=0))
     np.testing.assert_allclose(u_hat, -(x @ K_TRUE.T), rtol=1e-14, atol=0)
     for i, (block, target) in enumerate(zip(*eng.row_blocks(x, u_hat, THETA))):
-        assert eng.stack.try_insert(block, target, 0.05 * i, tag=1)
+        assert eng.stack.try_insert(block, target[:, None], 0.05 * i, tag=1)
         rows, offsets = build_row_block(_basis(), dyn, x[i:i + 1],
                                         -(x[i:i + 1] @ K_TRUE.T), THETA, eng.cfg.r1)
         np.testing.assert_allclose(eng.stack.regressor()[-2:], rows[0],
@@ -113,8 +113,8 @@ def test_non_finite_update_raises():
     feature) make the weight solve overflow once forgetting has shrunk H."""
     cfg = PolicyEstimatorConfig(beta=100.0, gamma_ceiling=1e300)
     est = PolicyEstimator(_basis(), cfg)
-    assert est.stack.try_insert(np.array([1e-10, 0.0]), np.array([1e300]), t=0.0)
-    assert est.stack.try_insert(np.array([0.0, 1.0]), np.array([0.0]), t=0.05)
+    assert est.stack.try_insert(np.array([[1e-10, 0.0]]), np.array([[1e300]]), t=0.0)
+    assert est.stack.try_insert(np.array([[0.0, 1.0]]), np.array([[0.0]]), t=0.05)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
             for _ in range(200):

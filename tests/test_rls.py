@@ -35,7 +35,7 @@ def _learner(rows=np.zeros((0, 2)), targets=np.zeros((0, 1)), weights=None,
     stack = HistoryStack(capacity=max(1, len(rows)), row_dim=rows.shape[1],
                          target_dim=targets.shape[1])
     for i in range(len(rows)):
-        assert stack.try_insert(rows[i], targets[i], t=float(i))
+        assert stack.try_insert(rows[i:i + 1], targets[i:i + 1], t=float(i))
     if weights is None:
         weights = np.zeros((rows.shape[1], stack.target_dim))
     return ConcurrentLearner(_cfg(**overrides), stack, weights)
@@ -168,7 +168,7 @@ def test_information_step_stays_symmetric_bit_for_bit():
     rng = np.random.default_rng(8)
     stack = HistoryStack(capacity=12, row_dim=5, block_rows=3)
     for i in range(12):
-        stack.try_insert(rng.normal(size=(3, 5)), rng.normal(size=3), t=float(i))
+        stack.try_insert(rng.normal(size=(3, 5)), rng.normal(size=(3, 1)), t=float(i))
     assert (stack.normal_matrix() == stack.normal_matrix().T).all()
     learner = ConcurrentLearner(_cfg(alpha=3.0), stack, np.zeros(5))
     for _ in range(500):
