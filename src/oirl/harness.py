@@ -200,6 +200,20 @@ def validate_config(cfg: ScenarioConfig) -> ValidScenario:
     irl_dim = basis.value_dim + basis.reward_dim + m - 1
     if cfg.irl.stack_size < irl_dim:
         raise ConfigError("IRL stack smaller than its regressor dimension")
+    # the widest arrays a run sizes by its steps and by its stack sizes (the
+    # others are narrower): one numpy cannot address is refused here, so
+    # `oracle` refuses it too; one it can address but not get is a
+    # MemoryError, which exits 2 as well
+    rows, p = _step_count(cfg.duration, cfg.dt) + 1, n + m
+    for name, shape in (("record table", (rows, len(CSV_COLUMNS))),
+                        ("theta estimate table", (rows, p, n)),
+                        ("IRL offer table", (rows, 1 + m, irl_dim)),
+                        ("theta stack", (cfg.theta_estimator.stack_size, p, p)),
+                        ("policy stack", (cfg.policy_estimator.stack_size, n, n)),
+                        ("IRL stack", (cfg.irl.stack_size, irl_dim, irl_dim))):
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"run too large for memory: the {name}, of shape "
+                              f"{shape}, is more than numpy can address")
     # the demonstrator is LQR in error coordinates, which is only optimal if
     # the reference is consistent with the true plant: A_d = A + B F
     a_true, b_true = plant.true_system()
@@ -503,16 +517,11 @@ def _run_lanes(cfg: ScenarioConfig, modes: tuple) -> list[RunResult]:
     lane i is exactly a stand-alone run with querying=modes[i]."""
     valid = validate_config(cfg)
     rows = _step_count(cfg.duration, cfg.dt) + 1 if cfg.duration else 0
-    # numpy refuses a size it cannot address with a ValueError, before it
-    # allocates anything: a run too large for memory, as a MemoryError is
-    try:
-        theta_est = ThetaEstimator(valid.scenario.plant, cfg.theta_estimator)
-        policy_est = PolicyEstimator(valid.basis, cfg.policy_estimator)
-        engines = [RewardEstimator(valid.basis, valid.scenario.plant, cfg.irl, cfg.seed)
-                   for _ in modes]
-        tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
-    except ValueError as err:
-        raise ConfigError(f"run too large for memory: {err}") from err
+    theta_est = ThetaEstimator(valid.scenario.plant, cfg.theta_estimator)
+    policy_est = PolicyEstimator(valid.basis, cfg.policy_estimator)
+    engines = [RewardEstimator(valid.basis, valid.scenario.plant, cfg.irl, cfg.seed)
+               for _ in modes]
+    tables = [np.zeros((rows, len(CSV_COLUMNS))) for _ in modes]
     if rows:
         _simulate(cfg, valid, theta_est, policy_est, engines, modes, tables)
     # every lane shares the policy stack, so the first lane's column does
@@ -649,20 +658,28 @@ def _clock(clock: list, period: float, steps) -> list:
 
 
 def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
-    """The steps below n at which `stack` changes, in order. At the i-th
-    step k of `due` it is offered rows[i] and targets[i] tagged tags[k]; on a
-    lane's stack (`engine` given) a purge on generations `tags` comes first,
-    so the step's offer goes to the emptied stack. An offer whose rows have
-    no signal (norm below 1e-12) cannot raise lambda_min, so it is not made.
-    rows and targets hold each offer's block entries in row order, as
-    blocks or, for one-row blocks, as (N, row_dim) and (N, target_dim), and
-    for one target column as (N, block_rows); the walk alone shapes them
-    into the blocks that `try_insert` takes.
+    """The changes of `stack` at steps below n, in order, each as (step k,
+    S, C, lambda_min): the stack's normal and cross matrices and its
+    lambda_min after the change. At the i-th step k of `due` it is offered
+    rows[i] and targets[i] tagged tags[k]; on a lane's stack (`engine`
+    given) a purge on generations `tags` comes first, so the step's offer
+    goes to the emptied stack. An offer whose rows have no signal (norm
+    below 1e-12) cannot raise lambda_min, so it is not made. rows and
+    targets hold each offer's block entries in row order, as blocks or, for
+    one-row blocks, as (N, row_dim) and (N, target_dim), and for one target
+    column as (N, block_rows); the walk alone shapes them into blocks.
 
     The stack is fixed between changes, so the walk visits only the next
     purge (`next_purge`) and the next offer that `first_unrejected` cannot
-    reject, each as a per-step loop would. A DivergenceError leaves with
-    its step k as `step`.
+    reject, each as a per-step loop would. A stack with room appends every
+    offer it is made, so a non-empty one takes its offers in one
+    `HistoryStack.append`, up to the first of its room, the next purge
+    (which cannot move while only newer tags come in) and the first
+    non-finite offer; the first append to an empty stack goes alone, as
+    its tag fixes the next purge. The stack read while the walk is paused
+    may be past the change just yielded. An offer that `append` does not
+    take goes to `try_insert` alone. A DivergenceError leaves with its step
+    k as `step`, after every change before it.
     """
     flat = rows.reshape(len(rows), stack.block_rows * stack.row_dim)
     flat_targets = targets.reshape(len(rows), stack.block_rows * stack.target_dim)
@@ -675,6 +692,7 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
     rows = flat[made].reshape(len(frob), stack.block_rows, stack.row_dim)
     targets = flat_targets[made].reshape(len(frob), stack.block_rows, stack.target_dim)
     due = np.asarray(due, dtype=int)[made].tolist() + [n]
+    unfit = np.flatnonzero(np.isnan(frob)).tolist() + [len(frob)]
 
     def next_offer(i):
         # offers from i on, in windows that double while all are rejected
@@ -696,6 +714,21 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
         if changed:
             engine.purge(clock[k])
         i = bisect.bisect_left(due, k, i)       # the first offer due from k on
+        j = i       # a fill appends offers i to j - 1
+        if due[i] == k and 0 < len(stack) < stack.capacity:
+            j = min(i + stack.capacity - len(stack),
+                    unfit[bisect.bisect_left(unfit, i)],
+                    bisect.bisect_left(due, purge, i, len(frob)))
+        if j > i:
+            steps = due[i:j]
+            changes = stack.append(rows[i:j], targets[i:j], [clock[s] for s in steps],
+                                   [tags[s] for s in steps])
+            yield from zip(steps, *changes)
+            i += len(changes[2])
+            if i == j:
+                k = steps[-1] + 1
+                continue
+            k = due[i]      # an offer the stack did not take goes alone
         if due[i] == k:
             try:
                 changed |= stack.try_insert(rows[i], targets[i], clock[k], tag=tags[k])
@@ -704,15 +737,16 @@ def _walk(stack, due, rows, targets, clock, tags, n, engine=None):
                 raise
             i += 1
         if changed:
-            yield k
+            yield k, stack.normal_matrix(), stack.cross_matrix(), stack.rank_metric
         k += 1
 
 
 def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
-    """One estimator: its stack's changes from `walk`, and its learner from
-    step `start` over the spans between them in one call, to the step after
-    the earliest of `errors` (whose offers come before its updates; a change
-    the walk makes past there goes unrecorded, as the run raises). Writes
+    """One estimator: its stack as it stands, then its changes with the
+    sums after each from `walk`, and its learner from step `start` over the
+    spans between them in one call, to the step after the earliest of
+    `errors` (whose offers come before its updates; a change the walk makes
+    past there goes unrecorded, as the run raises). Writes
     its columns of `col`, lambda_<name>_stack, <name>_gain_reset and, where
     the CSV has it, lambda_gamma_<name> (gamma0 before `start`); appends its
     own errors, the walk's at their step; returns the learner's weights per
@@ -724,11 +758,12 @@ def _stage(learner, dt, walk, start, errors, col, name) -> np.ndarray:
     gamma[:start] = learner.cfg.gamma0
     stop = min([len(rank)] + [step + 1 for step, *_ in errors])
     spans, at = [], 0       # (steps, S, C) per span from `start` on
+    change = (0, stack.normal_matrix(), stack.cross_matrix(), stack.rank_metric)
     while at < stop:
-        normal, cross = stack.normal_matrix(), stack.cross_matrix()
-        value = stack.rank_metric
+        _, normal, cross, value = change
         try:
-            end = min(next(walk, stop), stop)
+            change = next(walk, (stop,))
+            end = min(change[0], stop)
         except DivergenceError as err:
             errors.append((err.step, 0, err))
             end = stop = min(stop, err.step)

@@ -8,13 +8,16 @@ rows @ W ~= target for their weights W, which is why the policy
 -offsets. The informativity metric is lambda_min of the stacked normal
 matrix; admission maximizes it. Once the stack is full, an offer swaps in
 for the entry whose removal leaves the largest lambda_min, and only on a
-strict relative gain: `try_insert` appends, or tries every swap. Most
-offers are rejected, and an exact certificate (a Rayleigh quotient of every
-swap on the current lambda_min eigenvector, with a rounding allowance)
-rejects them with no swap tried. It reads the stack only through what is
-fixed until the stack changes, so `first_unrejected` takes it of a batch of
-upcoming offers in one pass; only the first offer it cannot reject needs
-`try_insert`, and every decision is bit for bit the search's. The search
+strict relative gain: `try_insert` appends, or tries every swap. A stack
+with room appends every offer it is made, so `append` is the one append
+path, for any number of offers at once (`try_insert` hands it one), each
+bit for bit as one append at a time. Most offers are rejected, and an
+exact certificate (a Rayleigh quotient of every swap on the current
+lambda_min eigenvector, with a rounding allowance) rejects them with no
+swap tried. It reads the stack only through what is fixed until the stack
+changes, so `first_unrejected` takes it of a batch of upcoming offers in
+one pass; only the first offer it cannot reject needs `try_insert`, and
+every decision is bit for bit the search's. The search
 itself decomposes only the swaps whose own bound (the certificate's term
 for that swap, with its slack) passes the threshold: a swap it prunes has
 lambda_min at most the threshold, so it can neither win nor tie. `clear`
@@ -146,34 +149,76 @@ class HistoryStack:
             raise DivergenceError("non-finite row or target offered to history stack")
         return rows, targets
 
-    def _write_slot(self, i: int, rows, targets, t: float, tag: int) -> None:
-        self._rows[i] = rows
-        self._targets[i] = targets
-        self._times[i] = t
-        self._tags[i] = tag
-        self._grams[i] = rows.T @ rows
+    def _write_slots(self, i: int, rows, targets, times, tags) -> None:
+        # blocks of shape (k, block_rows, ...) into slots i to i + k - 1
+        j = i + len(rows)
+        self._rows[i:j] = rows
+        self._targets[i:j] = targets
+        self._times[i:j] = times
+        self._tags[i:j] = tags
+        self._grams[i:j] = np.matmul(np.swapaxes(rows, 1, 2), rows)
+
+    def _cross_sum(self, k: int) -> Matrix:
+        """The cross matrix of the first k entries."""
+        flat_rows = self._rows[:k].reshape(-1, self.row_dim)
+        flat_targets = self._targets[:k].reshape(-1, self.target_dim)
+        return flat_rows.T @ flat_targets
 
     def _refresh(self) -> None:
         # rebuild the cached sums from stored entries; exact, and cheap at
         # these sizes, which keeps rank_metric consistent with the contents
         k = self._count
         if k == 0:
-            self._normal = np.zeros((self.row_dim, self.row_dim))
-            self._cross = np.zeros((self.row_dim, self.target_dim))
-            self._rank_metric = 0.0
-            self._oldest_tag = None
+            self._cache(np.zeros((self.row_dim, self.row_dim)),
+                        np.zeros((self.row_dim, self.target_dim)), 0.0)
         else:
-            self._normal = self._grams[:k].sum(axis=0)
-            flat_rows = self._rows[:k].reshape(-1, self.row_dim)
-            flat_targets = self._targets[:k].reshape(-1, self.target_dim)
-            self._cross = flat_rows.T @ flat_targets
-            self._rank_metric = float(eigvalsh(self._normal)[0])
-            self._oldest_tag = int(self._tags[:k].min())
+            normal = self._grams[:k].sum(axis=0)
+            self._cache(normal, self._cross_sum(k), float(eigvalsh(normal)[0]))
+
+    def _cache(self, normal: Matrix, cross: Matrix, rank_metric: float) -> None:
+        self._normal, self._cross = normal, cross
+        self._rank_metric = rank_metric
+        k = self._count
+        self._oldest_tag = int(self._tags[:k].min()) if k else None
         # what a swap's lambda_min must beat to be taken
-        self._threshold = max(self._rank_metric * (1.0 + ADMISSION_MARGIN), 0.0)
+        self._threshold = max(rank_metric * (1.0 + ADMISSION_MARGIN), 0.0)
         self._probe = None
-        self._normal.flags.writeable = False
-        self._cross.flags.writeable = False
+        normal.flags.writeable = False
+        cross.flags.writeable = False
+
+    # a finite offer whose gram overflows stops the fill, with no warning
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def append(self, rows, targets, times, tags) -> tuple:
+        """Append k offers, finite blocks rows (k, block_rows, row_dim) and
+        targets (k, block_rows, target_dim) with their times and tags, as k
+        appends one at a time would, bit for bit: a stack with room appends
+        every offer it is made. Returns the normal matrices (k, row_dim,
+        row_dim), the cross matrices and the lambda_mins after each append.
+
+        The grams come from one stacked matmul, each prefix's normal matrix
+        from `np.add.accumulate` over them (the sum `_refresh` takes, entry
+        by entry in slot order), each cross matrix from `_cross_sum`, and
+        every lambda_min from one batched `eigvalsh_lo`. An offer after
+        which the eigenvalues are not finite (a gram that overflows) is not
+        appended, nor any after it, and the results stop before it: fewer
+        than k come back, and `try_insert` raises on that offer.
+        """
+        i, k = self._count, len(rows)
+        if k > self.capacity - i:
+            raise ValueError(f"{k} offers, {self.capacity - i} free slots")
+        self._write_slots(i, rows, targets, times, tags)
+        normals = np.add.accumulate(self._grams[:i + k], axis=0)[i:]
+        crosses = np.empty((k, self.row_dim, self.target_dim))
+        for j in range(k):
+            crosses[j] = self._cross_sum(i + j + 1)
+        normals.flags.writeable = crosses.flags.writeable = False
+        eigs = eigvalsh_lo(normals)
+        finite = np.isfinite(eigs).all(axis=1)
+        m = k if finite.all() else int(finite.argmin())
+        if m:
+            self._count = i + m
+            self._cache(normals[m - 1], crosses[m - 1], float(eigs[m - 1, 0]))
+        return normals[:m], crosses[:m], eigs[:m, 0]
 
     # a finite offer whose products overflow ends in the DivergenceError of
     # eigvalsh, with no warning before it
@@ -189,9 +234,8 @@ class HistoryStack:
         """
         rows, targets = self._coerce(row_block, target_block)
         if self._count < self.capacity:
-            self._write_slot(self._count, rows, targets, t, tag)
-            self._count += 1
-            self._refresh()
+            if not len(self.append(rows[None], targets[None], [t], [tag])[2]):
+                raise DivergenceError("symmetric eigenvalues went non-finite")
             return True
         # only the swaps whose own certificate bound passes the threshold
         # can win (or tie the winner), so only they are decomposed
@@ -207,7 +251,7 @@ class HistoryStack:
         best = int(np.argmax(lam))
         if not lam[best] > self._threshold:
             return False
-        self._write_slot(int(live[best]), rows, targets, t, tag)
+        self._write_slots(int(live[best]), rows[None], targets[None], t, tag)
         self._refresh()
         return True
 

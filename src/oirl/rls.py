@@ -12,7 +12,11 @@ Once forgetting converges, H_j and Z_j repeat bit for bit from one row to
 the next, so `advance` hands LAPACK (`eigvalsh_lo`, `solve`, the gufuncs
 `history` binds) only the rows that differ from the row before in some bit,
 and each other row takes the result of the row before it: equal input bits
-give equal output bits.
+give equal output bits. A span settles where a chunk kept whole (no reset,
+clip or cut) ends on its fixed point: a^j < 2^-54, so b is alpha / beta,
+and H = bS and Z = bC bit for bit. Every later row of the span is then
+that row (`_settled` says why), so `advance` yields the rest of the span
+as that row repeated, with no closed form, comparison or LAPACK call.
 It takes a stage's spans, each with its own S and C, in chunks of rows
 that run across span ends: a span starts from H on the row before it and
 Z = H W, W solved on that row.
@@ -83,10 +87,11 @@ def _per_fresh_row(f, fresh: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
 # be singular and whose Z may overflow, so it is quiet
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rows(a, cfg, r, n, begins, h0, z0, spans):
-    """H and Z of rows r to r + n - 1, and the last piece's start: spans[p]
-    holds from row begins[p], piece p's segment start, on. Piece 0 starts
-    from (h0, z0), each later one from H on the row before and Z = H W.
-    Z has the shape of the cross matrices, (k, n), as `solve` takes it."""
+    """H and Z of rows r to r + n - 1, the last piece's start and the last
+    row's power a^e: spans[p] holds from row begins[p], piece p's segment
+    start, on. Piece 0 starts from (h0, z0), each later one from H on the
+    row before and Z = H W. Z has the shape of the cross matrices, (k, n),
+    as `solve` takes it."""
     cuts = [b - r for b in begins[1:]] + [n]       # where each piece ends
     # one array power: its bits do not depend on a power's place in it
     aj = a ** (np.arange(r + 1, r + n + 1) - np.repeat(begins, np.diff([0] + cuts)))
@@ -98,7 +103,22 @@ def _rows(a, cfg, r, n, begins, h0, z0, spans):
             z0 = h0 @ solve(h0, zs[-1][-1])
         hs.append(np.multiply.outer(aj[lo:hi], h0) + np.multiply.outer(bj[lo:hi], s))
         zs.append(np.multiply.outer(aj[lo:hi], z0) + np.multiply.outer(bj[lo:hi], c))
-    return np.concatenate(hs), np.concatenate(zs), h0, z0
+    return np.concatenate(hs), np.concatenate(zs), h0, z0, aj[-1]
+
+
+def _settled(a, power, b, h, z, s, c) -> bool:
+    """Whether every later row of a segment repeats its row (h, z), whose
+    power is a^e, bit for bit: b = alpha / beta, and (s, c) its span's S
+    and C. Once a^e < 2^-54, 1 - a^e rounds to 1, so every later row's b
+    is alpha / beta too. A later row's power is at most this one: while
+    1 - a > 2^-51 the exact powers fall by more than pow's error of under
+    one ulp in the normal range can make up, and every subnormal lies below
+    a normal a^e. So its term fl(a^e' H0), of the same sign, is no larger,
+    and rounding is monotone: where fl(bS + fl(a^e H0)) is bS, so is
+    fl(bS + fl(a^e' H0)), and where bS is zero both terms are the same
+    signed zero. The same holds for Z and C."""
+    return (1.0 - a > 2.0 ** -51 and 2.0 ** -1022 <= power < 2.0 ** -54
+            and bool((h == b * s).all()) and bool((z == b * c).all()))
 
 
 class ConcurrentLearner:
@@ -127,14 +147,24 @@ class ConcurrentLearner:
         lambda_max) after each step. A row is the closed form from its
         span's first row, or from the row after a reset or one that
         `_amend` changes, which ends its chunk: the chunking changes no
-        bit. Non-finite weights or eigenvalues raise DivergenceError at the
-        first row that would be kept, after the rows before it."""
+        bit. The rest of a settled span comes as read-only broadcasts of
+        its last computed row. Non-finite weights or eigenvalues raise
+        DivergenceError at the first row that would be kept, after the rows
+        before it."""
         cfg = self.cfg
         spans = [span for span in spans if span[0]]
         ends = list(itertools.accumulate((n for n, _, _ in spans), initial=0))
         a = math.exp(-cfg.beta * dt)
         r, restart, size = 0, 0, CHUNK  # next row, latest restart, chunk rows
+        settled = 0     # the rows before it repeat the latest kept row
         while r < ends[-1]:     # spans[i] holds rows ends[i] to ends[i + 1] - 1
+            if r < settled:
+                n = min(size, settled - r)
+                yield (np.broadcast_to(self.weights, (n,) + self.weights.shape),
+                       np.broadcast_to(self.gamma_eig_range, (n, 2)))
+                r += n
+                size = min(CHUNK, 2 * n)
+                continue
             i = bisect.bisect_right(ends, r) - 1
             begin = max(restart, ends[i])       # row r's segment starts there
             if begin == r:
@@ -142,8 +172,8 @@ class ConcurrentLearner:
                 z0 = h0 @ self.weights.reshape(len(h0), -1)
             n = min(size, ends[-1] - r)
             q = bisect.bisect_left(ends, r + n) - 1     # the last row's span
-            h, z, h0, z0 = _rows(a, cfg, r, n, [begin] + ends[i + 1:q + 1], h0,
-                                 z0, spans[i:q + 1])
+            h, z, h0, z0, power = _rows(a, cfg, r, n, [begin] + ends[i + 1:q + 1],
+                                        h0, z0, spans[i:q + 1])
             finite = np.isfinite(h).all(axis=(1, 2))
             rows = n if finite.all() else int(finite.argmin())
             fresh = _fresh(h[:rows])
@@ -180,6 +210,11 @@ class ConcurrentLearner:
             if take:
                 yield w[:take], gamma
             r += take
+            # a chunk kept whole whose last row is its segment's fixed point
+            # leaves the rest of its span to repeat that row
+            if amended == good == n and _settled(a, power, cfg.alpha / cfg.beta,
+                                                 h[-1], z[-1], *spans[q][1:]):
+                settled = ends[q + 1]
             if reset or amended < good:
                 restart = r
             elif take < n:
@@ -191,5 +226,7 @@ class ConcurrentLearner:
     def _amend(self, w: Matrix) -> int:
         """The index of the first of the consecutive weight rows w that an
         owner projecting its weights amends, in place, or len(w) if none
-        needs it; the rows after it are dropped."""
+        needs it; the rows after it are dropped. It judges a row by its
+        bits alone, so a settled span's repeats, which it does not see,
+        need no amending."""
         return len(w)

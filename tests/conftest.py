@@ -5,6 +5,7 @@ second: its learners step in chunks of rows, but the stacks' 6,000 offers
 lane's offers on top. So each is computed once per session and reused by
 the harness and acceptance tests."""
 
+import bisect
 import time
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import per_step
 from oirl import harness
 from oirl.dynamics import rk4_transition
+from oirl.errors import DivergenceError
 from oirl.harness import ablate, load_config, run_scenario
 from oirl.param_estimator import ThetaEstimator
 
@@ -25,6 +27,26 @@ def step(learner, dt):
     for w, _ in learner.advance(dt, per_step.one_span(learner, 1)):
         if isinstance(learner, ThetaEstimator):
             learner.revise(w)
+
+
+def fail_offers_from(stack, since, prefix):
+    """Make every offer to `stack` at a time from `since` on raise
+    DivergenceError(f"{prefix} at t=..."). An offer reaches a stack through
+    `try_insert` or, on a stack with room, through `append`: try_insert
+    raises on it, and append takes only the offers before it, so the walk
+    hands it to try_insert alone."""
+    insert, append = stack.try_insert, stack.append
+
+    def insert_or_raise(rows, targets, t, tag=0):
+        if t >= since:
+            raise DivergenceError(f"{prefix} at t={t:.6g}")
+        return insert(rows, targets, t, tag)
+
+    def append_before(rows, targets, times, tags):
+        m = bisect.bisect_left(times, since)
+        return append(rows[:m], targets[:m], times[:m], tags[:m])
+
+    stack.try_insert, stack.append = insert_or_raise, append_before
 
 
 def per_value_stack_csv(stack) -> bytes:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import per_step
-from conftest import per_value_stack_csv
+from conftest import fail_offers_from, per_value_stack_csv
 from oirl import harness
 from oirl.cli import main
 from oirl.errors import DivergenceError
@@ -171,7 +171,7 @@ OUT_OF_RANGE = {
 OUT_OF_RANGE_CASES = [("oracle", "dt_past_the_float_range"),
                       ("run", "dt_past_the_float_range")]
 OUT_OF_RANGE_CASES += [(command, case) for case in ("dt_of_2**-50", "irl_stack_of_2**62")
-                       for command in ("run", "ablate")]
+                       for command in ("run", "ablate", "oracle")]
 
 
 @pytest.mark.parametrize("command, case", OUT_OF_RANGE_CASES,
@@ -329,14 +329,16 @@ def test_oracle_on_a_variant_of_the_shipped_config_exits_0(tmp_path, capsys, cas
 @pytest.fixture
 def overflowing_policy_samples(monkeypatch):
     """Bank each policy sample with its row scaled by 1e-10 and its target by
-    1e300: finite rows and targets whose least-squares weights overflow."""
+    1e300: finite rows and targets whose least-squares weights overflow. The
+    policy stack never fills in these 2 s runs, so every sample it takes
+    comes through `append`, `try_insert`'s own append among them."""
     init = PolicyEstimator.__init__
 
     def rescaling(self, *args):
         init(self, *args)
-        insert = self.stack.try_insert
-        self.stack.try_insert = lambda row, target, t, tag=0: insert(
-            1e-10 * row, 1e300 * target, t, tag)
+        append = self.stack.append
+        self.stack.append = lambda rows, targets, *rest: append(
+            1e-10 * rows, 1e300 * targets, *rest)
 
     monkeypatch.setattr(PolicyEstimator, "__init__", rescaling)
 
@@ -395,13 +397,7 @@ def test_an_offer_error_precedes_an_update_error_of_the_same_step(
 
     def failing(self, *args):
         init(self, *args)
-        insert = self.stack.try_insert
-
-        def insert_or_raise(rows, targets, t, tag=0):
-            if t >= step * cfg.dt:
-                raise DivergenceError(f"lane offer at t={t:.6g}")
-            return insert(rows, targets, t, tag)
-        self.stack.try_insert = insert_or_raise
+        fail_offers_from(self.stack, step * cfg.dt, "lane offer")
 
     monkeypatch.setattr(RewardEstimator, "__init__", failing)
     for run in (run_scenario, lambda c: per_step.run_lanes(c, (False,))):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import per_step
-from conftest import per_value_stack_csv
+from conftest import fail_offers_from, per_value_stack_csv
 from oirl.errors import ConfigError, DivergenceError
 from oirl.history import HistoryStack
 from oirl.irl_engine import RewardEstimator
@@ -375,13 +376,8 @@ def test_ablate_raises_the_earlier_lanes_error(monkeypatch, query_t, no_query_t)
 
     def diverging(self, *args):
         init(self, *args)
-        (name, since), insert = next(lanes), self.stack.try_insert
-
-        def insert_or_raise(rows, targets, t, tag=0):
-            if t >= since:
-                raise DivergenceError(f"{name} at t={t:.6g}")
-            return insert(rows, targets, t, tag)
-        self.stack.try_insert = insert_or_raise
+        name, since = next(lanes)
+        fail_offers_from(self.stack, since, name)
 
     monkeypatch.setattr(RewardEstimator, "__init__", diverging)
     cfg = _short_cfg()
@@ -633,10 +629,7 @@ def test_ablate_raises_the_querying_lanes_error_on_a_tie(monkeypatch):
     def failing(self, *args):
         init(self, *args)
         lane = next(lanes) % 2              # ablate builds the query lane first
-
-        def insert(rows, targets, t, tag=0):
-            raise DivergenceError(f"lane {lane} at t={t:.6g}")
-        self.stack.try_insert = insert
+        fail_offers_from(self.stack, -math.inf, f"lane {lane}")
 
     monkeypatch.setattr(RewardEstimator, "__init__", failing)
     policy = dataclasses.replace(CFG.policy_estimator, rank_threshold=1e-12)
@@ -653,13 +646,7 @@ def _fail_offers_from(monkeypatch, estimator, name, since):
 
     def failing(self, *args):
         init(self, *args)
-        insert = self.stack.try_insert
-
-        def insert_or_raise(rows, targets, t, tag=0):
-            if t >= since:
-                raise DivergenceError(f"{name} offer at t={t:.6g}")
-            return insert(rows, targets, t, tag)
-        self.stack.try_insert = insert_or_raise
+        fail_offers_from(self.stack, since, f"{name} offer")
 
     monkeypatch.setattr(estimator, "__init__", failing)
 

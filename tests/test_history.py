@@ -247,6 +247,53 @@ def test_private_gufuncs_match_numpy_bit_for_bit(k):
         assert got.tobytes() == want
 
 
+def test_the_fills_numpy_identities_hold_bit_for_bit():
+    """`HistoryStack.append` rests on two identities, pinned here on every
+    block shape a config reaches and up to 50 entries: one stacked matmul
+    of the blocks' transposes and blocks gives each block's own `B.T @ B`,
+    and `np.add.accumulate` over the grams gives at entry k - 1 the sum
+    `_refresh` takes of the first k."""
+    rng = np.random.default_rng(29)
+    for r in (1, 2, 3):
+        for d in range(2, 10):
+            for k in (1, 2, 7, 50):
+                scale = 10.0 ** rng.integers(-4, 4, (k, 1, 1))
+                rows = rng.normal(size=(k, r, d)) * scale
+                grams = np.matmul(np.swapaxes(rows, 1, 2), rows)
+                assert grams.tobytes() == np.array([b.T @ b for b in rows]).tobytes()
+                sums = np.add.accumulate(grams, axis=0)
+                for j in range(1, k + 1):
+                    assert sums[j - 1].tobytes() == grams[:j].sum(axis=0).tobytes()
+
+
+def test_append_is_one_offer_at_a_time():
+    """k offers appended at once leave the stack, bit for bit, where k
+    calls of `try_insert` on a stack with room leave it, and return the
+    sums after each; an offer whose gram overflows is not taken, nor any
+    after it, and try_insert raises on it alone."""
+    rng = np.random.default_rng(31)
+    for r, d, c in ((1, 2, 1), (2, 5, 1), (3, 4, 2)):
+        rows, targets = rng.normal(size=(9, r, d)), rng.normal(size=(9, r, c))
+        one, batch = (HistoryStack(12, d, block_rows=r, target_dim=c) for _ in range(2))
+        want = []
+        for i in range(9):
+            assert one.try_insert(rows[i], targets[i], t=0.1 * i, tag=i)
+            want.append(_sums(one.normal_matrix(), one.cross_matrix(), one.rank_metric))
+        assert batch.try_insert(rows[0], targets[0], t=0.0, tag=0)
+        got = batch.append(rows[1:], targets[1:], [0.1 * i for i in range(1, 9)],
+                           list(range(1, 9)))
+        assert [want[0]] + [_sums(*change) for change in zip(*got)] == want
+        assert _state(batch) == _state(one)
+        rows[4] *= 1e200
+        stack = HistoryStack(12, d, block_rows=r, target_dim=c)
+        stack.try_insert(rows[0], targets[0], t=0.0)
+        with np.errstate(over="ignore"):
+            taken = stack.append(rows[1:], targets[1:], [0.0] * 8, [0] * 8)
+            assert len(taken[2]) == 3 and len(stack) == 4
+            with pytest.raises(DivergenceError):
+                stack.try_insert(rows[4], targets[4], t=0.0)
+
+
 def test_eigvalsh_raises_divergence_on_non_finite_input():
     """The gufunc returns NaN where numpy raises; the helper raises instead
     of passing the NaN on."""
@@ -307,13 +354,22 @@ def _state(stack):
             stack.rank_metric.hex())
 
 
+def _sums(normal, cross, rank_metric):
+    """A stack's normal and cross matrices and lambda_min, bit for bit."""
+    return normal.tobytes(), cross.tobytes(), float(rank_metric).hex()
+
+
 def test_the_batched_walk_decides_as_the_full_search():
     """Random, rank-deficient and tied offers of every block shape, over 16
     orders of magnitude of scale, each sequence made in one batch by
     `harness._walk`: it yields the steps at which `try_insert`, offered
-    every offer, changes a second stack, each with that stack bit for bit,
-    while batched certificate passes keep many offers from reaching
-    try_insert. The counts show that each case the certificate must get
+    every offer, changes a second stack, each with that stack's normal and
+    cross matrices and lambda_min after the change, bit for bit, while
+    batched certificate passes keep many offers from reaching try_insert.
+    A fill appends several offers at once, so at the i-th change the walked
+    stack is the other stack after its i-th change or, mid-fill, after the
+    fill's last; either way bit for bit. The counts show that each case the
+    certificate must get
     right was reached on both sides of the rule. The walk is handed the
     offers in each layout the pipeline passes: blocks, (N, row_dim) rows and
     (N, target_dim) targets for one-row blocks (theta, policy), and
@@ -331,7 +387,7 @@ def test_the_batched_walk_decides_as_the_full_search():
                     # every other case has one target column
                     c = 1 + j % 2
                     ref = HistoryStack(capacity, d, block_rows=r, target_dim=c)
-                    rows, targets, states = [], [], {}
+                    rows, targets, states, sums = [], [], {}, {}
                     # offers are drawn as the search admits, so the tied
                     # ones are sized on its stack
                     for i, block in enumerate(offers(ref, rng, scale)):
@@ -345,6 +401,8 @@ def test_the_batched_walk_decides_as_the_full_search():
                         took = ref.try_insert(block, targets[i], t=0.1 * i, tag=i)
                         if took:
                             states[i] = _state(ref)
+                            sums[i] = _sums(ref.normal_matrix(), ref.cross_matrix(),
+                                            ref.rank_metric)
                         seen[case, took] += 1
                     fast = HistoryStack(capacity, d, block_rows=r, target_dim=c)
 
@@ -365,7 +423,11 @@ def test_the_batched_walk_decides_as_the_full_search():
                     layouts[layout] += 1
                     walk = _walk(fast, steps, row_blocks, blocks,
                                  [0.1 * i for i in steps], steps, len(rows))
-                    assert {k: _state(fast) for k in walk} == states
+                    order, got = list(states), {}
+                    for c, (k, *after) in enumerate(walk):
+                        got[k] = _sums(*after)
+                        assert _state(fast) == states[order[max(c, len(fast) - 1)]]
+                    assert got == sums
                     offered += len(rows)
                     accepted += len(states)
     # counted on this seed, at least 38 each; every case is reached on both

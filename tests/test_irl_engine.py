@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oirl.dynamics import LinearPlant, eval_dynamics
+from oirl.errors import DivergenceError
 from oirl.features import REWARDS, FeatureBasis
 from oirl.harness import _walk
 from oirl.irl_engine import IrlConfig, RewardEstimator, build_row_block
@@ -168,8 +169,9 @@ def _bank(eng, x, u, generation):
     """Offer eng's stack the row blocks of samples (x, u), built from THETA,
     0.05 s apart, as a run offers its due samples."""
     steps = range(len(x))
-    changed = set(_walk(eng.stack, steps, *eng.row_blocks(x, u, THETA),
-                        [0.05 * k for k in steps], [generation] * len(x), len(x)))
+    changed = {k for k, *_ in _walk(eng.stack, steps, *eng.row_blocks(x, u, THETA),
+                                    [0.05 * k for k in steps], [generation] * len(x),
+                                    len(x))}
     return [k in changed for k in steps]
 
 
@@ -276,9 +278,17 @@ def test_purge_requires_staleness_and_dwell():
     assert eng.next_purge(clock, gens + 1, 6) == 9
 
 
+def _sums(stack):
+    """What a learner reads of a stack after a change, bit for bit."""
+    return (stack.normal_matrix().tobytes(), stack.cross_matrix().tobytes(),
+            float(stack.rank_metric).hex())
+
+
 def _per_step_lane(eng, due, rows, targets, clock, gens):
-    """The steps at which a loop over steps changes eng's stack: at each, the
-    purge rule, then the step's offer if one is due and has signal."""
+    """The changes a loop over steps makes to eng's stack, each as (step,
+    sums after it): at each step, the purge rule, then the step's offer if
+    one is due and has signal; and the step of the offer that raised, or
+    None."""
     offers = dict(zip(due, zip(rows, targets)))
     changed = []
     for k in range(len(gens)):
@@ -287,47 +297,69 @@ def _per_step_lane(eng, due, rows, targets, clock, gens):
             eng.purge(clock[k])
         if k in offers and not _norm(offers[k][0]) < 1e-12:
             block, target = offers[k]
-            took |= eng.stack.try_insert(block, target[:, None], clock[k], tag=gens[k])
+            try:
+                took |= eng.stack.try_insert(block, target[:, None], clock[k],
+                                             tag=gens[k])
+            except DivergenceError:
+                return changed, k
         if took:
-            changed.append(k)
-    return changed
+            changed.append((k, _sums(eng.stack)))
+    return changed, None
 
 
 # (dwell, first offer step, steps at which the generation advances, purge
-# times), with an offer every third step over 40 steps: a purge on a step
-# with an offer, which then lands in the emptied stack; t - last_purge
-# exactly equal to the dwell on steps without an offer, which purges; a
-# generation that advances while the stack is empty, which purges nothing;
-# and a purge on the last step, whose offer the certificate rejects on the
-# full stack, so only the purge brings the walk there
+# times, stack size, the index of a non-finite offer or None), with an offer
+# every third step over 40 steps: a purge on a step with an offer, which
+# then lands in the emptied stack; t - last_purge exactly equal to the dwell
+# on steps without an offer, which purges; a generation that advances while
+# the stack is empty, which purges nothing; a purge on the last step, whose
+# offer the certificate rejects on the full stack, so only the purge brings
+# the walk there; a purge due while the stack fills, which ends a fill; a
+# non-finite offer while the stack fills, which raises at its own step after
+# the appends before it; and a fill that reaches the stack's capacity and
+# goes on to swaps
 PURGE_CASES = {
-    "purge and offer on a step": (1.4, 0, [2, 12], [1.5, 3.0]),
-    "dwell met exactly": (1.0, 0, [1, 7], [1.0, 2.0]),
-    "stale while empty": (1.0, 10, [2, 30], [7.5]),
-    "purge on the last step": (9.75, 0, [2, 38], [9.75]),
+    "purge and offer on a step": (1.4, 0, [2, 12], [1.5, 3.0], 5, None),
+    "dwell met exactly": (1.0, 0, [1, 7], [1.0, 2.0], 5, None),
+    "stale while empty": (1.0, 10, [2, 30], [7.5], 5, None),
+    "purge on the last step": (9.75, 0, [2, 38], [9.75], 5, None),
+    "purge inside a fill": (1.0, 0, [2, 25], [1.0, 6.25], 20, None),
+    "non-finite offer inside a fill": (1.0, 0, [2, 25], [1.0], 20, 6),
+    "fill, then swaps": (20.0, 0, [], [], 5, None),
 }
 
 
 @pytest.mark.parametrize("case", PURGE_CASES)
 def test_walk_purges_as_the_per_step_rule(case):
-    """The walk visits only the steps where a lane's stack may change, yet
-    purges and admits as the per-step rule does on every step."""
-    dwell, first, advances, purge_times = PURGE_CASES[case]
+    """The walk visits only the steps where a lane's stack may change, and
+    fills a stack with room in one append, yet purges and admits as the
+    per-step rule does on every step: each change at its step with the
+    sums after it, bit for bit."""
+    dwell, first, advances, purge_times, size, bad = PURGE_CASES[case]
     n = 40
     clock = [0.25 * k for k in range(n)]
     gens = np.searchsorted(advances, np.arange(n), side="right")
-    cfg = IrlConfig(dwell=dwell, stack_size=5)
+    cfg = IrlConfig(dwell=dwell, stack_size=size)
     due = list(range(first, n, 3))
     query = RewardEstimator(_basis(), _plant(), cfg, 3)
     rows, targets = query.row_blocks(
         *query.queries(np.repeat(K_EXACT.T[None], len(due), axis=0)), THETA)
+    if bad is not None:     # its rows are finite, so it would append
+        targets[bad, 0] = np.nan
     walked, stepped = (RewardEstimator(_basis(), _plant(), cfg, 3) for _ in range(2))
-    changed = []
-    for k in _walk(walked.stack, due, rows, targets, clock, gens, n, walked):
-        changed.append(k)
-        if clock[k] in purge_times:     # and then the step's offer, if any
-            assert len(walked.stack) == (k in due)
-    assert changed == _per_step_lane(stepped, due, rows, targets, clock, gens)
+    changed, raised = [], None
+    try:
+        for k, normal, cross, rank in _walk(walked.stack, due, rows, targets, clock,
+                                            gens, n, walked):
+            changed.append((k, (normal.tobytes(), cross.tobytes(), float(rank).hex())))
+            if clock[k] in purge_times:     # and then the step's offer, if any
+                assert len(walked.stack) == (k in due)
+    except DivergenceError as err:
+        raised = err.step
+    assert (changed, raised) == _per_step_lane(stepped, due, rows, targets, clock, gens)
+    assert raised == (None if bad is None else due[bad])
     assert walked.purge_times == stepped.purge_times == purge_times
     assert walked.last_purge == stepped.last_purge
     assert walked.stack.contents().tobytes() == stepped.stack.contents().tobytes()
+    if case == "fill, then swaps":
+        assert len(changed) > size

@@ -557,8 +557,11 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
     weights. At beta = 20 H reaches its fixed point near row 420 and keeps
     it across two CHUNK boundaries, and LAPACK sees a fraction of the rows;
     Z, from weights of 1e6, reaches its own over a hundred rows later, so
-    some rows repeat H and not Z. With a low gamma ceiling the weakly
-    excited direction resets H every 230 steps or so, and no row repeats."""
+    some rows repeat H and not Z. The rows after the third chunk repeat its
+    last row, which is its span's fixed point (`_settled`), so only the
+    every-row reference, with that shortcut off too, computes them. With a
+    low gamma ceiling the weakly excited direction resets H every 230 steps
+    or so, and no row repeats."""
     real = rls.eigvalsh_lo, rls.solve
     rng = np.random.default_rng(9)
     rows = rng.normal(size=(4, 3)) * np.array([1.0, 1.0, 0.05])
@@ -570,6 +573,7 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
         monkeypatch.setattr(rls, "solve", _counting(real[1], counts, "solve"))
         if every_row:
             monkeypatch.setattr(rls, "_fresh", lambda a: np.ones(len(a), dtype=bool))
+            monkeypatch.setattr(rls, "_settled", lambda *args: False)
         learner = _learner(rows, targets, weights=np.full((3, 1), 1e6), beta=beta,
                            gamma_ceiling=gamma_ceiling)
         if vector:
@@ -588,3 +592,105 @@ def test_repeated_rows_take_the_lapack_results_of_the_row_before(
     else:           # counted: 426 and 549 of 773 rows
         assert every == {"eigvalsh": 3 * CHUNK + 5, "solve": 3 * CHUNK + 5}
         assert fewer["eigvalsh"] < fewer["solve"] < 0.8 * every["solve"], fewer
+
+
+def _spy_rows(monkeypatch):
+    """Count the rows `_rows` computes."""
+    real, rows = rls._rows, Counter()
+
+    def counted(a, cfg, r, n, *args):
+        rows["computed"] += n
+        return real(a, cfg, r, n, *args)
+    monkeypatch.setattr(rls, "_rows", counted)
+    return rows
+
+
+def _settling_learner(**overrides):
+    """The learner of the repeated-rows test at beta = 20: its one span
+    reaches its fixed point in H and Z by the end of its third chunk."""
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(4, 3)) * np.array([1.0, 1.0, 0.05])
+    return _learner(rows, rng.normal(size=(4, 1)), weights=np.full((3, 1), 1e6),
+                    **{"beta": 20.0, **overrides})
+
+
+@pytest.mark.parametrize("steps", [3 * CHUNK + 5, 6 * CHUNK + 17])
+def test_a_settled_spans_repeated_rows_are_the_rows_it_skips(monkeypatch, steps):
+    """Past the row where a span settles, `advance` repeats that row and
+    computes nothing: the rows it yields are bit for bit `_rows` of the
+    whole span in one piece, each decomposed and solved, with the learner's
+    state those rows leave; and `_rows` computed only the rows up to the
+    end of the third chunk."""
+    learner = _settling_learner()
+    h0 = learner.information
+    z0 = h0 @ learner.weights
+    span = one_span(learner, steps)
+    counts = _spy_rows(monkeypatch)
+    w, gamma = _advance(learner, steps)
+    monkeypatch.undo()
+    assert counts["computed"] == 3 * CHUNK < steps
+    h, z, *_ = rls._rows(math.exp(-learner.cfg.beta * DT), learner.cfg, 0, steps,
+                         [0], h0, z0, span)
+    assert w.tobytes() == rls.solve(h, z).tobytes()
+    assert gamma.tobytes() == (1.0 / rls.eigvalsh_lo(h)[:, [-1, 0]]).tobytes()
+    assert learner.information.tobytes() == h[-1].tobytes()
+    assert learner.gain_resets == 0 and not learner.last_gain_reset
+
+
+def test_a_zero_of_s_under_a_nonzero_of_h0_never_settles(monkeypatch):
+    """S is diagonal and H0 is not: H's off-diagonal entries, a^e H0, fall
+    through the subnormals to 0 near row 1,490, so from there H equals
+    (alpha / beta) S. A settled row must have a normal power, so the span
+    never settles: every row is computed, and each equals the rows of the
+    same span with the repeat shortcut off."""
+    def drive(shortcut):
+        learner = _learner([[1.0, 0.0], [0.0, 2.0]], [1.0, -1.0], beta=100.0)
+        learner.information = np.array([[1.0, 0.5], [0.5, 1.0]])
+        if not shortcut:
+            monkeypatch.setattr(rls, "_settled", lambda *args: False)
+        counts = _spy_rows(monkeypatch)
+        w, gamma = _advance(learner, 2000)
+        monkeypatch.undo()
+        return w.tobytes(), gamma.tobytes(), learner.information, counts["computed"]
+
+    got, want = drive(True), drive(False)
+    assert got[:2] == want[:2] and got[3] == want[3] == 2000
+    np.testing.assert_array_equal(got[2], np.diag([0.01, 0.04]))
+
+
+def test_a_reset_or_a_clip_on_a_chunks_last_row_blocks_the_repeat(monkeypatch):
+    """Only a chunk kept whole can settle its span. A clip on the last row
+    of the third chunk, where the span has settled, restarts the closed form
+    from the clipped W: the rows after it are computed and differ from it,
+    bit for bit the rows with the shortcut off. Without the clip they
+    repeat it. A reset ends its chunk on the reset row, and no chunk that
+    ends in a reset is tested for a fixed point."""
+    steps = 3 * CHUNK + 5
+
+    def drive(clips, shortcut=True):
+        learner = _ClipsOnRows(_settling_learner(), clips)
+        if not shortcut:
+            monkeypatch.setattr(rls, "_settled", lambda *args: False)
+        counts = _spy_rows(monkeypatch)
+        w, _ = _advance(learner, steps)
+        monkeypatch.undo()
+        return w, counts["computed"]
+
+    last = 3 * CHUNK - 1        # the third chunk's last row
+    (clipped, computed), (want, _) = drive([last]), drive([last], False)
+    assert computed == steps and clipped.tobytes() == want.tobytes()
+    assert (np.abs(clipped[last]) <= 0.1).all()
+    assert (clipped[last + 1:] != clipped[last]).any(axis=(1, 2)).all()
+    repeated, computed = drive([])
+    assert computed == 3 * CHUNK
+    assert (repeated[last + 1:] == repeated[last]).all()
+
+    tested, real = [], rls._settled
+    learner = _settling_learner(beta=2.0, gamma_ceiling=10.0)
+
+    def spy(*args):
+        tested.append(learner.last_gain_reset)
+        return real(*args)
+    monkeypatch.setattr(rls, "_settled", spy)
+    _advance(learner, steps)
+    assert learner.gain_resets == 3 and tested and not any(tested)
